@@ -80,7 +80,6 @@ from .tubes import (
     diagonal_tube_inverse,
     equivariant_decompose,
     equivariant_recompose,
-    flow_point,
     local_average,
     patch_chart,
     point_tube_forward,

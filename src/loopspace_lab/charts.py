@@ -177,11 +177,6 @@ def loop_map(f, gamma: SampledLoop) -> SampledLoop:
     return SampledLoop(vals)
 
 
-def constant_loop_embedding(x, n: int = 128) -> SampledLoop:
-    """The embedding of points as constant loops."""
-    return SampledLoop.constant(x, n)
-
-
 def vertical_derivative(psi, alpha: SampledLoop, beta: TangentSection,
                         h: float = 1e-5, richardson: bool = False) -> TangentSection:
     """The derivative of a looped fiberwise map psi^L, computed pointwise.

@@ -72,21 +72,43 @@ BUMP = BumpProfile()
 
 def _flow_constant_direction(w, c, profile: BumpProfile, steps: int,
                              sign: float = 1.0) -> np.ndarray:
-    """RK4 flow of w' = profile(|w|^2) c over unit time, batched over rows."""
-    w = np.asarray(w, dtype=np.float64).copy()
+    """Flow of w' = profile(|w|^2) c over unit time, batched over rows.
+
+    The field is parallel to c, so each row stays on the line w0 + sigma c
+    with sigma' = profile(q(sigma)), sigma(0) = 0, where
+    q(sigma) = |w0 + sigma c|^2 = q0 + b sigma + a sigma^2.  As the profile
+    lies in [0, 1], sigma stays in [0, 1], and q is convex, so a row with
+    max(q(0), q(1)) <= lower translates by exactly c, and a row with
+    q(0) >= upper (or c = 0) never moves.  Only the rows left in the
+    transition band integrate sigma, by fixed-step RK4.
+    """
+    w = np.asarray(w, dtype=np.float64)
     c = sign * np.asarray(c, dtype=np.float64)
-    h = 1.0 / steps
+    shape = np.broadcast_shapes(w.shape, c.shape)
+    w = np.broadcast_to(w, shape).reshape(-1, shape[-1])
+    c = np.broadcast_to(c, shape).reshape(-1, shape[-1])
+    q0 = np.sum(w * w, axis=-1)
+    b = 2.0 * np.sum(w * c, axis=-1)
+    a = np.sum(c * c, axis=-1)
+    translate = np.maximum(q0, q0 + b + a) <= profile.lower
+    band = ~translate & (q0 < profile.upper) & (a > 0.0)
+    out = np.where(translate[:, None], w + c, w)
+    if np.any(band):
+        q0, b, a = q0[band], b[band], a[band]
+        h = 1.0 / steps
 
-    def rhs(u):
-        return profile(np.sum(u * u, axis=-1, keepdims=True)) * c
+        def rate(s):
+            return profile(q0 + s * (b + a * s))
 
-    for _ in range(steps):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * h * k1)
-        k3 = rhs(w + 0.5 * h * k2)
-        k4 = rhs(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return w
+        s = np.zeros_like(q0)
+        for _ in range(steps):
+            k1 = rate(s)
+            k2 = rate(s + 0.5 * h * k1)
+            k3 = rate(s + 0.5 * h * k2)
+            k4 = rate(s + h * k3)
+            s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[band] = w[band] + s[:, None] * c[band]
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -94,8 +116,9 @@ class FlowDiffeo:
     """The compactly supported diffeomorphism exp(X_v), X_v(u) = rho(|u|^2) v.
 
     Flowing for unit time from the origin lands exactly on v whenever
-    |v| <= sqrt(lower of the profile); inversion integrates the reversed
-    field.
+    |v| <= sqrt(lower of the profile): the segment from 0 to v lies in the
+    plateau, so the flow returns v by construction.  Inversion flows the
+    reversed field.
     """
 
     vector: np.ndarray
@@ -112,11 +135,6 @@ class FlowDiffeo:
     def inverse(self, u) -> np.ndarray:
         return _flow_constant_direction(u, self.vector, self.profile, self.steps,
                                         sign=-1.0)
-
-
-def flow_point(fd: FlowDiffeo, u) -> np.ndarray:
-    """Integrate u' = rho(|u|^2) v over unit time from u."""
-    return fd.forward(u)
 
 
 # -- chart patches for the based fibration ---------------------------------------

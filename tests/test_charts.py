@@ -12,7 +12,6 @@ from loopspace_lab.charts import (
     chart_inverse,
     chart_membership,
     chart_to_dict,
-    constant_loop_embedding,
     loop_map,
     random_section,
     section_from_ambient,
@@ -199,7 +198,7 @@ class TestLoopMap:
 
     def test_constant_embedding_then_evaluation(self):
         x = np.array([0.3, -0.4, 0.5])
-        iota = constant_loop_embedding(x, 64)
+        iota = SampledLoop.constant(x, 64)
         for t in (0.0, 0.37, 0.99):
             assert np.max(np.abs(evaluate(iota, t) - x)) < 1e-12
 

@@ -123,6 +123,21 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--quiet"]) == 0
         assert (tmp_path / "metric-5.json").exists()
 
+    @pytest.mark.parametrize("manifold,seed,resolution", [
+        ("torus2", 10, 128), ("flat:3", 5, 128), ("flat:3", 6, 128),
+        ("flat:3", 16, 128), ("flat:3", 23, 128),
+        ("torus2", 2136207832, 1024)])
+    def test_fibration_seed_section_stays_in_patch(self, tmp_path, manifold,
+                                                   seed, resolution):
+        # unclamped, these seeds draw a seed section whose base point leaves
+        # the trivializing patch, and the suite raises OutsidePatch (exit 3)
+        code = main(["run", "--suite", "fibration", "--manifold", manifold,
+                     "--seed", str(seed), "--resolution", str(resolution),
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        data = json.loads((tmp_path / f"fibration-{seed}.json").read_text())
+        assert data["all_pass"] is True
+
     def test_chart_roundtrip_sphere_seed7_example(self, tmp_path):
         code = main(["run", "--suite", "chart-roundtrip",
                      "--manifold", "sphere2", "--resolution", "128",

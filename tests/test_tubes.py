@@ -3,6 +3,7 @@ unity, coincidence tubes, and equivariant averaging."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from loopspace_lab.charts import TangentSection, random_section
 from loopspace_lab.errors import (
@@ -24,6 +25,7 @@ from loopspace_lab.tubes import (
     BumpProfile,
     FinitePointMap,
     FlowDiffeo,
+    _flow_constant_direction,
     based_detrivialize,
     based_trivialize,
     coset_mean_residual,
@@ -31,7 +33,6 @@ from loopspace_lab.tubes import (
     diagonal_tube_inverse,
     equivariant_decompose,
     equivariant_recompose,
-    flow_point,
     local_average,
     patch_chart,
     point_tube_forward,
@@ -71,7 +72,7 @@ class TestBumpProfile:
 class TestFlowDiffeo:
     def test_origin_flows_to_seed(self):
         v = np.array([0.5, 0.0, 0.0])
-        assert np.max(np.abs(flow_point(FlowDiffeo(v), np.zeros(3)) - v)) < 1e-10
+        assert np.max(np.abs(FlowDiffeo(v).forward(np.zeros(3)) - v)) < 1e-10
 
     def test_zero_field_is_identity(self):
         fd = FlowDiffeo(np.zeros(2))
@@ -93,6 +94,65 @@ class TestFlowDiffeo:
             u = rng.normal(size=3) * rng.uniform(0, 1.5)
             worst = max(worst, float(np.max(np.abs(fd.inverse(fd.forward(u)) - u))))
         assert worst < 1e-7
+
+
+def _rows_with_norms(rng, count, lo, hi):
+    w = rng.normal(size=(count, 3))
+    return w * (rng.uniform(lo, hi, size=(count, 1))
+                / np.linalg.norm(w, axis=1, keepdims=True))
+
+
+class TestFlowRowClasses:
+    """Rows on the plateau translate exactly, rows beyond the support stay
+    exactly fixed, and only rows in the transition band are integrated."""
+
+    def test_plateau_rows_translate_exactly(self):
+        rng = np.random.default_rng(30)
+        c = np.array([0.3, -0.2, 0.1])
+        w = _rows_with_norms(rng, 50, 0.0, 0.6)  # |w|, |w + c| <= 0.98 < 1
+        assert np.array_equal(FlowDiffeo(c).forward(w), w + c)
+        assert np.array_equal(FlowDiffeo(c).inverse(w), w - c)
+
+    def test_rows_beyond_support_are_fixed(self):
+        rng = np.random.default_rng(31)
+        w = _rows_with_norms(rng, 50, np.sqrt(2.0), 3.0)
+        c = -0.9 * w  # even a field pointing inward never starts them
+        fd = FlowDiffeo(np.array([0.9, 0.0, 0.0]))
+        assert np.array_equal(fd.forward(w), w)
+        assert np.array_equal(FlowDiffeo(np.zeros(3)).forward(w), w)
+        assert np.array_equal(_flow_constant_direction(w, c, BUMP, 100), w)
+
+    def test_band_rows_match_vector_ode(self):
+        rng = np.random.default_rng(32)
+        worst = 0.0
+        for _ in range(10):
+            c = rng.normal(size=3)
+            c *= rng.uniform(0.1, 0.9) / np.linalg.norm(c)
+            w = _rows_with_norms(rng, 8, 1.05, 1.4)  # 1 < |w|^2 < 2: in the band
+            out = FlowDiffeo(c, steps=200).forward(w)
+            for w0, got in zip(w, out):
+                sol = solve_ivp(lambda t, y: BUMP(y @ y) * c, (0.0, 1.0), w0,
+                                method="DOP853", rtol=1e-12, atol=1e-12)
+                worst = max(worst, float(np.max(np.abs(sol.y[:, -1] - got))))
+        assert worst < 1e-9
+
+    def mixed_batch(self):
+        rng = np.random.default_rng(33)
+        w = np.concatenate([_rows_with_norms(rng, 10, 0.0, 0.4),
+                            _rows_with_norms(rng, 10, 0.8, 1.45),
+                            _rows_with_norms(rng, 10, 1.5, 2.5)])
+        return w[rng.permutation(len(w))]
+
+    def test_mixed_batch_equals_rows_one_at_a_time(self):
+        w = self.mixed_batch()
+        fd = FlowDiffeo(np.array([0.4, 0.2, -0.3]))
+        rows = np.stack([fd.forward(row) for row in w])
+        assert np.array_equal(fd.forward(w), rows)
+
+    def test_mixed_batch_inverts(self):
+        w = self.mixed_batch()
+        fd = FlowDiffeo(np.array([0.4, 0.2, -0.3]))
+        assert np.max(np.abs(fd.inverse(fd.forward(w)) - w)) < 1e-7
 
 
 class TestBasedTrivialize:
