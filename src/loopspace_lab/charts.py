@@ -66,18 +66,19 @@ class TangentSection:
         return TangentSection(self.manifold, self.base, factor * self.vectors)
 
     def __add__(self, other: "TangentSection") -> "TangentSection":
-        require_same_base(self, other)
+        require_based(other, self.base)
         return TangentSection(self.manifold, self.base, self.vectors + other.vectors)
 
     def __sub__(self, other: "TangentSection") -> "TangentSection":
-        require_same_base(self, other)
+        require_based(other, self.base)
         return TangentSection(self.manifold, self.base, self.vectors - other.vectors)
 
 
-def require_same_base(a: TangentSection, b: TangentSection, tol: float = BASE_MATCH_TOL):
-    if a.base.samples.shape != b.base.samples.shape or \
-            np.max(np.abs(a.base.samples - b.base.samples)) > tol:
-        raise BaseMismatch("sections live over different base loops")
+def require_based(section: TangentSection, loop: SampledLoop) -> None:
+    """Raise BaseMismatch unless ``section`` lives over ``loop``."""
+    if section.base.samples.shape != loop.samples.shape or \
+            np.max(np.abs(section.base.samples - loop.samples)) > BASE_MATCH_TOL:
+        raise BaseMismatch("section is not based at the given loop")
 
 
 def zero_section(manifold: EmbeddedManifold, base: SampledLoop) -> TangentSection:
@@ -128,8 +129,7 @@ class Chart:
 
 def chart_forward(chart: Chart, beta: TangentSection) -> SampledLoop:
     """Psi_alpha: apply the local addition at every node of the section."""
-    if np.max(np.abs(beta.base.samples - chart.center.samples)) > BASE_MATCH_TOL:
-        raise BaseMismatch("section is not based at the chart center")
+    require_based(beta, chart.center)
     return SampledLoop(chart.addition.forward(chart.center.samples, beta.vectors))
 
 

@@ -140,8 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", dest="out_dir", help="report output directory")
     run.add_argument("--tol", type=float, dest="oracle_tol",
                      help="oracle-agreement tolerance")
-    run.add_argument("--fd-tol", type=float, dest="fd_tol",
-                     help="finite-difference tolerance")
     run.add_argument("--samples", type=int, help="number of random trials")
     run.add_argument("--quiet", action="store_true", help="suppress check lines")
 
@@ -158,16 +156,13 @@ def main(argv=None) -> int:
 
     overrides = {k: getattr(args, k) for k in
                  ("suite", "manifold", "resolution", "path_grid", "ode_steps",
-                  "seed", "out_dir", "oracle_tol", "fd_tol", "samples")}
+                  "seed", "out_dir", "oracle_tol", "samples")}
     try:
         cfg = load_config(args.config, overrides)
         report = run_suite(cfg, verbose=not args.quiet)
     except UnknownSuite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigInvalid,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LoopspaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,13 +12,11 @@ identity through an independent route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    BaseMismatch,
     GridTooCoarse,
     NotPointwiseLinear,
     SingularFrame,
@@ -33,7 +31,7 @@ from .manifolds import (
     integrate_geodesic,
     integrate_transport,
 )
-from .charts import TangentSection, require_same_base
+from .charts import TangentSection, require_based
 
 CONNECTOR_LINEARITY_TOL = 1e-8
 FRAME_RECONSTRUCTION_TOL = 1e-6
@@ -119,12 +117,6 @@ class ConnectionSpec:
             out = out + 0.5 * self.torsion(p, pdot, e)
         return out
 
-    def transport_term(self):
-        """The torsion correction used by the transport ODE, or None."""
-        if self.torsion is None:
-            return None
-        return lambda x, xdot, v: self.torsion(x, xdot, v)
-
 
 def levi_civita(manifold: EmbeddedManifold) -> ConnectionSpec:
     return ConnectionSpec(manifold)
@@ -138,16 +130,10 @@ def l2_inner(alpha: SampledLoop, beta: TangentSection, gamma: TangentSection) ->
     Uniform-node quadrature of the pointwise inner product; for periodic
     integrands this is spectrally accurate.
     """
-    if np.max(np.abs(beta.base.samples - alpha.samples)) > 1e-9:
-        raise BaseMismatch("first section is not based at alpha")
-    require_same_base(beta, gamma)
+    require_based(beta, alpha)
+    require_based(gamma, beta.base)
     n = alpha.resolution
     return float(np.sum(beta.vectors * gamma.vectors) / n)
-
-
-def l2_functional(alpha: SampledLoop, beta: TangentSection):
-    """The dual vector beta -> integral pairing, the usual weak-dual embedding."""
-    return lambda gamma: l2_inner(alpha, beta, gamma)
 
 
 # -- covariant differentiation ---------------------------------------------------
@@ -174,8 +160,7 @@ def cov_deriv_along_path(conn: ConnectionSpec, path: LoopPath, sections) -> list
     if len(sections) != len(path.loops):
         raise ValueError("need one section per path time node")
     for sec, loop in zip(sections, path.loops):
-        if np.max(np.abs(sec.base.samples - loop.samples)) > 1e-9:
-            raise BaseMismatch("section field is not based along the path")
+        require_based(sec, loop)
     values = np.stack([sec.vectors for sec in sections])
     dvalues = _time_derivative(values, path.s_grid)
     xdot = _time_derivative(path.values, path.s_grid)
@@ -197,8 +182,7 @@ def loop_geodesic(conn: ConnectionSpec, alpha: SampledLoop, nu: TangentSection,
     The half-torsion correction is antisymmetric and does not affect
     geodesics.
     """
-    if np.max(np.abs(nu.base.samples - alpha.samples)) > 1e-9:
-        raise BaseMismatch("initial section is not based at alpha")
+    require_based(nu, alpha)
     traj = integrate_geodesic(conn.manifold, alpha.samples, nu.vectors,
                               time=time, steps=steps, record=True)
     loops = tuple(SampledLoop(x) for x in traj)
@@ -209,20 +193,18 @@ def loop_parallel_transport(conn: ConnectionSpec, path: LoopPath,
                             sigma: TangentSection,
                             steps: int | None = None) -> TangentSection:
     """Parallel transport in LM along a path: nodewise manifold transport."""
-    if np.max(np.abs(sigma.base.samples - path.loops[0].samples)) > 1e-9:
-        raise BaseMismatch("section is not based at the start of the path")
+    require_based(sigma, path.loops[0])
     out = integrate_transport(conn.manifold, path.s_grid, path.values,
                               sigma.vectors, steps=steps,
-                              torsion=conn.transport_term())
+                              torsion=conn.torsion)
     return TangentSection(conn.manifold, path.loops[-1], out)
 
 
 def torsion(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
             gamma: TangentSection) -> TangentSection:
     """The torsion of the looped connection: the pointwise tensor, nodewise."""
-    if np.max(np.abs(beta.base.samples - alpha.samples)) > 1e-9:
-        raise BaseMismatch("first section is not based at alpha")
-    require_same_base(beta, gamma)
+    require_based(beta, alpha)
+    require_based(gamma, beta.base)
     if conn.torsion is None:
         vec = np.zeros_like(beta.vectors)
     else:
@@ -241,9 +223,8 @@ def bundle_chart(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
     output is a section over the chart image of beta.  Transport is linear
     fiberwise, which is what makes the chart L R-linear in gamma.
     """
-    if np.max(np.abs(beta.base.samples - alpha.samples)) > 1e-9:
-        raise BaseMismatch("first section is not based at alpha")
-    require_same_base(beta, gamma)
+    require_based(beta, alpha)
+    require_based(gamma, beta.base)
     if addition is None:
         addition = LocalAdditionSpec(conn.manifold)
     compressed = addition.compress(beta.vectors)
@@ -283,11 +264,6 @@ class MatrixLoop:
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Pointwise action on an (N, n) array of loop samples."""
         return np.einsum("tij,tj->ti", self.matrices, samples)
-
-    @classmethod
-    def from_function(cls, f, n_nodes: int, **kw) -> "MatrixLoop":
-        t = np.arange(n_nodes) / n_nodes
-        return cls(np.asarray([f(tt) for tt in t]), **kw)
 
 
 def rotation_matrix_loop(n_nodes: int, turns: float = 1.0) -> MatrixLoop:
@@ -406,16 +382,6 @@ def matrix_loop_from_dict(data: dict) -> MatrixLoop:
     if m.n != data["n"] or m.resolution != data["resolution"]:
         raise ValueError("matrix loop header disagrees with its data")
     return m
-
-
-def save_matrix_loop(m: MatrixLoop, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_loop_to_dict(m), fh)
-
-
-def load_matrix_loop(path) -> MatrixLoop:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_loop_from_dict(json.load(fh))
 
 
 def path_to_dict(path: LoopPath) -> dict:

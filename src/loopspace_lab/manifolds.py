@@ -89,11 +89,6 @@ class EmbeddedManifold:
 
     # -- helpers --------------------------------------------------------------
 
-    @property
-    def chart_radius(self) -> float:
-        """Radius of the metric ball realizing the diagonal neighbourhood V."""
-        return self.local_addition_epsilon
-
     def project_tangent_vector(self, p, w) -> np.ndarray:
         proj = self.tangent_projector(p)
         return np.einsum("...ij,...j->...i", proj, w)
@@ -399,6 +394,26 @@ def random_tangent(manifold: EmbeddedManifold, rng, p, scale: float = 1.0) -> Ta
 
 # -- geodesic integration ------------------------------------------------------
 
+def _rk4(rhs, y, t, h, steps, after_step=None):
+    """Fixed-step classical RK4 for y' = rhs(t, y), starting at time t.
+
+    ``after_step(t, y)``, if given, runs after every step at the new time and
+    returns the state to continue from (reprojected, say).  Time advances by
+    ``t += h``, not ``t0 + i * h``: the transport spline is evaluated at these
+    times, so the other form would move transport residuals in the last bits.
+    """
+    for _ in range(steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        if after_step is not None:
+            y = after_step(t, y)
+    return y
+
+
 def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
                        steps: int = 200, record: bool = False):
     """RK4 integration of the geodesic ODE with per-step reprojection.
@@ -407,25 +422,24 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
     returns the full trajectory of shape (steps+1,) + p.shape, otherwise the
     endpoint (and, as second output, the transported velocity).
     """
-    x = np.asarray(p, dtype=np.float64).copy()
-    u = np.asarray(v, dtype=np.float64).copy()
-    h = float(time) / steps
+    y = np.stack(np.broadcast_arrays(np.asarray(p, dtype=np.float64),
+                                     np.asarray(v, dtype=np.float64)))
     acc = manifold.geodesic_acceleration
-    traj = [x.copy()] if record else None
-    for _ in range(steps):
-        k1x, k1v = u, acc(x, u)
-        k2x, k2v = u + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, u + 0.5 * h * k1v)
-        k3x, k3v = u + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, u + 0.5 * h * k2v)
-        k4x, k4v = u + h * k3v, acc(x + h * k3x, u + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        u = u + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        res = np.max(np.atleast_1d(manifold.constraint_residual(x)))
+    traj = [y[0]] if record else None
+
+    def rhs(t, y):
+        return np.stack([y[1], acc(y[0], y[1])])
+
+    def after_step(t, y):
+        res = np.max(np.atleast_1d(manifold.constraint_residual(y[0])))
         if res > MIDFLOW_TOL:
             raise IntegrationDiverged(f"constraint residual {res:.3e} mid-flow")
-        x = manifold.project_point(x)
-        u = manifold.project_tangent_vector(x, u)
+        x = manifold.project_point(y[0])
         if record:
-            traj.append(x.copy())
+            traj.append(x)
+        return np.stack([x, manifold.project_tangent_vector(x, y[1])])
+
+    x, u = _rk4(rhs, y, 0.0, float(time) / steps, steps, after_step)
     if record:
         return np.asarray(traj)
     return x, u
@@ -495,7 +509,7 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     if steps is None:
         steps = max(2 * (len(s_grid) - 1), 8)
     h = (s1 - s0) / steps
-    v = np.asarray(v, dtype=np.float64).copy()
+    v = np.asarray(v, dtype=np.float64)
     norms0 = np.linalg.norm(v, axis=-1, keepdims=True)
 
     def rhs(s, vec):
@@ -507,23 +521,19 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
             out = out - 0.5 * torsion(x, xdot, vec)
         return out
 
-    s = s0
-    for _ in range(steps):
-        k1 = rhs(s, v)
-        k2 = rhs(s + 0.5 * h, v + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, v + 0.5 * h * k2)
-        k4 = rhs(s + h, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s += h
+    def after_step(s, vec):
         x = spline(s)
         res = np.max(np.atleast_1d(manifold.constraint_residual(x)))
         if res > MIDFLOW_TOL:
             raise IntegrationDiverged(f"path off manifold (residual {res:.3e})")
-        if torsion is None:
-            v = manifold.project_tangent_vector(x, v)
-            norms = np.linalg.norm(v, axis=-1, keepdims=True)
-            v = np.where(norms > 1e-300, v * (norms0 / np.where(norms > 1e-300, norms, 1.0)), v)
-    return v
+        if torsion is not None:
+            return vec
+        vec = manifold.project_tangent_vector(x, vec)
+        norms = np.linalg.norm(vec, axis=-1, keepdims=True)
+        return np.where(norms > 1e-300,
+                        vec * (norms0 / np.where(norms > 1e-300, norms, 1.0)), vec)
+
+    return _rk4(rhs, v, s0, h, steps, after_step)
 
 
 def parallel_transport(manifold: EmbeddedManifold, path, v: TangentAtPoint,

@@ -34,6 +34,7 @@ from .manifolds import (
     LocalAdditionSpec,
     Sphere2,
     TangentAtPoint,
+    _rk4,
     tubular_projection,
 )
 from .charts import TangentSection
@@ -95,18 +96,11 @@ def _flow_constant_direction(w, c, profile: BumpProfile, steps: int,
     out = np.where(translate[:, None], w + c, w)
     if np.any(band):
         q0, b, a = q0[band], b[band], a[band]
-        h = 1.0 / steps
 
-        def rate(s):
+        def rate(t, s):
             return profile(q0 + s * (b + a * s))
 
-        s = np.zeros_like(q0)
-        for _ in range(steps):
-            k1 = rate(s)
-            k2 = rate(s + 0.5 * h * k1)
-            k3 = rate(s + 0.5 * h * k2)
-            k4 = rate(s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = _rk4(rate, np.zeros_like(q0), 0.0, 1.0 / steps, steps)
         out[band] = w[band] + s[:, None] * c[band]
     return out.reshape(shape)
 

@@ -81,6 +81,12 @@ class TestChartForward:
         with pytest.raises(BaseMismatch):
             chart_forward(chart, beta)
 
+    def test_wrong_resolution_rejected(self):
+        chart = sphere_chart(unit_circle_loop(64))
+        beta = zero_section(SPHERE, unit_circle_loop(128))
+        with pytest.raises(BaseMismatch):
+            chart_forward(chart, beta)
+
 
 class TestMembership:
     def test_center_is_member(self):

@@ -74,6 +74,17 @@ class TestL2Inner:
         with pytest.raises(BaseMismatch):
             l2_inner(b, zero_section(flat, a), zero_section(flat, a))
 
+    def test_base_resolution_mismatch(self):
+        # a section over 128 nodes against a 64-node loop is a base
+        # mismatch, not a numpy broadcasting error
+        flat = Flat(2)
+        fine = SampledLoop.constant(np.zeros(2), 128)
+        coarse = SampledLoop.constant(np.zeros(2), 64)
+        with pytest.raises(BaseMismatch):
+            l2_inner(coarse, zero_section(flat, fine), zero_section(flat, fine))
+        with pytest.raises(BaseMismatch):
+            l2_inner(fine, zero_section(flat, fine), zero_section(flat, coarse))
+
     def test_orthogonal_frame_invariance(self):
         flat = Flat(2)
         base = SampledLoop.constant(np.zeros(2), 64)
