@@ -12,7 +12,7 @@ import numpy as np
 
 from loopspace_lab import (
     SampledLoop, Sphere2, based_detrivialize, based_trivialize,
-    diagonal_tube_forward, diagonal_tube_inverse, patch_chart,
+    diagonal_tube_forward, diagonal_tube_inverse,
     point_tube_forward, point_tube_inverse, pou_section, random_section,
     random_tangent,
 )
@@ -26,7 +26,7 @@ n = 128
 # a loop near the north pole, split into (based loop, base point)
 seed = random_section(rng, sphere, SampledLoop.constant(north, n), scale=0.25)
 gamma = SampledLoop(sphere.exp(np.tile(north, (n, 1)), seed.vectors))
-chart = patch_chart(sphere, north)
+chart = sphere.patch_chart(north)
 omega, u = based_trivialize(chart, gamma)
 print("omega(0) is the pole:", np.max(np.abs(omega.samples[0] - north)))
 back = based_detrivialize(chart, omega, u)

@@ -18,7 +18,6 @@ from loopspace_lab import (
 )
 from loopspace_lab.loops import random_bandlimited_loop, rotate
 from loopspace_lab.manifolds import Flat
-from loopspace_lab.suites import random_manifold_loop
 
 sphere = Sphere2()
 rng = np.random.default_rng(3)
@@ -30,7 +29,7 @@ cloud = FinitePointMap(sphere, 2, np.array([[0.6, 0.0, 0.8],
 print("average of the symmetric pair:", local_average(sphere, cloud))
 
 # a nearly half-periodic loop on the sphere
-base = random_manifold_loop(rng, sphere, n // m, wobble=0.25, bandwidth=2)
+base = sphere.random_loop(rng, n // m, wobble=0.25, bandwidth=2)
 periodic = SampledLoop(np.tile(base.samples, (m, 1)))
 noise = random_section(rng, sphere, periodic, scale=0.1)
 gamma = SampledLoop(sphere.exp(periodic.samples, noise.vectors))

@@ -27,6 +27,7 @@ from .manifolds import (
     FlatTorus2,
     LocalAdditionSpec,
     Sphere2,
+    SquaredPartition,
     TangentAtPoint,
     exp_map,
     local_addition,
@@ -72,7 +73,6 @@ from .tubes import (
     BumpProfile,
     FinitePointMap,
     FlowDiffeo,
-    SquaredPartition,
     based_detrivialize,
     based_trivialize,
     coset_mean_residual,
@@ -81,11 +81,9 @@ from .tubes import (
     equivariant_decompose,
     equivariant_recompose,
     local_average,
-    patch_chart,
     point_tube_forward,
     point_tube_inverse,
     pou_section,
-    tangent_partition,
 )
 from .polarization import (
     FourierSplit,

@@ -6,8 +6,9 @@ list-suites`` enumerates the suites.  Reports are deterministic functions of
 the configuration: the wall time is segregated into a sidecar file so the
 main report is byte-identical across reruns with the same seed.
 
-Exit codes: 0 all checks pass, 1 a check failed (report still written),
-2 unknown suite, 3 invalid configuration.
+Exit codes: 0 all checks pass, 1 a check failed (report still written; a
+suite that raises a numerical error reports it as a failing ``suite-error``
+check), 2 unknown suite, 3 invalid configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, LoopspaceError, UnknownSuite
-from .suites import SUITES, ExperimentConfig
+from .suites import SUITES, Checks, ExperimentConfig
 
 REPORT_SCHEMA = "loopspace-lab/report-v1"
 
@@ -68,7 +69,14 @@ def run_suite(cfg: ExperimentConfig, write: bool = True,
     cfg = cfg.validated()
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    checks = SUITES[cfg.suite](cfg, rng)
+    try:
+        checks = SUITES[cfg.suite](cfg, rng)
+    except (LoopspaceError, ValueError) as exc:
+        # a numerical failure inside an accepted configuration is a failed
+        # check with a report, not an invalid configuration
+        error = Checks()
+        error.add_flag("suite-error", f"{type(exc).__name__}: {exc}", False)
+        checks = error.records
     wall = time.perf_counter() - t0
     report = Report(cfg.suite, _config_echo(cfg), tuple(checks),
                     all(c.passed for c in checks))

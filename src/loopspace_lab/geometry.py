@@ -302,8 +302,8 @@ def frame_from_module_map(g, n: int, resolution: int, probes: int = 100,
         image = np.asarray(g(s), dtype=np.float64)
         rebuilt = frame.apply(s)
         scale = max(1.0, float(np.max(np.abs(image))))
-        worst = max(worst, float(np.max(np.abs(image - rebuilt))) / scale)
-    if worst > FRAME_RECONSTRUCTION_TOL:
+        worst = np.maximum(worst, np.max(np.abs(image - rebuilt)) / scale)
+    if not worst <= FRAME_RECONSTRUCTION_TOL:
         raise NotPointwiseLinear(
             f"reconstruction residual {worst:.3e} exceeds {FRAME_RECONSTRUCTION_TOL:.1e}")
     if require_invertible:

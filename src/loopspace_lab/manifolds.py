@@ -11,7 +11,9 @@ Each kind carries two routes to its geometry:
 
 The two routes are independent, so one can serve as the oracle for the other.
 Tangent vectors use the linear convention: v in T_pM is an ambient vector
-fixed by the orthogonal projector at p.
+fixed by the orthogonal projector at p.  Each kind also builds what the
+tubular constructions need from it: a patch chart about a point, a squared
+partition of unity trivializing TM, and random loops.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     OutsideTube,
     ShootingFailed,
 )
+from .loops import SampledLoop, random_bandlimited_loop
 
 ON_MANIFOLD_TOL = 1e-8
 TANGENT_TOL = 1e-10
@@ -95,11 +98,38 @@ class EmbeddedManifold:
 
     def require_on_manifold(self, p, tol: float = ON_MANIFOLD_TOL) -> None:
         res = np.max(np.atleast_1d(self.constraint_residual(p)))
-        if res > tol:
+        if not res <= tol:
             raise OffManifold(f"constraint residual {res:.3e} exceeds {tol:.1e}")
 
     def random_point(self, rng) -> np.ndarray:
         raise NotImplementedError
+
+    def random_loop(self, rng, n: int, wobble: float = 0.4,
+                    bandwidth: int = 3) -> SampledLoop:
+        """A random smooth loop on the manifold with O(1) geometry."""
+        raise NotImplementedError
+
+    # -- patches and frames for the tubular constructions ----------------------
+
+    def patch_chart(self, center) -> "PatchChart":
+        """A coordinate patch about ``center`` for the based fibration."""
+        raise NotImplementedError
+
+    def tangent_frame(self, points) -> np.ndarray:
+        """A global orthonormal frame of TM, shape (..., k, n)."""
+        raise NotImplementedError
+
+    def tangent_partition(self) -> "SquaredPartition":
+        """A squared partition of unity trivializing TM.
+
+        A parallelizable kind needs a single full-weight patch over its
+        global frame.
+        """
+        def weight(points):
+            points = np.asarray(points)
+            return np.ones(points.shape[:-1])
+
+        return SquaredPartition((BundlePatch(weight, self.tangent_frame),))
 
     def __repr__(self):
         return f"{self.__class__.__name__}()"
@@ -150,6 +180,15 @@ class Flat(EmbeddedManifold):
 
     def random_point(self, rng):
         return rng.normal(size=self.ambient_dim)
+
+    def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
+        return random_bandlimited_loop(rng, self.ambient_dim, n, bandwidth=bandwidth)
+
+    def patch_chart(self, center):
+        return FlatChart(self, center)
+
+    def tangent_frame(self, points):
+        return self.tangent_projector(points)
 
     def __repr__(self):
         return f"Flat({self.ambient_dim})"
@@ -231,6 +270,48 @@ class Sphere2(EmbeddedManifold):
     def random_point(self, rng):
         x = rng.normal(size=3)
         return x / np.linalg.norm(x)
+
+    def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
+        center = self.random_point(rng)
+        noise = random_bandlimited_loop(rng, 3, n, bandwidth=bandwidth,
+                                        amplitude=wobble)
+        spread = float(np.max(np.linalg.norm(noise.samples, axis=1)))
+        clamp = min(1.0, 0.55 / max(spread, 1e-12))
+        return SampledLoop(self.project_point(center + clamp * noise.samples))
+
+    def patch_chart(self, center):
+        return SphereStereoChart(self, center)
+
+    def tangent_partition(self):
+        """The two polar patches with the half-colatitude sine/cosine
+        weights, whose squares sum to one exactly."""
+        north = np.array([0.0, 0.0, 1.0])
+
+        def make_patch(pole):
+            chart = self.patch_chart(pole)
+
+            def weight(points, pole=pole):
+                c = np.clip(np.asarray(points, dtype=np.float64) @ pole, -1.0, 1.0)
+                return np.sqrt((1.0 + c) / 2.0)
+
+            def frame(points, chart=chart):
+                q = np.asarray(points, dtype=np.float64)
+                w = chart.to_coords(q)
+                r2 = np.sum(w * w, axis=-1, keepdims=True)
+                basis = chart._basis  # (2, 3)
+                # d(from_coords)/dw_i, normalized by the conformal factor
+                cols = []
+                for i in range(2):
+                    wi = w[..., i:i + 1]
+                    grad = (2.0 * basis[i] * (1.0 + r2)
+                            - 2.0 * wi * (2.0 * (w @ basis) + (1.0 - r2) * pole)
+                            - 2.0 * wi * pole * (1.0 + r2)) / (1.0 + r2) ** 2
+                    cols.append(grad / np.linalg.norm(grad, axis=-1, keepdims=True))
+                return np.stack(cols, axis=-1)
+
+            return BundlePatch(weight, frame)
+
+        return SquaredPartition((make_patch(north), make_patch(-north)))
 
 
 class FlatTorus2(EmbeddedManifold):
@@ -342,6 +423,21 @@ class FlatTorus2(EmbeddedManifold):
         t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
         return np.array([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)])
 
+    def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
+        base = rng.uniform(0, 2 * np.pi, size=2)
+        noise = random_bandlimited_loop(rng, 2, n, bandwidth=bandwidth,
+                                        amplitude=wobble)
+        a = base[0] + noise.samples[:, 0]
+        b = base[1] + noise.samples[:, 1]
+        return SampledLoop(
+            np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1))
+
+    def patch_chart(self, center):
+        return TorusAngleChart(self, center)
+
+    def tangent_frame(self, points):
+        return np.stack(self._frame(points), -1)
+
 
 def manifold_from_tag(tag: str) -> EmbeddedManifold:
     """Build a manifold from its experiment-config tag.
@@ -355,6 +451,131 @@ def manifold_from_tag(tag: str) -> EmbeddedManifold:
     if tag.startswith("flat:"):
         return Flat(int(tag.split(":", 1)[1]))
     raise ValueError(f"unknown manifold tag {tag!r}")
+
+
+# -- chart patches and squared partitions -------------------------------------
+
+class PatchChart:
+    """A coordinate patch phi : R^n -> U of the manifold with phi(0) = center.
+
+    ``mask`` marks points whose coordinates are safely below the flow
+    support; everything else is left fixed by induced diffeomorphisms.
+    The base mask keeps every point.
+    """
+
+    manifold: EmbeddedManifold
+    center: np.ndarray
+
+    def to_coords(self, points) -> np.ndarray:
+        raise NotImplementedError
+
+    def from_coords(self, coords) -> np.ndarray:
+        raise NotImplementedError
+
+    def mask(self, points) -> np.ndarray:
+        points = np.asarray(points)
+        return np.ones(points.shape[:-1], dtype=bool)
+
+
+class FlatChart(PatchChart):
+    def __init__(self, manifold: Flat, center):
+        self.manifold = manifold
+        self.center = np.asarray(center, dtype=np.float64)
+
+    def to_coords(self, points):
+        return np.asarray(points, dtype=np.float64) - self.center
+
+    def from_coords(self, coords):
+        return np.asarray(coords, dtype=np.float64) + self.center
+
+
+class SphereStereoChart(PatchChart):
+    """Stereographic coordinates about a center point of S^2.
+
+    Projection is from the antipode, so the chart covers everything except
+    it; points within distance ~2pi/3 of the antipode are masked out, far
+    beyond the flow support radius sqrt(2).
+    """
+
+    def __init__(self, manifold: Sphere2, center):
+        self.manifold = manifold
+        self.center = np.asarray(center, dtype=np.float64)
+        manifold.require_on_manifold(self.center)
+        seed = np.array([1.0, 0.0, 0.0])
+        if abs(self.center @ seed) > 0.9:
+            seed = np.array([0.0, 1.0, 0.0])
+        e1 = seed - (seed @ self.center) * self.center
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(self.center, e1)
+        self._basis = np.stack([e1, e2], axis=0)  # (2, 3)
+
+    def to_coords(self, points):
+        q = np.asarray(points, dtype=np.float64)
+        c = q @ self.center
+        denom = 1.0 + c
+        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
+        return (q @ self._basis.T) / denom[..., None]
+
+    def from_coords(self, coords):
+        w = np.asarray(coords, dtype=np.float64)
+        r2 = np.sum(w * w, axis=-1, keepdims=True)
+        planar = 2.0 * (w @ self._basis)
+        return (planar + (1.0 - r2) * self.center) / (1.0 + r2)
+
+    def mask(self, points):
+        q = np.asarray(points, dtype=np.float64)
+        return (q @ self.center) > -0.5
+
+
+class TorusAngleChart(PatchChart):
+    """Wrapped angle offsets about a center point of the flat torus."""
+
+    def __init__(self, manifold: FlatTorus2, center):
+        self.manifold = manifold
+        self.center = np.asarray(center, dtype=np.float64)
+        manifold.require_on_manifold(self.center)
+        self._a0 = np.array(manifold._angles(self.center))
+
+    def to_coords(self, points):
+        a1, a2 = self.manifold._angles(np.asarray(points, dtype=np.float64))
+        d1 = (a1 - self._a0[0] + np.pi) % (2 * np.pi) - np.pi
+        d2 = (a2 - self._a0[1] + np.pi) % (2 * np.pi) - np.pi
+        return np.stack([d1, d2], axis=-1)
+
+    def from_coords(self, coords):
+        w = np.asarray(coords, dtype=np.float64)
+        n1 = self._a0[0] + w[..., 0]
+        n2 = self._a0[1] + w[..., 1]
+        return np.stack([np.cos(n1), np.sin(n1), np.cos(n2), np.sin(n2)], axis=-1)
+
+
+@dataclass(frozen=True)
+class BundlePatch:
+    """A trivializing patch of the tangent bundle: a weight function and a
+    smooth orthonormal frame on the region where the weight is nonzero."""
+
+    weight: object  # points (..., k) -> (...,)
+    frame: object   # points (..., k) -> (..., k, n)
+
+
+@dataclass(frozen=True)
+class SquaredPartition:
+    """Patches whose squared weights sum to one."""
+
+    patches: tuple
+
+    def validate(self, manifold: EmbeddedManifold, rng, probes: int = 25,
+                 tol: float = 1e-10) -> float:
+        """Worst |sum of squared weights - 1| over random probe points; a
+        NaN weight makes it NaN, which fails every tolerance."""
+        worst = 0.0
+        for _ in range(probes):
+            p = manifold.random_point(rng)
+            total = sum(float(patch.weight(p[None])[0]) ** 2 for patch in self.patches)
+            worst = np.maximum(worst, abs(total - 1.0))
+        if not worst <= tol:
+            raise ValueError(f"squared weights sum to 1 only to {worst:.3e}")
+        return float(worst)
 
 
 @dataclass(frozen=True)
@@ -432,7 +653,7 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
 
     def after_step(t, y):
         res = np.max(np.atleast_1d(manifold.constraint_residual(y[0])))
-        if res > MIDFLOW_TOL:
+        if not res <= MIDFLOW_TOL:
             raise IntegrationDiverged(f"constraint residual {res:.3e} mid-flow")
         x = manifold.project_point(y[0])
         if record:
@@ -524,7 +745,7 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     def after_step(s, vec):
         x = spline(s)
         res = np.max(np.atleast_1d(manifold.constraint_residual(x)))
-        if res > MIDFLOW_TOL:
+        if not res <= MIDFLOW_TOL:
             raise IntegrationDiverged(f"path off manifold (residual {res:.3e})")
         if torsion is not None:
             return vec

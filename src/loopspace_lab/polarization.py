@@ -62,32 +62,21 @@ def recombine(split: FourierSplit) -> np.ndarray:
 
 # -- symbols and their coefficients ---------------------------------------------
 
-def symbol_coefficients(symbol: MatrixLoop) -> dict:
-    """Matrix Fourier coefficients of the symbol, indexed by mode."""
-    n_nodes = symbol.resolution
-    c = np.fft.fft(symbol.matrices.astype(np.complex128), axis=0) / n_nodes
-    out = {}
-    for m in range(-n_nodes // 2 + 1, n_nodes // 2 + 1):
-        out[m] = c[m % n_nodes]
-    return out
+def symbol_coefficients(symbol: MatrixLoop) -> np.ndarray:
+    """Matrix Fourier coefficients of the symbol in FFT order, (N, n, n).
+
+    Entry [m] is mode m for m in (-N/2, N/2]; negative modes sit at
+    negative indices.
+    """
+    return np.fft.fft(symbol.matrices.astype(np.complex128), axis=0) / symbol.resolution
 
 
 def active_bandwidth(symbol: MatrixLoop, tol: float = 1e-12) -> int:
+    """The largest |m| whose coefficient has an entry above tol."""
     coeffs = symbol_coefficients(symbol)
-    bw = 0
-    for m, mat in coeffs.items():
-        if np.max(np.abs(mat)) > tol:
-            bw = max(bw, abs(m))
-    return bw
-
-
-def _coeff_lookup(coeffs: dict, n: int):
-    zero = np.zeros((n, n), dtype=np.complex128)
-
-    def get(m: int):
-        return coeffs.get(m, zero)
-
-    return get
+    index = np.arange(len(coeffs))
+    active = np.max(np.abs(coeffs), axis=(1, 2)) > tol
+    return int(np.max(np.minimum(index, len(coeffs) - index)[active], initial=0))
 
 
 def _require_invertible(symbol: MatrixLoop):
@@ -124,20 +113,21 @@ class OperatorBlocks:
         return np.vstack([top, bottom])
 
 
-def _block(get, n, row_modes, col_modes) -> np.ndarray:
-    out = np.zeros((len(row_modes) * n, len(col_modes) * n), dtype=np.complex128)
-    for i, k in enumerate(row_modes):
-        for j, m in enumerate(col_modes):
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = get(k - m)
-    return out
+def _block(coeffs: np.ndarray, row_modes, col_modes) -> np.ndarray:
+    """Block (k, m) is the coefficient of mode k - m, or zero when k - m lies
+    outside the symbol's mode range (-N/2, N/2]."""
+    n_nodes, n = coeffs.shape[:2]
+    diff = np.subtract.outer(row_modes, col_modes)
+    out = coeffs[diff % n_nodes]
+    out[(diff <= -n_nodes // 2) | (diff > n_nodes // 2)] = 0.0
+    return out.transpose(0, 2, 1, 3).reshape(diff.shape[0] * n, diff.shape[1] * n)
 
 
 def full_multiplication_matrix(symbol: MatrixLoop, truncation: int) -> np.ndarray:
     """The truncated multiplication operator on modes -K..K (independent
     assembly used to validate the block decomposition)."""
-    get = _coeff_lookup(symbol_coefficients(symbol), symbol.n)
-    modes = list(range(-truncation, truncation + 1))
-    return _block(get, symbol.n, modes, modes)
+    modes = np.arange(-truncation, truncation + 1)
+    return _block(symbol_coefficients(symbol), modes, modes)
 
 
 def toeplitz_blocks(symbol: MatrixLoop, truncation: int) -> OperatorBlocks:
@@ -150,15 +140,15 @@ def toeplitz_blocks(symbol: MatrixLoop, truncation: int) -> OperatorBlocks:
         raise ValueError("truncation below the active bandwidth of the symbol")
     if 2 * truncation > symbol.resolution:
         raise ValueError("truncation beyond the Nyquist range of the symbol")
-    get = _coeff_lookup(symbol_coefficients(symbol), symbol.n)
-    plus = list(range(0, truncation + 1))
-    minus = list(range(-truncation, 0))
+    coeffs = symbol_coefficients(symbol)
+    plus = np.arange(0, truncation + 1)
+    minus = np.arange(-truncation, 0)
     return OperatorBlocks(
         symbol=symbol, truncation=truncation,
-        pp=_block(get, symbol.n, plus, plus),
-        pm=_block(get, symbol.n, plus, minus),
-        mp=_block(get, symbol.n, minus, plus),
-        mm=_block(get, symbol.n, minus, minus),
+        pp=_block(coeffs, plus, plus),
+        pm=_block(coeffs, plus, minus),
+        mp=_block(coeffs, minus, plus),
+        mm=_block(coeffs, minus, minus),
     )
 
 
@@ -179,10 +169,10 @@ def _plus_kernel_dim(symbol: MatrixLoop, truncation: int, pad: int,
     window: columns are modes 0..K, rows all plus modes they can reach."""
     if 2 * (truncation + pad) > symbol.resolution:
         raise ValueError("stabilized truncation beyond the symbol's Nyquist range")
-    get = _coeff_lookup(symbol_coefficients(symbol), symbol.n)
-    rows = list(range(0, truncation + pad + 1))
-    cols = list(range(0, truncation + 1))
-    return _numerical_kernel_dim(_block(get, symbol.n, rows, cols), threshold)
+    rows = np.arange(0, truncation + pad + 1)
+    cols = np.arange(0, truncation + 1)
+    return _numerical_kernel_dim(_block(symbol_coefficients(symbol), rows, cols),
+                                 threshold)
 
 
 def fredholm_data(blocks: OperatorBlocks, threshold: float = RANK_THRESHOLD):

@@ -108,31 +108,6 @@ def clamped_tangent(rng, manifold, point, norm: float) -> manifolds.TangentAtPoi
     return manifolds.TangentAtPoint(manifold, point, raw.vector * scale)
 
 
-def random_manifold_loop(rng, manifold, n: int, wobble: float = 0.4,
-                         bandwidth: int = 3) -> loops.SampledLoop:
-    """A random smooth loop on the manifold with O(1) geometry."""
-    if isinstance(manifold, manifolds.Flat):
-        return loops.random_bandlimited_loop(rng, manifold.ambient_dim, n,
-                                             bandwidth=bandwidth)
-    if isinstance(manifold, manifolds.Sphere2):
-        center = manifold.random_point(rng)
-        noise = loops.random_bandlimited_loop(rng, 3, n, bandwidth=bandwidth,
-                                              amplitude=wobble)
-        spread = float(np.max(np.linalg.norm(noise.samples, axis=1)))
-        clamp = min(1.0, 0.55 / max(spread, 1e-12))
-        return loops.SampledLoop(
-            manifold.project_point(center + clamp * noise.samples))
-    if isinstance(manifold, manifolds.FlatTorus2):
-        base = rng.uniform(0, 2 * np.pi, size=2)
-        noise = loops.random_bandlimited_loop(rng, 2, n, bandwidth=bandwidth,
-                                              amplitude=wobble)
-        a = base[0] + noise.samples[:, 0]
-        b = base[1] + noise.samples[:, 1]
-        return loops.SampledLoop(
-            np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1))
-    raise ConfigInvalid(f"no loop generator for {manifold!r}")
-
-
 # -- suite implementations ---------------------------------------------------------
 
 def suite_chart_roundtrip(cfg: ExperimentConfig, rng) -> list:
@@ -143,7 +118,7 @@ def suite_chart_roundtrip(cfg: ExperimentConfig, rng) -> list:
     out = Checks()
     members = True
     for _ in range(cfg.samples):
-        center = random_manifold_loop(rng, manifold, cfg.resolution)
+        center = manifold.random_loop(rng, cfg.resolution)
         chart = charts.Chart(center, spec)
         beta = charts.random_section(rng, manifold, center,
                                      scale=rng.uniform(0.2, 2.0))
@@ -168,7 +143,7 @@ def suite_transition_cocycle(cfg: ExperimentConfig, rng) -> list:
     pointwise_ok = True
     reps = max(1, cfg.samples // 10)
     for _ in range(reps):
-        center1 = random_manifold_loop(rng, manifold, n, wobble=0.3)
+        center1 = manifold.random_loop(rng, n, wobble=0.3)
         eps1 = manifold.local_addition_epsilon
         spec1 = manifolds.LocalAdditionSpec(manifold, eps1)
         spec2 = manifolds.LocalAdditionSpec(manifold, eps1 * 0.8)
@@ -287,7 +262,7 @@ def suite_tangent_identification(cfg: ExperimentConfig, rng) -> list:
     n = cfg.resolution
     reps = max(1, cfg.samples // 10)
     for _ in range(reps):
-        alpha = random_manifold_loop(rng, manifold, n)
+        alpha = manifold.random_loop(rng, n)
         u = charts.random_section(rng, manifold, alpha, scale=0.5)
         curve = lambda s: loops.SampledLoop(manifold.exp(alpha.samples, s * u.vectors))
         vel = geometry.curve_of_loops_derivative(curve, 0.0, h=1e-4)
@@ -369,7 +344,7 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
     grid = cfg.path_grid
     s_grid = np.linspace(0.0, 1.0, grid + 1)
     for _ in range(3):
-        alpha = random_manifold_loop(rng, manifold, n, wobble=0.3)
+        alpha = manifold.random_loop(rng, n, wobble=0.3)
         nu = charts.random_section(rng, manifold, alpha, scale=0.2)
         path = _analytic_geodesic_path(manifold, alpha, nu, grid)
         w = charts.random_section(rng, manifold, alpha, scale=0.1)
@@ -442,7 +417,7 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
     out = Checks()
     n = cfg.resolution
     for _ in range(3):
-        alpha = random_manifold_loop(rng, manifold, n)
+        alpha = manifold.random_loop(rng, n)
         nu = charts.random_section(rng, manifold, alpha, scale=0.5)
         path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
         for idx in (cfg.ode_steps // 2, cfg.ode_steps):
@@ -476,7 +451,7 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
     out = Checks()
     n = cfg.resolution
     for _ in range(3):
-        alpha = random_manifold_loop(rng, manifold, n)
+        alpha = manifold.random_loop(rng, n)
         nu = charts.random_section(rng, manifold, alpha, scale=0.5)
         path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
         sigma = charts.random_section(rng, manifold, alpha, scale=0.8)
@@ -521,7 +496,7 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng) -> list:
 
     sphere = manifolds.Sphere2()
     lc = geometry.levi_civita(sphere)
-    s_alpha = random_manifold_loop(rng, sphere, n)
+    s_alpha = sphere.random_loop(rng, n)
     s_beta = charts.random_section(rng, sphere, s_alpha)
     s_gamma = charts.random_section(rng, sphere, s_alpha)
     zero = geometry.torsion(lc, s_alpha, s_beta, s_gamma)
@@ -619,7 +594,7 @@ def suite_fibration(cfg: ExperimentConfig, rng) -> list:
     n = cfg.resolution
     for _ in range(max(1, cfg.samples // 10)):
         x = manifold.random_point(rng)
-        chart = tubes.patch_chart(manifold, x)
+        chart = manifold.patch_chart(x)
         seed = charts.random_section(
             rng, manifold, loops.SampledLoop.constant(x, n), scale=0.25)
         # keep the base point inside the trivializing patch radius sqrt(lower)
@@ -686,7 +661,7 @@ def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
     out.add("point-zero", "zero seeds flow to the identity", 0.0)
 
     for _ in range(max(1, cfg.samples // 20)):
-        a1 = random_manifold_loop(rng, manifold, n, wobble=0.3)
+        a1 = manifold.random_loop(rng, n, wobble=0.3)
         shift = charts.random_section(rng, manifold, a1, scale=0.2)
         based = shift.vectors * np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
         a2 = loops.SampledLoop(manifold.exp(a1.samples, based))
@@ -707,7 +682,7 @@ def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
             1e-6)
 
     # partition-of-unity sections
-    partition = tubes.tangent_partition(manifold)
+    partition = manifold.tangent_partition()
     out.add("partition-squares", "the squared weights sum to one", 1e-10,
             partition.validate(manifold, rng, tol=np.inf))
     for _ in range(10):
@@ -736,8 +711,7 @@ def suite_equivariant(cfg: ExperimentConfig, rng) -> list:
     n = cfg.resolution
     for m in (2, 4):
         for _ in range(max(1, cfg.samples // 25)):
-            base = random_manifold_loop(rng, manifold, n // m, wobble=0.25,
-                                        bandwidth=2)
+            base = manifold.random_loop(rng, n // m, wobble=0.25, bandwidth=2)
             periodic = loops.SampledLoop(np.tile(base.samples, (m, 1)))
             wiggle = charts.random_section(rng, manifold, periodic, scale=0.1)
             gamma = loops.SampledLoop(manifold.exp(periodic.samples, wiggle.vectors))

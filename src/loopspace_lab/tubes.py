@@ -29,10 +29,9 @@ from .errors import (
 from .loops import SampledLoop
 from .manifolds import (
     EmbeddedManifold,
-    Flat,
-    FlatTorus2,
     LocalAdditionSpec,
-    Sphere2,
+    PatchChart,
+    SquaredPartition,
     TangentAtPoint,
     _rk4,
     tubular_projection,
@@ -131,117 +130,7 @@ class FlowDiffeo:
                                         sign=-1.0)
 
 
-# -- chart patches for the based fibration ---------------------------------------
-
-class PatchChart:
-    """A coordinate patch phi : R^n -> U of the manifold with phi(0) = center.
-
-    ``mask`` marks points whose coordinates are safely below the flow
-    support; everything else is left fixed by induced diffeomorphisms.
-    """
-
-    manifold: EmbeddedManifold
-    center: np.ndarray
-
-    def to_coords(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-    def from_coords(self, coords) -> np.ndarray:
-        raise NotImplementedError
-
-    def mask(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-
-class FlatChart(PatchChart):
-    def __init__(self, manifold: Flat, center):
-        self.manifold = manifold
-        self.center = np.asarray(center, dtype=np.float64)
-
-    def to_coords(self, points):
-        return np.asarray(points, dtype=np.float64) - self.center
-
-    def from_coords(self, coords):
-        return np.asarray(coords, dtype=np.float64) + self.center
-
-    def mask(self, points):
-        points = np.asarray(points)
-        return np.ones(points.shape[:-1], dtype=bool)
-
-
-class SphereStereoChart(PatchChart):
-    """Stereographic coordinates about a center point of S^2.
-
-    Projection is from the antipode, so the chart covers everything except
-    it; points within distance ~2pi/3 of the antipode are masked out, far
-    beyond the flow support radius sqrt(2).
-    """
-
-    def __init__(self, manifold: Sphere2, center):
-        self.manifold = manifold
-        self.center = np.asarray(center, dtype=np.float64)
-        manifold.require_on_manifold(self.center)
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(self.center @ seed) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        e1 = seed - (seed @ self.center) * self.center
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(self.center, e1)
-        self._basis = np.stack([e1, e2], axis=0)  # (2, 3)
-
-    def to_coords(self, points):
-        q = np.asarray(points, dtype=np.float64)
-        c = q @ self.center
-        denom = 1.0 + c
-        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-        return (q @ self._basis.T) / denom[..., None]
-
-    def from_coords(self, coords):
-        w = np.asarray(coords, dtype=np.float64)
-        r2 = np.sum(w * w, axis=-1, keepdims=True)
-        planar = 2.0 * (w @ self._basis)
-        return (planar + (1.0 - r2) * self.center) / (1.0 + r2)
-
-    def mask(self, points):
-        q = np.asarray(points, dtype=np.float64)
-        return (q @ self.center) > -0.5
-
-
-class TorusAngleChart(PatchChart):
-    """Wrapped angle offsets about a center point of the flat torus."""
-
-    def __init__(self, manifold: FlatTorus2, center):
-        self.manifold = manifold
-        self.center = np.asarray(center, dtype=np.float64)
-        manifold.require_on_manifold(self.center)
-        self._a0 = np.array(manifold._angles(self.center))
-
-    def to_coords(self, points):
-        a1, a2 = self.manifold._angles(np.asarray(points, dtype=np.float64))
-        d1 = (a1 - self._a0[0] + np.pi) % (2 * np.pi) - np.pi
-        d2 = (a2 - self._a0[1] + np.pi) % (2 * np.pi) - np.pi
-        return np.stack([d1, d2], axis=-1)
-
-    def from_coords(self, coords):
-        w = np.asarray(coords, dtype=np.float64)
-        n1 = self._a0[0] + w[..., 0]
-        n2 = self._a0[1] + w[..., 1]
-        return np.stack([np.cos(n1), np.sin(n1), np.cos(n2), np.sin(n2)], axis=-1)
-
-    def mask(self, points):
-        points = np.asarray(points)
-        return np.ones(points.shape[:-1], dtype=bool)
-
-
-def patch_chart(manifold: EmbeddedManifold, center) -> PatchChart:
-    if isinstance(manifold, Flat):
-        return FlatChart(manifold, center)
-    if isinstance(manifold, Sphere2):
-        return SphereStereoChart(manifold, center)
-    if isinstance(manifold, FlatTorus2):
-        return TorusAngleChart(manifold, center)
-    raise ValueError(f"no chart construction for {manifold!r}")
-
+# -- the based fibration --------------------------------------------------------
 
 def _apply_patch_flow(chart: PatchChart, samples: np.ndarray, v: np.ndarray,
                       steps: int, sign: float, profile: BumpProfile) -> np.ndarray:
@@ -280,91 +169,7 @@ def based_detrivialize(chart: PatchChart, omega: SampledLoop, u, steps: int = 10
     return SampledLoop(moved)
 
 
-# -- squared partitions of unity and bundle sections -------------------------------
-
-@dataclass(frozen=True)
-class BundlePatch:
-    """A trivializing patch of the tangent bundle: a weight function and a
-    smooth orthonormal frame on the region where the weight is nonzero."""
-
-    weight: object  # points (..., k) -> (...,)
-    frame: object   # points (..., k) -> (..., k, n)
-
-
-@dataclass(frozen=True)
-class SquaredPartition:
-    """Patches whose squared weights sum to one."""
-
-    patches: tuple
-
-    def validate(self, manifold: EmbeddedManifold, rng, probes: int = 25,
-                 tol: float = 1e-10) -> float:
-        worst = 0.0
-        for _ in range(probes):
-            p = manifold.random_point(rng)
-            total = sum(float(patch.weight(p[None])[0]) ** 2 for patch in self.patches)
-            worst = max(worst, abs(total - 1.0))
-        if worst > tol:
-            raise ValueError(f"squared weights sum to 1 only to {worst:.3e}")
-        return worst
-
-
-def tangent_partition(manifold: EmbeddedManifold) -> SquaredPartition:
-    """A squared partition of unity trivializing TM.
-
-    Flat space and the torus are parallelizable, so a single full-weight
-    patch suffices.  The sphere uses the two polar patches with the
-    half-colatitude sine/cosine weights, whose squares sum to one exactly.
-    """
-    if isinstance(manifold, (Flat, FlatTorus2)):
-        if isinstance(manifold, Flat):
-            eye = np.eye(manifold.ambient_dim)
-
-            def frame(points, eye=eye):
-                points = np.asarray(points)
-                return np.broadcast_to(eye, points.shape[:-1] + eye.shape).copy()
-        else:
-            def frame(points):
-                f1, f2 = manifold._frame(np.asarray(points, dtype=np.float64))
-                return np.stack([f1, f2], axis=-1)
-
-        def weight(points):
-            points = np.asarray(points)
-            return np.ones(points.shape[:-1])
-
-        return SquaredPartition((BundlePatch(weight, frame),))
-
-    if isinstance(manifold, Sphere2):
-        north = np.array([0.0, 0.0, 1.0])
-
-        def make_patch(pole):
-            chart = SphereStereoChart(manifold, pole)
-
-            def weight(points, pole=pole):
-                c = np.clip(np.asarray(points, dtype=np.float64) @ pole, -1.0, 1.0)
-                return np.sqrt((1.0 + c) / 2.0)
-
-            def frame(points, chart=chart):
-                q = np.asarray(points, dtype=np.float64)
-                w = chart.to_coords(q)
-                r2 = np.sum(w * w, axis=-1, keepdims=True)
-                basis = chart._basis  # (2, 3)
-                # d(from_coords)/dw_i, normalized by the conformal factor
-                cols = []
-                for i in range(2):
-                    wi = w[..., i:i + 1]
-                    grad = (2.0 * basis[i] * (1.0 + r2)
-                            - 2.0 * wi * (2.0 * (w @ basis) + (1.0 - r2) * pole)
-                            - 2.0 * wi * pole * (1.0 + r2)) / (1.0 + r2) ** 2
-                    cols.append(grad / np.linalg.norm(grad, axis=-1, keepdims=True))
-                return np.stack(cols, axis=-1)
-
-            return BundlePatch(weight, frame)
-
-        return SquaredPartition((make_patch(north), make_patch(-north)))
-
-    raise ValueError(f"no partition construction for {manifold!r}")
-
+# -- partition-of-unity sections of TM -------------------------------------------
 
 class PouSection:
     """A compactly supported section of TM, linear in its seed vector."""
@@ -398,7 +203,7 @@ def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint,
                 partition: SquaredPartition | None = None) -> PouSection:
     """The global section s(v) with s(v)(base) = v, linear in v."""
     if partition is None:
-        partition = tangent_partition(manifold)
+        partition = manifold.tangent_partition()
     return PouSection(manifold, partition, v.base, v.vector)
 
 

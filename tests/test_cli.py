@@ -138,6 +138,23 @@ class TestMainExitCodes:
         data = json.loads((tmp_path / f"fibration-{seed}.json").read_text())
         assert data["all_pass"] is True
 
+    @pytest.mark.parametrize("args,suite,error", [
+        (["--suite", "tube-lp", "--resolution", "8"], "tube-lp", "ValueError: "),
+        (["--suite", "transport-pointwise", "--ode-steps", "8"],
+         "transport-pointwise", "IntegrationDiverged: ")])
+    def test_suite_error_exits_1_with_report(self, tmp_path, args, suite, error):
+        code = main(["run", *args, "--samples", "2", "--seed", "0",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 1
+        data = json.loads((tmp_path / f"{suite}-0.json").read_text())
+        assert data["all_pass"] is False
+        [check] = data["checks"]
+        assert check["check_id"] == "suite-error"
+        assert check["anchor"].startswith(error)
+        assert (check["residual"], check["tolerance"], check["pass"]) == \
+            (1.0, 0.5, False)
+        assert (tmp_path / f"{suite}-0.csv").exists()
+
     def test_chart_roundtrip_sphere_seed7_example(self, tmp_path):
         code = main(["run", "--suite", "chart-roundtrip",
                      "--manifold", "sphere2", "--resolution", "128",
@@ -147,3 +164,18 @@ class TestMainExitCodes:
         roundtrip = [c for c in data["checks"]
                      if c["check_id"] == "psi-roundtrip"][0]
         assert roundtrip["residual"] < 1e-7
+
+
+@pytest.mark.parametrize("resolution", [8, 32])
+@pytest.mark.parametrize("manifold", ["sphere2", "torus2", "flat:1", "flat:3"])
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_sweep_ends_with_an_honest_outcome(tmp_path, suite, manifold, resolution):
+    # every accepted configuration passes, or fails with a written report
+    code = main(["run", "--suite", suite, "--manifold", manifold,
+                 "--resolution", str(resolution), "--samples", "2",
+                 "--ode-steps", "16", "--path-grid", "16", "--seed", "0",
+                 "--out", str(tmp_path), "--quiet"])
+    assert code in (0, 1)
+    if code == 1:
+        data = json.loads((tmp_path / f"{suite}-0.json").read_text())
+        assert data["all_pass"] is False

@@ -371,6 +371,21 @@ class TestFrameExtraction:
         with pytest.raises(NotPointwiseLinear):
             frame_from_module_map(smoother, 2, 64)
 
+    def test_nan_probe_image_rejected(self):
+        # g(s) = 2s, but its 5th call (the 3rd random probe) has a NaN node
+        calls = []
+
+        def g(s):
+            calls.append(None)
+            out = 2.0 * s
+            if len(calls) == 5:
+                out[7, 0] = np.nan
+            return out
+
+        with pytest.raises(NotPointwiseLinear):
+            frame_from_module_map(g, 2, 32)
+        assert len(calls) == 2 + 100
+
     def test_singular_frame_rejected(self):
         nu = np.sin(2 * np.pi * np.arange(64) / 64)  # vanishes at two nodes
         with pytest.raises(SingularFrame):

@@ -88,6 +88,11 @@ class TestProjectors:
         with pytest.raises(OffManifold):
             project_tangent(SPHERE, np.array([0.0, 0.0, 1.5]), np.ones(3))
 
+    def test_nan_point_rejected(self):
+        # a NaN constraint residual must not compare as within tolerance
+        with pytest.raises(OffManifold):
+            SPHERE.require_on_manifold(np.array([np.nan, 0.0, 0.0]))
+
     def test_projector_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for manifold in (SPHERE, TORUS):
@@ -147,6 +152,11 @@ class TestExpMap:
         v = TangentAtPoint(SPHERE, NORTH, np.array([40.0, 0.0, 0.0]))
         with pytest.raises(IntegrationDiverged):
             exp_map(SPHERE, v, steps=8)
+
+    def test_nan_velocity_diverges(self):
+        with pytest.raises(IntegrationDiverged):
+            integrate_geodesic(SPHERE, NORTH, np.array([np.nan, 0.0, 0.0]),
+                               steps=8)
 
     def test_torus_wraps_each_circle(self):
         p = TORUS.random_point(np.random.default_rng(7))

@@ -13,10 +13,12 @@ from loopspace_lab.errors import (
 )
 from loopspace_lab.loops import SampledLoop, random_bandlimited_loop, rotate
 from loopspace_lab.manifolds import (
+    BundlePatch,
     Flat,
     FlatTorus2,
     LocalAdditionSpec,
     Sphere2,
+    SquaredPartition,
     TangentAtPoint,
     random_tangent,
 )
@@ -34,11 +36,9 @@ from loopspace_lab.tubes import (
     equivariant_decompose,
     equivariant_recompose,
     local_average,
-    patch_chart,
     point_tube_forward,
     point_tube_inverse,
     pou_section,
-    tangent_partition,
 )
 
 SPHERE = Sphere2()
@@ -161,7 +161,7 @@ class TestBasedTrivialize:
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = manifold.random_point(rng)
-            chart = patch_chart(manifold, x)
+            chart = manifold.patch_chart(x)
             seed = random_section(rng, manifold,
                                   SampledLoop.constant(x, 64), scale=0.25)
             gamma = SampledLoop(manifold.exp(np.tile(x, (64, 1)), seed.vectors))
@@ -174,7 +174,7 @@ class TestBasedTrivialize:
 
     def test_already_based_loop(self):
         x = NORTH
-        chart = patch_chart(SPHERE, x)
+        chart = SPHERE.patch_chart(x)
         seed = random_section(np.random.default_rng(2), SPHERE,
                               SampledLoop.constant(x, 64), scale=0.2)
         based = seed.vectors * np.sin(np.pi * np.arange(64) / 64)[:, None] ** 2
@@ -184,7 +184,7 @@ class TestBasedTrivialize:
         assert np.max(np.abs(omega.samples - gamma.samples)) < 1e-9
 
     def test_outside_patch_rejected(self):
-        chart = patch_chart(SPHERE, NORTH)
+        chart = SPHERE.patch_chart(NORTH)
         far = SampledLoop.constant(
             np.array([0.0, np.sin(2.5), np.cos(2.5)]), 64)
         with pytest.raises(OutsidePatch):
@@ -195,7 +195,7 @@ class TestPouSection:
     @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
     def test_reproduces_seed_and_linearity(self, manifold):
         rng = np.random.default_rng(3)
-        partition = tangent_partition(manifold)
+        partition = manifold.tangent_partition()
         partition.validate(manifold, rng)
         for _ in range(10):
             p = manifold.random_point(rng)
@@ -210,6 +210,22 @@ class TestPouSection:
             lhs = scomb(q)
             rhs = a * pou_section(manifold, v)(q) + b * pou_section(manifold, w)(q)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    def test_nan_weight_fails_validation(self):
+        # the first weight returns NaN on its 3rd call, i.e. at the 3rd probe
+        partition = SPHERE.tangent_partition()
+        first = partition.patches[0]
+        calls = []
+
+        def weight(points):
+            calls.append(None)
+            out = first.weight(points)
+            return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+        bad = SquaredPartition((BundlePatch(weight, first.frame),)
+                               + partition.patches[1:])
+        with pytest.raises(ValueError, match="nan"):
+            bad.validate(SPHERE, np.random.default_rng(5))
 
     def test_zero_seed_gives_zero_section(self):
         rng = np.random.default_rng(4)
@@ -350,8 +366,7 @@ class TestLocalAverage:
 
 class TestEquivariantDecompose:
     def periodic_plus_wiggle(self, manifold, m, rng, n=128, wiggle=0.1):
-        from loopspace_lab.suites import random_manifold_loop
-        base = random_manifold_loop(rng, manifold, n // m, wobble=0.25, bandwidth=2)
+        base = manifold.random_loop(rng, n // m, wobble=0.25, bandwidth=2)
         periodic = SampledLoop(np.tile(base.samples, (m, 1)))
         noise = random_section(rng, manifold, periodic, scale=wiggle)
         return SampledLoop(manifold.exp(periodic.samples, noise.vectors)), periodic
@@ -438,7 +453,7 @@ class TestHundredRoundtrips:
         worst = 0.0
         for _ in range(100):
             x = SPHERE.random_point(rng)
-            chart = patch_chart(SPHERE, x)
+            chart = SPHERE.patch_chart(x)
             seed = random_section(rng, SPHERE, SampledLoop.constant(x, n),
                                   scale=0.2)
             gamma = SampledLoop(SPHERE.exp(np.tile(x, (n, 1)), seed.vectors))
