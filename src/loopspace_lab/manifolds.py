@@ -1,6 +1,11 @@
 """Embedded Riemannian manifolds: flat space, the unit sphere in R^3, and the
 flat torus in R^4.
 
+The sphere S^2 and the torus S^1 x S^1 are products of round unit spheres,
+so both are one class, :class:`RoundSpheres`, which applies the unit-sphere
+formulas factor by factor; each kind adds only its random draws and its
+patch chart (and the torus its parallel frame and circle angles).
+
 Each kind carries two routes to its geometry:
 
 * closed-form maps (``exp``, ``log``, ``geodesic_transport``, ``dist``),
@@ -11,9 +16,10 @@ Each kind carries two routes to its geometry:
 
 The two routes are independent, so one can serve as the oracle for the other.
 Tangent vectors use the linear convention: v in T_pM is an ambient vector
-fixed by the orthogonal projector at p.  Each kind also builds what the
-tubular constructions need from it: a patch chart about a point, a squared
-partition of unity trivializing TM, and random loops.
+fixed by the orthogonal projector at p.  Projectors and their derivatives
+are applied to vectors, never built as matrices.  Each kind also builds what
+the tubular constructions need from it: a patch chart about a point, a
+squared partition of unity trivializing TM, and random loops.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ class EmbeddedManifold:
     """Base class: an n-manifold embedded in R^k with orthogonal projectors.
 
     Subclasses provide the constraint, the tangent projector and its
-    directional derivative, the geodesic acceleration, the nearest-point
-    projection, and closed-form exp/log/transport where available.
-    All point arguments are arrays of shape (..., k).
+    directional derivative in apply form, the geodesic acceleration, the
+    nearest-point projection, and closed-form exp/log/transport where
+    available.  All point arguments are arrays of shape (..., k).
     """
 
     kind: str = "abstract"
@@ -60,11 +66,13 @@ class EmbeddedManifold:
     def constraint_residual(self, p) -> np.ndarray:
         raise NotImplementedError
 
-    def tangent_projector(self, p) -> np.ndarray:
+    def project_tangent_vector(self, p, w) -> np.ndarray:
+        """P(p) w, the orthogonal projection of an ambient vector onto T_pM."""
         raise NotImplementedError
 
-    def projector_derivative(self, p, w) -> np.ndarray:
-        """Directional derivative of the projector field at p along w."""
+    def projector_derivative(self, p, w, v) -> np.ndarray:
+        """(dP[w]) v: the derivative of the projector field at p along w,
+        applied to v."""
         raise NotImplementedError
 
     def project_point(self, x) -> np.ndarray:
@@ -78,6 +86,8 @@ class EmbeddedManifold:
     # -- closed-form maps -----------------------------------------------------
 
     def exp(self, p, v) -> np.ndarray:
+        """exp_p(v).  ``v`` must be tangent at p: it is not projected first,
+        so a normal part would enter the result."""
         raise NotImplementedError
 
     def log(self, p, q) -> np.ndarray:
@@ -91,10 +101,6 @@ class EmbeddedManifold:
         raise NotImplementedError
 
     # -- helpers --------------------------------------------------------------
-
-    def project_tangent_vector(self, p, w) -> np.ndarray:
-        proj = self.tangent_projector(p)
-        return np.einsum("...ij,...j->...i", proj, w)
 
     def require_on_manifold(self, p, tol: float = ON_MANIFOLD_TOL) -> None:
         res = np.max(np.atleast_1d(self.constraint_residual(p)))
@@ -151,14 +157,11 @@ class Flat(EmbeddedManifold):
         p = np.asarray(p)
         return np.zeros(p.shape[:-1])
 
-    def tangent_projector(self, p):
-        p = np.asarray(p)
-        eye = np.eye(self.ambient_dim)
-        return np.broadcast_to(eye, p.shape[:-1] + eye.shape).copy()
+    def project_tangent_vector(self, p, w):
+        return np.array(w, dtype=np.float64)
 
-    def projector_derivative(self, p, w):
-        p = np.asarray(p)
-        return np.zeros(p.shape[:-1] + (self.ambient_dim, self.ambient_dim))
+    def projector_derivative(self, p, w, v):
+        return np.zeros_like(v, dtype=np.float64)
 
     def project_point(self, x):
         return np.asarray(x, dtype=np.float64).copy()
@@ -188,84 +191,105 @@ class Flat(EmbeddedManifold):
         return FlatChart(self, center)
 
     def tangent_frame(self, points):
-        return self.tangent_projector(points)
+        eye = np.eye(self.ambient_dim)
+        return np.broadcast_to(eye, np.shape(points)[:-1] + eye.shape)
 
     def __repr__(self):
         return f"Flat({self.ambient_dim})"
 
 
-class Sphere2(EmbeddedManifold):
-    """The unit sphere S^2 in R^3 with the round metric."""
+class RoundSpheres(EmbeddedManifold):
+    """A product of ``factors`` round unit spheres in R^m, embedded in R^k
+    with k = factors * m and carrying the product metric.
+
+    A point (..., k) is viewed as (..., factors, m) and every map applies the
+    unit-sphere formula to each factor on the last axis.  Projectors are
+    applied, never built: P v = v - p<p,v> and (dP[w]) v = -(w<p,v> + p<w,v>)
+    per factor.
+    """
+
+    factors: int = 1
+    projection_floor = 0.1
+    #: log precondition: every factor distance is below pi - CUT_MARGIN
+    CUT_MARGIN = 1e-6
+
+    def _view(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return x.reshape(x.shape[:-1] + (self.factors, -1))
+
+    @staticmethod
+    def _unview(x):
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    @staticmethod
+    def _dot(a, b):
+        return np.sum(a * b, axis=-1, keepdims=True)
+
+    @classmethod
+    def _chord(cls, p, q):
+        """Per factor: q - <p,q> p, its norm and the angle from p to q."""
+        c = np.clip(cls._dot(p, q), -1.0, 1.0)
+        w = q - c * p
+        nw = np.linalg.norm(w, axis=-1, keepdims=True)
+        # arctan2 keeps the angle accurate at both ends of [0, pi]
+        return w, nw, np.arctan2(nw, c)
+
+    def constraint_residual(self, p):
+        r = np.linalg.norm(self._view(p), axis=-1)
+        return np.max(np.abs(r - 1.0), axis=-1)
+
+    def project_tangent_vector(self, p, w):
+        p, w = self._view(p), self._view(w)
+        return self._unview(w - p * self._dot(p, w))
+
+    def projector_derivative(self, p, w, v):
+        p, w, v = self._view(p), self._view(w), self._view(v)
+        return self._unview(-(w * self._dot(p, v) + p * self._dot(w, v)))
+
+    def project_point(self, x):
+        x = self._view(x)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        if np.any(r <= self.projection_floor):
+            raise OutsideTube("point too close to the centre of a sphere factor")
+        return self._unview(x / r)
+
+    def geodesic_acceleration(self, p, v):
+        v = self._view(v)
+        return self._unview(-self._dot(v, v) * self._view(p))
+
+    def exp(self, p, v):
+        p, v = self._view(p), self._view(v)
+        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        return self._unview(np.cos(theta) * p + np.sinc(theta / np.pi) * v)
+
+    def log(self, p, q):
+        w, nw, theta = self._chord(self._view(p), self._view(q))
+        if np.any(theta >= np.pi - self.CUT_MARGIN):
+            raise OutOfInjectivityDomain("target at or beyond the antipode")
+        scale = np.where(nw > 1e-300, theta / np.where(nw > 1e-300, nw, 1.0), 1.0)
+        return self._unview(scale * w)
+
+    def geodesic_transport(self, p, v, w):
+        p, v, w = self._view(p), self._view(v), self._view(w)
+        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        safe = np.where(theta > 1e-300, theta, 1.0)
+        u = np.where(theta > 1e-300, v / safe, 0.0 * v)
+        a = self._dot(w, u)
+        return self._unview(w + a * (-np.sin(theta) * p + (np.cos(theta) - 1.0) * u))
+
+    def dist(self, p, q):
+        _, _, theta = self._chord(self._view(p), self._view(q))
+        return np.linalg.norm(theta[..., 0], axis=-1)
+
+
+class Sphere2(RoundSpheres):
+    """The unit sphere S^2 in R^3 with the round metric: one factor."""
 
     kind = "sphere2"
     ambient_dim = 3
     intrinsic_dim = 2
+    factors = 1
     local_addition_epsilon = np.pi / 2
-    projection_floor = 0.1
-    #: log_map precondition: dist(p, q) < pi - CUT_MARGIN
-    CUT_MARGIN = 1e-6
-
-    def constraint_residual(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        return np.abs(np.linalg.norm(p, axis=-1) - 1.0)
-
-    def tangent_projector(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        eye = np.eye(3)
-        return eye - p[..., :, None] * p[..., None, :]
-
-    def projector_derivative(self, p, w):
-        p = np.asarray(p, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
-        return -(w[..., :, None] * p[..., None, :] + p[..., :, None] * w[..., None, :])
-
-    def project_point(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        if np.any(r <= self.projection_floor):
-            raise OutsideTube("point too close to the centre of the sphere")
-        return x / r
-
-    def geodesic_acceleration(self, p, v):
-        v = np.asarray(v, dtype=np.float64)
-        speed2 = np.sum(v * v, axis=-1, keepdims=True)
-        return -speed2 * np.asarray(p, dtype=np.float64)
-
-    def exp(self, p, v):
-        p = np.asarray(p, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
-        return np.cos(theta) * p + np.sinc(theta / np.pi) * v
-
-    def log(self, p, q):
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        c = np.clip(np.sum(p * q, axis=-1, keepdims=True), -1.0, 1.0)
-        w = q - c * p
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
-        # arctan2 keeps the angle accurate at both ends of [0, pi]
-        theta = np.arctan2(nw, c)
-        if np.any(theta >= np.pi - self.CUT_MARGIN):
-            raise OutOfInjectivityDomain("target at or beyond the antipode")
-        scale = np.where(nw > 1e-300, theta / np.where(nw > 1e-300, nw, 1.0), 1.0)
-        return scale * w
-
-    def geodesic_transport(self, p, v, w):
-        p = np.asarray(p, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
-        safe = np.where(theta > 1e-300, theta, 1.0)
-        u = np.where(theta > 1e-300, v / safe, 0.0 * v)
-        a = np.sum(w * u, axis=-1, keepdims=True)
-        return w + a * (-np.sin(theta) * p + (np.cos(theta) - 1.0) * u)
-
-    def dist(self, p, q):
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        c = np.clip(np.sum(p * q, axis=-1), -1.0, 1.0)
-        nw = np.linalg.norm(q - c[..., None] * p, axis=-1)
-        return np.arctan2(nw, c)
 
     def random_point(self, rng):
         x = rng.normal(size=3)
@@ -314,129 +338,44 @@ class Sphere2(EmbeddedManifold):
         return SquaredPartition((make_patch(north), make_patch(-north)))
 
 
-class FlatTorus2(EmbeddedManifold):
+class FlatTorus2(RoundSpheres):
     """The flat torus S^1 x S^1 embedded in R^4 as a product of unit circles."""
 
     kind = "torus2"
     ambient_dim = 4
     intrinsic_dim = 2
+    factors = 2
     local_addition_epsilon = 1.0
-    projection_floor = 0.1
-    CUT_MARGIN = 1e-6
+
+    def angles(self, p) -> np.ndarray:
+        """The angle of each circle, shape (..., 2)."""
+        p = self._view(p)
+        return np.arctan2(p[..., 1], p[..., 0])
 
     @staticmethod
-    def _pairs(x):
-        x = np.asarray(x, dtype=np.float64)
-        return x[..., 0:2], x[..., 2:4]
-
-    def _frame(self, p):
-        """The parallel orthonormal frame rotating with each circle."""
-        a, b = self._pairs(p)
-        f1 = np.concatenate([-a[..., 1:2], a[..., 0:1],
-                             np.zeros_like(a)], axis=-1)
-        f2 = np.concatenate([np.zeros_like(b),
-                             -b[..., 1:2], b[..., 0:1]], axis=-1)
-        return f1, f2
-
-    def constraint_residual(self, p):
-        a, b = self._pairs(p)
-        ra = np.abs(np.linalg.norm(a, axis=-1) - 1.0)
-        rb = np.abs(np.linalg.norm(b, axis=-1) - 1.0)
-        return np.maximum(ra, rb)
-
-    def tangent_projector(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        a, b = self._pairs(p)
-        out = np.zeros(p.shape[:-1] + (4, 4))
-        eye2 = np.eye(2)
-        out[..., 0:2, 0:2] = eye2 - a[..., :, None] * a[..., None, :]
-        out[..., 2:4, 2:4] = eye2 - b[..., :, None] * b[..., None, :]
-        return out
-
-    def projector_derivative(self, p, w):
-        p = np.asarray(p, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
-        a, b = self._pairs(p)
-        wa, wb = self._pairs(w)
-        out = np.zeros(p.shape[:-1] + (4, 4))
-        out[..., 0:2, 0:2] = -(wa[..., :, None] * a[..., None, :]
-                               + a[..., :, None] * wa[..., None, :])
-        out[..., 2:4, 2:4] = -(wb[..., :, None] * b[..., None, :]
-                               + b[..., :, None] * wb[..., None, :])
-        return out
-
-    def project_point(self, x):
-        a, b = self._pairs(x)
-        ra = np.linalg.norm(a, axis=-1, keepdims=True)
-        rb = np.linalg.norm(b, axis=-1, keepdims=True)
-        if np.any(ra <= self.projection_floor) or np.any(rb <= self.projection_floor):
-            raise OutsideTube("point too close to a circle axis")
-        return np.concatenate([a / ra, b / rb], axis=-1)
-
-    def geodesic_acceleration(self, p, v):
-        a, b = self._pairs(p)
-        va, vb = self._pairs(v)
-        sa = np.sum(va * va, axis=-1, keepdims=True)
-        sb = np.sum(vb * vb, axis=-1, keepdims=True)
-        return np.concatenate([-sa * a, -sb * b], axis=-1)
-
-    def _angles(self, p):
-        a, b = self._pairs(p)
-        return (np.arctan2(a[..., 1], a[..., 0]),
-                np.arctan2(b[..., 1], b[..., 0]))
-
-    def exp(self, p, v):
-        f1, f2 = self._frame(p)
-        t1 = np.sum(np.asarray(v) * f1, axis=-1)
-        t2 = np.sum(np.asarray(v) * f2, axis=-1)
-        a1, a2 = self._angles(p)
-        n1, n2 = a1 + t1, a2 + t2
-        return np.stack([np.cos(n1), np.sin(n1), np.cos(n2), np.sin(n2)], axis=-1)
-
-    def log(self, p, q):
-        a1, a2 = self._angles(p)
-        b1, b2 = self._angles(q)
-        d1 = (b1 - a1 + np.pi) % (2 * np.pi) - np.pi
-        d2 = (b2 - a2 + np.pi) % (2 * np.pi) - np.pi
-        if np.any(np.abs(d1) >= np.pi - self.CUT_MARGIN) or \
-           np.any(np.abs(d2) >= np.pi - self.CUT_MARGIN):
-            raise OutOfInjectivityDomain("angle difference at or beyond pi")
-        f1, f2 = self._frame(p)
-        return d1[..., None] * f1 + d2[..., None] * f2
-
-    def geodesic_transport(self, p, v, w):
-        f1, f2 = self._frame(p)
-        c1 = np.sum(np.asarray(w) * f1, axis=-1)
-        c2 = np.sum(np.asarray(w) * f2, axis=-1)
-        q = self.exp(p, v)
-        g1, g2 = self._frame(q)
-        return c1[..., None] * g1 + c2[..., None] * g2
-
-    def dist(self, p, q):
-        a1, a2 = self._angles(p)
-        b1, b2 = self._angles(q)
-        d1 = (b1 - a1 + np.pi) % (2 * np.pi) - np.pi
-        d2 = (b2 - a2 + np.pi) % (2 * np.pi) - np.pi
-        return np.sqrt(d1 * d1 + d2 * d2)
+    def from_angles(angles) -> np.ndarray:
+        """The point whose circles sit at the given angles, shape (..., 4)."""
+        a = np.asarray(angles, dtype=np.float64)
+        return np.stack([np.cos(a), np.sin(a)], axis=-1).reshape(a.shape[:-1] + (4,))
 
     def random_point(self, rng):
-        t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
-        return np.array([np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)])
+        return self.from_angles(rng.uniform(0, 2 * np.pi, size=2))
 
     def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
         base = rng.uniform(0, 2 * np.pi, size=2)
         noise = random_bandlimited_loop(rng, 2, n, bandwidth=bandwidth,
                                         amplitude=wobble)
-        a = base[0] + noise.samples[:, 0]
-        b = base[1] + noise.samples[:, 1]
-        return SampledLoop(
-            np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1))
+        return SampledLoop(self.from_angles(base + noise.samples))
 
     def patch_chart(self, center):
         return TorusAngleChart(self, center)
 
     def tangent_frame(self, points):
-        return np.stack(self._frame(points), -1)
+        """The parallel frame: column i is the unit tangent of circle i."""
+        p = self._view(points)
+        turned = np.stack([-p[..., 1], p[..., 0]], axis=-1)  # (..., 2, 2)
+        cols = turned[..., :, :, None] * np.eye(2)[:, None, :]
+        return cols.reshape(p.shape[:-2] + (4, 2))
 
 
 def manifold_from_tag(tag: str) -> EmbeddedManifold:
@@ -534,19 +473,14 @@ class TorusAngleChart(PatchChart):
         self.manifold = manifold
         self.center = np.asarray(center, dtype=np.float64)
         manifold.require_on_manifold(self.center)
-        self._a0 = np.array(manifold._angles(self.center))
+        self._a0 = manifold.angles(self.center)
 
     def to_coords(self, points):
-        a1, a2 = self.manifold._angles(np.asarray(points, dtype=np.float64))
-        d1 = (a1 - self._a0[0] + np.pi) % (2 * np.pi) - np.pi
-        d2 = (a2 - self._a0[1] + np.pi) % (2 * np.pi) - np.pi
-        return np.stack([d1, d2], axis=-1)
+        d = self.manifold.angles(points) - self._a0
+        return (d + np.pi) % (2 * np.pi) - np.pi
 
     def from_coords(self, coords):
-        w = np.asarray(coords, dtype=np.float64)
-        n1 = self._a0[0] + w[..., 0]
-        n2 = self._a0[1] + w[..., 1]
-        return np.stack([np.cos(n1), np.sin(n1), np.cos(n2), np.sin(n2)], axis=-1)
+        return self.manifold.from_angles(self._a0 + np.asarray(coords, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -593,7 +527,7 @@ class TangentAtPoint:
         object.__setattr__(self, "vector", vector)
         self.manifold.require_on_manifold(base)
         res = np.max(np.abs(self.manifold.project_tangent_vector(base, vector) - vector))
-        if res > TANGENT_TOL:
+        if not res <= TANGENT_TOL:
             raise ValueError(f"vector not tangent at base (residual {res:.3e})")
 
     @property
@@ -733,17 +667,25 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     v = np.asarray(v, dtype=np.float64)
     norms0 = np.linalg.norm(v, axis=-1, keepdims=True)
 
+    # The RK4 stages and after_step visit each stage time twice in a row
+    # (t += h gives the float of t + h), so with a one-entry memo the path
+    # is read 2 * steps + 1 times.
+    memo = [None, None, None]
+
+    def path(s):
+        if memo[0] != s:
+            memo[:] = s, spline(s), dspline(s)
+        return memo[1], memo[2]
+
     def rhs(s, vec):
-        x = spline(s)
-        xdot = dspline(s)
-        dP = manifold.projector_derivative(x, xdot)
-        out = np.einsum("...ij,...j->...i", dP, vec)
+        x, xdot = path(s)
+        out = manifold.projector_derivative(x, xdot, vec)
         if torsion is not None:
             out = out - 0.5 * torsion(x, xdot, vec)
         return out
 
     def after_step(s, vec):
-        x = spline(s)
+        x, _ = path(s)
         res = np.max(np.atleast_1d(manifold.constraint_residual(x)))
         if not res <= MIDFLOW_TOL:
             raise IntegrationDiverged(f"path off manifold (residual {res:.3e})")
@@ -803,7 +745,7 @@ class LocalAdditionSpec:
     def decompress(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
         u = np.linalg.norm(w, axis=-1, keepdims=True) / self.epsilon
-        if np.any(u >= 1.0):
+        if not np.all(u < 1.0):
             raise OutOfV("target beyond the compressed radius")
         return w / (self.epsilon * np.sqrt(1.0 - u * u))
 
@@ -820,7 +762,7 @@ class LocalAdditionSpec:
     def inverse(self, p, q) -> np.ndarray:
         """The v with eta(p, v) = q, for q within reach of p."""
         d = np.max(np.atleast_1d(self.manifold.dist(p, q)))
-        if d >= self.epsilon:
+        if not d < self.epsilon:
             raise OutOfV(f"dist {d:.3f} is not below the reach {self.epsilon:.3f}")
         return self.decompress(self.manifold.log(p, q))
 

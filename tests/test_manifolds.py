@@ -16,6 +16,7 @@ from loopspace_lab.errors import (
     OutsideTube,
     ShootingFailed,
 )
+from loopspace_lab import manifolds
 from loopspace_lab.manifolds import (
     Flat,
     FlatTorus2,
@@ -62,7 +63,8 @@ class TestProjectors:
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = manifold.random_point(rng)
-            lam = manifold.tangent_projector(p)
+            basis = np.eye(manifold.ambient_dim)
+            lam = manifold.project_tangent_vector(np.broadcast_to(p, basis.shape), basis).T
             assert np.max(np.abs(lam - lam.T)) < 1e-12
             assert np.max(np.abs(lam @ lam - lam)) < 1e-10
             assert abs(np.trace(lam) - manifold.intrinsic_dim) < 1e-10
@@ -93,15 +95,21 @@ class TestProjectors:
         with pytest.raises(OffManifold):
             SPHERE.require_on_manifold(np.array([np.nan, 0.0, 0.0]))
 
+    def test_nan_vector_rejected(self):
+        # a NaN tangency residual must not compare as within tolerance
+        with pytest.raises(ValueError):
+            TangentAtPoint(SPHERE, NORTH, np.array([np.nan, 0.0, 0.0]))
+
     def test_projector_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for manifold in (SPHERE, TORUS):
             p = manifold.random_point(rng)
             w = random_tangent(manifold, rng, p).vector
             h = 1e-6
-            fd = (manifold.tangent_projector(p + h * w)
-                  - manifold.tangent_projector(p - h * w)) / (2 * h)
-            exact = manifold.projector_derivative(p, w)
+            v = rng.normal(size=manifold.ambient_dim)
+            fd = (manifold.project_tangent_vector(p + h * w, v)
+                  - manifold.project_tangent_vector(p - h * w, v)) / (2 * h)
+            exact = manifold.projector_derivative(p, w, v)
             assert np.max(np.abs(fd - exact)) < 1e-7
 
 
@@ -160,7 +168,7 @@ class TestExpMap:
 
     def test_torus_wraps_each_circle(self):
         p = TORUS.random_point(np.random.default_rng(7))
-        f1, f2 = TORUS._frame(p)
+        f1, f2 = TORUS.tangent_frame(p).T
         v = TangentAtPoint(TORUS, p, 0.7 * f1 - 0.3 * f2)
         out = exp_map(TORUS, v, steps=200)
         assert np.max(np.abs(out - TORUS.exp(p, v.vector))) < 1e-8
@@ -194,7 +202,7 @@ class TestLogMap:
         with pytest.raises(OutOfInjectivityDomain):
             log_map(SPHERE, NORTH, -NORTH)
         p = TORUS.random_point(np.random.default_rng(10))
-        f1, _ = TORUS._frame(p)
+        f1 = TORUS.tangent_frame(p)[..., 0]
         q = TORUS.exp(p, np.pi * f1)
         with pytest.raises(OutOfInjectivityDomain):
             log_map(TORUS, p, q)
@@ -265,12 +273,92 @@ class TestParallelTransport:
             closed = manifold.geodesic_transport(p, u.vector, w.vector)
             assert np.max(np.abs(integrated.vector - closed)) < 1e-7
 
+    def test_transport_reads_the_path_once_per_stage_time(self, monkeypatch):
+        calls = {"x": 0, "xdot": 0}
+        make_spline = manifolds._path_spline
+
+        class Counted:
+            def __init__(self, spline, key):
+                self.spline, self.key = spline, key
+
+            def __call__(self, s):
+                calls[self.key] += 1
+                return self.spline(s)
+
+            def derivative(self):
+                return Counted(self.spline.derivative(), "xdot")
+
+        monkeypatch.setattr(manifolds, "_path_spline",
+                            lambda s_grid, points: Counted(make_spline(s_grid, points), "x"))
+        path = self.quarter_circle_path(20)
+        s_grid = np.linspace(0.0, 1.0, 21)
+        v = np.array([0.3, 1.0, 0.0])
+        steps = 16
+        out = manifolds.integrate_transport(SPHERE, s_grid, path, v, steps=steps)
+        assert calls == {"x": 2 * steps + 1, "xdot": 2 * steps + 1}
+
+        # the same transport reading the path at every stage
+        spline = make_spline(s_grid, path)
+        dspline = spline.derivative()
+        norm0 = np.linalg.norm(v, axis=-1, keepdims=True)
+
+        def rhs(s, vec):
+            return SPHERE.projector_derivative(spline(s), dspline(s), vec)
+
+        def after_step(s, vec):
+            vec = SPHERE.project_tangent_vector(spline(s), vec)
+            return vec * (norm0 / np.linalg.norm(vec, axis=-1, keepdims=True))
+
+        assert np.array_equal(out, manifolds._rk4(rhs, v, 0.0, 1.0 / steps, steps,
+                                                  after_step))
+
     def test_diverging_path_rejected(self):
         path = self.quarter_circle_path(20)
         path[7] *= 1.5  # push one node off the sphere
         v = TangentAtPoint(SPHERE, path[0], np.array([0.0, 1.0, 0.0]))
         with pytest.raises(IntegrationDiverged):
             parallel_transport(SPHERE, path, v)
+
+
+class TestTorusAngleOracle:
+    """The torus closed forms against angle arithmetic on each circle:
+    exp adds angles, log and dist take wrapped angle differences, and
+    transport keeps the coordinates in the rotating frame."""
+
+    @staticmethod
+    def point(angles):
+        return np.stack([np.cos(angles[..., 0]), np.sin(angles[..., 0]),
+                         np.cos(angles[..., 1]), np.sin(angles[..., 1])], axis=-1)
+
+    @staticmethod
+    def tangent(angles, coords):
+        """coords[..., i] times the unit tangent (-sin, cos) of circle i."""
+        return np.stack([-coords[..., 0] * np.sin(angles[..., 0]),
+                         coords[..., 0] * np.cos(angles[..., 0]),
+                         -coords[..., 1] * np.sin(angles[..., 1]),
+                         coords[..., 1] * np.cos(angles[..., 1])], axis=-1)
+
+    @staticmethod
+    def wrap(d):
+        return (d + np.pi) % (2 * np.pi) - np.pi
+
+    def test_closed_forms_match_angle_arithmetic(self):
+        rng = np.random.default_rng(20)
+        a = rng.uniform(0, 2 * np.pi, size=(50, 2))
+        t = rng.uniform(-2.0, 2.0, size=(50, 2))
+        c = rng.normal(size=(50, 2))
+        b = a + rng.uniform(-3.0, 3.0, size=(50, 2)) + 2 * np.pi * rng.integers(-1, 2, (50, 2))
+        p, q = self.point(a), self.point(b)
+        v, w = self.tangent(a, t), self.tangent(a, c)
+        d = self.wrap(b - a)
+        assert np.max(np.abs(TORUS.exp(p, v) - self.point(a + t))) < 1e-12
+        assert np.max(np.abs(TORUS.log(p, q) - self.tangent(a, d))) < 1e-12
+        assert np.max(np.abs(TORUS.dist(p, q) - np.hypot(d[:, 0], d[:, 1]))) < 1e-12
+        assert np.max(np.abs(TORUS.geodesic_transport(p, v, w)
+                             - self.tangent(a + t, c))) < 1e-12
+        chart = TORUS.patch_chart(p[0])
+        assert np.max(np.abs(chart.to_coords(q) - self.wrap(b - a[0]))) < 1e-12
+        assert np.max(np.abs(chart.from_coords(t) - self.point(a[0] + t))) < 1e-12
 
 
 class TestLocalAddition:
@@ -327,6 +415,14 @@ class TestLocalAddition:
         spec = LocalAdditionSpec(SPHERE)
         with pytest.raises(OutOfV):
             local_addition_inv(spec, NORTH, np.array([0.0, 0.0, -1.0]))
+
+    def test_nan_target_rejected(self):
+        # NaN distances and radii must not compare as within reach
+        spec = LocalAdditionSpec(SPHERE)
+        with pytest.raises(OutOfV):
+            spec.inverse(NORTH, np.array([np.nan, 0.0, 1.0]))
+        with pytest.raises(OutOfV):
+            spec.decompress(np.array([np.nan, 0.0, 0.0]))
 
 
 class TestTubularProjection:
