@@ -11,9 +11,8 @@ geometry, so each one certifies the other.
 import numpy as np
 
 from loopspace_lab import (
-    LocalAdditionSpec, Sphere2, TangentAtPoint, exp_map, local_addition,
-    local_addition_inv, log_by_shooting, log_map, parallel_transport,
-    project_tangent, tubular_projection,
+    LocalAdditionSpec, Sphere2, TangentAtPoint, exp_map, log_by_shooting,
+    log_map, parallel_transport, project_tangent,
 )
 
 sphere = Sphere2()
@@ -51,10 +50,10 @@ print("transported (0,1,0):", fixed.vector, " (stays put)")
 # the local addition compresses the whole tangent plane into a metric ball
 spec = LocalAdditionSpec(sphere)
 big = TangentAtPoint(sphere, north, np.array([40.0, -9.0, 0.0]))
-q = local_addition(spec, big)
+q = spec.forward(north, big.vector)
 print("eta(p, huge v) stays within", sphere.dist(north, q), "< pi/2")
 print("inverse recovers v to",
-      np.max(np.abs(local_addition_inv(spec, north, q).vector - big.vector)))
+      np.max(np.abs(spec.inverse(north, q) - big.vector)))
 
 # nearest-point projection: the tubular map of the embedding
-print("projection of (0,0,2):", tubular_projection(sphere, [0.0, 0.0, 2.0]))
+print("projection of (0,0,2):", sphere.project_point([0.0, 0.0, 2.0]))

@@ -12,14 +12,14 @@ import numpy as np
 
 from loopspace_lab import (
     ConnectionSpec, SampledLoop, Sphere2, TangentSection, bundle_chart,
-    frame_from_module_map, l2_inner, levi_civita, loop_geodesic,
+    frame_from_module_map, l2_inner, loop_geodesic,
     loop_parallel_transport, random_section, rotation_matrix_loop, torsion,
 )
 from loopspace_lab.loops import random_bandlimited_loop
 from loopspace_lab.manifolds import Flat
 
 sphere = Sphere2()
-conn = levi_civita(sphere)
+conn = ConnectionSpec(sphere)
 rng = np.random.default_rng(1)
 
 t = np.arange(128) / 128

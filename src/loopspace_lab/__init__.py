@@ -30,15 +30,12 @@ from .manifolds import (
     SquaredPartition,
     TangentAtPoint,
     exp_map,
-    local_addition,
-    local_addition_inv,
     log_by_shooting,
     log_map,
     manifold_from_tag,
     parallel_transport,
     project_tangent,
     random_tangent,
-    tubular_projection,
 )
 from .charts import (
     Chart,
@@ -63,14 +60,12 @@ from .geometry import (
     exp_nonsurjectivity_witness,
     frame_from_module_map,
     l2_inner,
-    levi_civita,
     loop_geodesic,
     loop_parallel_transport,
     rotation_matrix_loop,
     torsion,
 )
 from .tubes import (
-    BumpProfile,
     FinitePointMap,
     FlowDiffeo,
     based_detrivialize,

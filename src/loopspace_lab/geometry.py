@@ -12,7 +12,7 @@ identity through an independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import (
     GridTooCoarse,
     NotPointwiseLinear,
     SingularFrame,
-    SingularSymbol,
 )
 from .loops import SampledLoop, evaluate
 from .manifolds import (
@@ -35,8 +34,9 @@ from .charts import TangentSection, require_based
 
 CONNECTOR_LINEARITY_TOL = 1e-8
 FRAME_RECONSTRUCTION_TOL = 1e-6
-FRAME_CONDITION_LIMIT = 1e8
+CONDITION_LIMIT = 1e8
 RANK_THRESHOLD = 1e-8
+FRAME_PROBES = 100
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,6 @@ class ConnectionSpec:
         if self.torsion is not None:
             out = out + 0.5 * self.torsion(p, pdot, e)
         return out
-
-
-def levi_civita(manifold: EmbeddedManifold) -> ConnectionSpec:
-    return ConnectionSpec(manifold)
 
 
 # -- the weak Riemannian L^2 metric ---------------------------------------------
@@ -214,20 +210,18 @@ def torsion(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
 
 
 def bundle_chart(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
-                 gamma: TangentSection,
-                 addition: LocalAdditionSpec | None = None) -> TangentSection:
+                 gamma: TangentSection) -> TangentSection:
     """The bundle chart by parallel transport.
 
     Each fiber vector gamma(t) is transported along the geodesic
-    u -> exp(u * compress(beta(t))) from alpha(t) to the shifted base; the
-    output is a section over the chart image of beta.  Transport is linear
-    fiberwise, which is what makes the chart L R-linear in gamma.
+    u -> exp(u * compress(beta(t))) from alpha(t) to the shifted base, with
+    the manifold's default local addition; the output is a section over the
+    chart image of beta.  Transport is linear fiberwise, which is what makes
+    the chart L R-linear in gamma.
     """
     require_based(beta, alpha)
     require_based(gamma, beta.base)
-    if addition is None:
-        addition = LocalAdditionSpec(conn.manifold)
-    compressed = addition.compress(beta.vectors)
+    compressed = LocalAdditionSpec(conn.manifold).compress(beta.vectors)
     new_base = SampledLoop(conn.manifold.exp(alpha.samples, compressed))
     moved = conn.manifold.geodesic_transport(alpha.samples, compressed, gamma.vectors)
     return TangentSection(conn.manifold, new_base, moved)
@@ -240,7 +234,6 @@ class MatrixLoop:
     """A loop of n x n matrices: the concrete form of an L R-module map."""
 
     matrices: np.ndarray  # (N, n, n), real or complex
-    check_invertible: bool = field(default=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrices)
@@ -248,10 +241,6 @@ class MatrixLoop:
             raise ValueError("matrices must have shape (N, n, n)")
         dtype = np.complex128 if np.iscomplexobj(m) else np.float64
         object.__setattr__(self, "matrices", np.ascontiguousarray(m, dtype=dtype))
-        if self.check_invertible:
-            conds = np.linalg.cond(self.matrices)
-            if not np.all(np.isfinite(conds)) or np.max(conds) >= FRAME_CONDITION_LIMIT:
-                raise SingularSymbol("a node matrix has condition number >= 1e8")
 
     @property
     def resolution(self) -> int:
@@ -278,14 +267,14 @@ def rotation_matrix_loop(n_nodes: int, turns: float = 1.0) -> MatrixLoop:
     return MatrixLoop(mats)
 
 
-def frame_from_module_map(g, n: int, resolution: int, probes: int = 100,
-                          rng=None, require_invertible: bool = True) -> MatrixLoop:
+def frame_from_module_map(g, n: int, resolution: int, rng=None) -> MatrixLoop:
     """Extract the matrix loop of a black-box pointwise-linear operator.
 
     ``g`` maps loops in R^n, given as (N, n) sample arrays, to loops in R^n.
     Columns come from probing with the constant standard-basis loops; the
-    reconstruction is then verified on random loops, rejecting operators
-    that are linear but not pointwise (e.g. convolutions).
+    reconstruction is then verified on FRAME_PROBES random loops, rejecting
+    operators that are linear but not pointwise (e.g. convolutions).  A frame
+    that is singular or ill-conditioned at some node raises SingularFrame.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -297,7 +286,7 @@ def frame_from_module_map(g, n: int, resolution: int, probes: int = 100,
     mats = np.stack(cols, axis=-1)  # (N, n, n), column j = g(e_j)(t)
     frame = MatrixLoop(mats)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(FRAME_PROBES):
         s = rng.normal(size=(resolution, n))
         image = np.asarray(g(s), dtype=np.float64)
         rebuilt = frame.apply(s)
@@ -306,11 +295,10 @@ def frame_from_module_map(g, n: int, resolution: int, probes: int = 100,
     if not worst <= FRAME_RECONSTRUCTION_TOL:
         raise NotPointwiseLinear(
             f"reconstruction residual {worst:.3e} exceeds {FRAME_RECONSTRUCTION_TOL:.1e}")
-    if require_invertible:
-        svals = np.linalg.svd(mats, compute_uv=False)
-        if np.min(svals) <= RANK_THRESHOLD or \
-                np.max(svals[..., 0] / svals[..., -1]) >= FRAME_CONDITION_LIMIT:
-            raise SingularFrame("extracted frame is singular at some node")
+    svals = np.linalg.svd(mats, compute_uv=False)
+    if np.min(svals) <= RANK_THRESHOLD or \
+            np.max(svals[..., 0] / svals[..., -1]) >= CONDITION_LIMIT:
+        raise SingularFrame("extracted frame is singular at some node")
     return frame
 
 
@@ -330,9 +318,9 @@ def curve_of_loops_derivative(curve, s0: float = 0.0, h: float = 1e-4) -> np.nda
 
 # -- non-surjectivity of the loop exponential --------------------------------------
 
-def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop,
-                                base_point=(0.0, 0.0, -1.0)) -> dict:
-    """Maximal node-to-node jump of the nodewise log lift of a target loop.
+def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
+    """Maximal node-to-node jump of the nodewise log lift of a target loop
+    about the constant loop at the south pole (0, 0, -1) of S^2.
 
     Lifting a loop through the exponential map at a constant base loop
     requires a continuous choice of logarithm.  For a great circle through
@@ -342,8 +330,7 @@ def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop,
     continuous and the jump is O(1/N).  Nodes falling exactly on the
     antipode are avoided by re-sampling at half-step offsets.
     """
-    p = np.asarray(base_point, dtype=np.float64)
-    manifold.require_on_manifold(p)
+    p = np.array([0.0, 0.0, -1.0])
     n = target.resolution
     offset = 0.0
     samples = target.samples

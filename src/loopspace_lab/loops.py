@@ -75,20 +75,6 @@ class SampledLoop:
         point = np.atleast_1d(np.asarray(point))
         return cls(np.tile(point, (n, 1)))
 
-    @classmethod
-    def from_function(cls, f, n: int = 128) -> "SampledLoop":
-        """Sample ``f : [0,1) -> R^d`` at the N uniform nodes."""
-        t = np.arange(n) / n
-        try:
-            vals = np.asarray(f(t))
-            if vals.shape[0] != n:
-                raise ValueError
-        except Exception:
-            vals = np.asarray([f(tj) for tj in t])
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return cls(vals)
-
 
 @dataclass(frozen=True)
 class FourierRep:

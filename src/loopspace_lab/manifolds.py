@@ -76,7 +76,8 @@ class EmbeddedManifold:
         raise NotImplementedError
 
     def project_point(self, x) -> np.ndarray:
-        """Nearest-point projection onto the manifold."""
+        """Nearest-point projection onto the manifold: x - result is normal
+        at the result.  Raises OutsideTube outside the projection domain."""
         raise NotImplementedError
 
     def geodesic_acceleration(self, p, v) -> np.ndarray:
@@ -106,6 +107,12 @@ class EmbeddedManifold:
         res = np.max(np.atleast_1d(self.constraint_residual(p)))
         if not res <= tol:
             raise OffManifold(f"constraint residual {res:.3e} exceeds {tol:.1e}")
+
+    def require_tangent(self, p, v) -> None:
+        """Raise ValueError unless v is tangent at p; a NaN is not tangent."""
+        res = np.max(np.abs(self.project_tangent_vector(p, v) - v))
+        if not res <= TANGENT_TOL:
+            raise ValueError(f"vector not tangent at its base (residual {res:.3e})")
 
     def random_point(self, rng) -> np.ndarray:
         raise NotImplementedError
@@ -249,7 +256,7 @@ class RoundSpheres(EmbeddedManifold):
     def project_point(self, x):
         x = self._view(x)
         r = np.linalg.norm(x, axis=-1, keepdims=True)
-        if np.any(r <= self.projection_floor):
+        if not np.all(r > self.projection_floor):
             raise OutsideTube("point too close to the centre of a sphere factor")
         return self._unview(x / r)
 
@@ -264,7 +271,7 @@ class RoundSpheres(EmbeddedManifold):
 
     def log(self, p, q):
         w, nw, theta = self._chord(self._view(p), self._view(q))
-        if np.any(theta >= np.pi - self.CUT_MARGIN):
+        if not np.all(theta < np.pi - self.CUT_MARGIN):
             raise OutOfInjectivityDomain("target at or beyond the antipode")
         scale = np.where(nw > 1e-300, theta / np.where(nw > 1e-300, nw, 1.0), 1.0)
         return self._unview(scale * w)
@@ -498,17 +505,14 @@ class SquaredPartition:
 
     patches: tuple
 
-    def validate(self, manifold: EmbeddedManifold, rng, probes: int = 25,
-                 tol: float = 1e-10) -> float:
-        """Worst |sum of squared weights - 1| over random probe points; a
+    def validate(self, manifold: EmbeddedManifold, rng) -> float:
+        """Worst |sum of squared weights - 1| over 25 random probe points; a
         NaN weight makes it NaN, which fails every tolerance."""
         worst = 0.0
-        for _ in range(probes):
+        for _ in range(25):
             p = manifold.random_point(rng)
             total = sum(float(patch.weight(p[None])[0]) ** 2 for patch in self.patches)
             worst = np.maximum(worst, abs(total - 1.0))
-        if not worst <= tol:
-            raise ValueError(f"squared weights sum to 1 only to {worst:.3e}")
         return float(worst)
 
 
@@ -526,9 +530,7 @@ class TangentAtPoint:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "vector", vector)
         self.manifold.require_on_manifold(base)
-        res = np.max(np.abs(self.manifold.project_tangent_vector(base, vector) - vector))
-        if not res <= TANGENT_TOL:
-            raise ValueError(f"vector not tangent at base (residual {res:.3e})")
+        self.manifold.require_tangent(base, vector)
 
     @property
     def norm(self) -> float:
@@ -766,19 +768,3 @@ class LocalAdditionSpec:
             raise OutOfV(f"dist {d:.3f} is not below the reach {self.epsilon:.3f}")
         return self.decompress(self.manifold.log(p, q))
 
-
-def local_addition(spec: LocalAdditionSpec, v: TangentAtPoint) -> np.ndarray:
-    return spec.forward(v.base, v.vector)
-
-
-def local_addition_inv(spec: LocalAdditionSpec, p, q) -> TangentAtPoint:
-    return TangentAtPoint(spec.manifold, p, spec.inverse(p, q))
-
-
-def tubular_projection(manifold: EmbeddedManifold, x) -> np.ndarray:
-    """Nearest-point projection of an ambient point onto the manifold.
-
-    The residual x - result is orthogonal to the tangent space at the
-    result; raises OutsideTube below the manifold's reach.
-    """
-    return manifold.project_point(np.asarray(x, dtype=np.float64))

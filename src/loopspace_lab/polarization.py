@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexUnstable, SingularSymbol
-from .geometry import MatrixLoop
+from .geometry import CONDITION_LIMIT, RANK_THRESHOLD, MatrixLoop
 from .loops import SampledLoop, to_fourier
 
-RANK_THRESHOLD = 1e-8
-SYMBOL_CONDITION_LIMIT = 1e8
 STABILITY_STEP = 4
 
 
@@ -52,14 +50,6 @@ def fourier_split(loop: SampledLoop) -> FourierSplit:
                         modes[~pos], rep.coefficients[~pos])
 
 
-def recombine(split: FourierSplit) -> np.ndarray:
-    """The coefficients on the full mode range, exactly as stored."""
-    modes = np.concatenate([split.minus_modes, split.plus_modes])
-    coeffs = np.concatenate([split.minus, split.plus])
-    order = np.argsort(modes)
-    return modes[order], coeffs[order]
-
-
 # -- symbols and their coefficients ---------------------------------------------
 
 def symbol_coefficients(symbol: MatrixLoop) -> np.ndarray:
@@ -71,17 +61,17 @@ def symbol_coefficients(symbol: MatrixLoop) -> np.ndarray:
     return np.fft.fft(symbol.matrices.astype(np.complex128), axis=0) / symbol.resolution
 
 
-def active_bandwidth(symbol: MatrixLoop, tol: float = 1e-12) -> int:
-    """The largest |m| whose coefficient has an entry above tol."""
+def active_bandwidth(symbol: MatrixLoop) -> int:
+    """The largest |m| whose coefficient has an entry above 1e-12."""
     coeffs = symbol_coefficients(symbol)
     index = np.arange(len(coeffs))
-    active = np.max(np.abs(coeffs), axis=(1, 2)) > tol
+    active = np.max(np.abs(coeffs), axis=(1, 2)) > 1e-12
     return int(np.max(np.minimum(index, len(coeffs) - index)[active], initial=0))
 
 
 def _require_invertible(symbol: MatrixLoop):
     conds = np.linalg.cond(symbol.matrices)
-    if not np.all(np.isfinite(conds)) or np.max(conds) >= SYMBOL_CONDITION_LIMIT:
+    if not np.all(np.isfinite(conds)) or np.max(conds) >= CONDITION_LIMIT:
         raise SingularSymbol("symbol matrix nearly singular at some node")
 
 
@@ -123,13 +113,6 @@ def _block(coeffs: np.ndarray, row_modes, col_modes) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(diff.shape[0] * n, diff.shape[1] * n)
 
 
-def full_multiplication_matrix(symbol: MatrixLoop, truncation: int) -> np.ndarray:
-    """The truncated multiplication operator on modes -K..K (independent
-    assembly used to validate the block decomposition)."""
-    modes = np.arange(-truncation, truncation + 1)
-    return _block(symbol_coefficients(symbol), modes, modes)
-
-
 def toeplitz_blocks(symbol: MatrixLoop, truncation: int) -> OperatorBlocks:
     """Block decomposition of multiplication by the symbol at truncation K.
 
@@ -158,28 +141,27 @@ def _adjoint_symbol(symbol: MatrixLoop) -> MatrixLoop:
     return MatrixLoop(np.conj(np.swapaxes(symbol.matrices, 1, 2)))
 
 
-def _numerical_kernel_dim(matrix: np.ndarray, threshold: float) -> int:
+def _numerical_kernel_dim(matrix: np.ndarray) -> int:
     svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals <= threshold))
+    return int(np.sum(svals <= RANK_THRESHOLD))
 
 
-def _plus_kernel_dim(symbol: MatrixLoop, truncation: int, pad: int,
-                     threshold: float) -> int:
+def _plus_kernel_dim(symbol: MatrixLoop, truncation: int, pad: int) -> int:
     """Kernel dimension of the plus-sector compression on a rectangular
     window: columns are modes 0..K, rows all plus modes they can reach."""
     if 2 * (truncation + pad) > symbol.resolution:
         raise ValueError("stabilized truncation beyond the symbol's Nyquist range")
     rows = np.arange(0, truncation + pad + 1)
     cols = np.arange(0, truncation + 1)
-    return _numerical_kernel_dim(_block(symbol_coefficients(symbol), rows, cols),
-                                 threshold)
+    return _numerical_kernel_dim(_block(symbol_coefficients(symbol), rows, cols))
 
 
-def fredholm_data(blocks: OperatorBlocks, threshold: float = RANK_THRESHOLD):
+def fredholm_data(blocks: OperatorBlocks):
     """(index, dim kernel, dim cokernel) of the plus-plus compression.
 
-    Kernel counts are taken at the block's truncation and again four modes
-    higher; disagreement raises IndexUnstable.
+    A kernel dimension counts the singular values at most RANK_THRESHOLD.
+    Counts are taken at the block's truncation and again four modes higher;
+    disagreement raises IndexUnstable.
     """
     symbol = blocks.symbol
     _require_invertible(symbol)
@@ -187,8 +169,8 @@ def fredholm_data(blocks: OperatorBlocks, threshold: float = RANK_THRESHOLD):
     adj = _adjoint_symbol(symbol)
     results = []
     for k in (blocks.truncation, blocks.truncation + STABILITY_STEP):
-        ker = _plus_kernel_dim(symbol, k, pad, threshold)
-        coker = _plus_kernel_dim(adj, k, pad, threshold)
+        ker = _plus_kernel_dim(symbol, k, pad)
+        coker = _plus_kernel_dim(adj, k, pad)
         results.append((ker - coker, ker, coker))
     if results[0] != results[1]:
         raise IndexUnstable(
@@ -196,9 +178,9 @@ def fredholm_data(blocks: OperatorBlocks, threshold: float = RANK_THRESHOLD):
     return results[0]
 
 
-def fredholm_index(blocks: OperatorBlocks, threshold: float = RANK_THRESHOLD) -> int:
+def fredholm_index(blocks: OperatorBlocks) -> int:
     """dim ker - dim coker of the plus-sector compression of the symbol."""
-    return fredholm_data(blocks, threshold)[0]
+    return fredholm_data(blocks)[0]
 
 
 def winding_number(symbol: MatrixLoop) -> int:

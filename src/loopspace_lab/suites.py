@@ -338,7 +338,7 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
     adjoint data; checked against a transport-based difference quotient and
     for metric compatibility."""
     manifold = manifolds.Sphere2()
-    conn = geometry.levi_civita(manifold)
+    conn = geometry.ConnectionSpec(manifold)
     out = Checks()
     n = cfg.resolution
     grid = cfg.path_grid
@@ -391,7 +391,7 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
 
     # flat sanity: fields constant in path time differentiate to zero
     flat = manifolds.Flat(3)
-    fconn = geometry.levi_civita(flat)
+    fconn = geometry.ConnectionSpec(flat)
     a = loops.random_bandlimited_loop(rng, 3, n)
     b = charts.random_section(rng, flat, a)
     fpath = geometry.LoopPath(flat, s_grid, tuple(
@@ -413,7 +413,7 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
     """Loop-space geodesics evaluate to manifold geodesics node by node and
     keep their L^2 energy."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    conn = geometry.levi_civita(manifold)
+    conn = geometry.ConnectionSpec(manifold)
     out = Checks()
     n = cfg.resolution
     for _ in range(3):
@@ -431,7 +431,7 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
         out.track("energy", interior - interior[0])
     # flat geodesics are exact straight lines
     flat = manifolds.Flat(2)
-    fconn = geometry.levi_civita(flat)
+    fconn = geometry.ConnectionSpec(flat)
     a = loops.random_bandlimited_loop(rng, 2, n)
     b = charts.random_section(rng, flat, a)
     fpath = geometry.loop_geodesic(fconn, a, b, 1.0, 32)
@@ -447,7 +447,7 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
     """Loop-space parallel transport agrees with the nodewise closed-form
     transport and preserves the L^2 metric."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    conn = geometry.levi_civita(manifold)
+    conn = geometry.ConnectionSpec(manifold)
     out = Checks()
     n = cfg.resolution
     for _ in range(3):
@@ -461,7 +461,7 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
         out.track("l2-isometry", geometry.l2_inner(path.loops[-1], moved, moved)
                   - geometry.l2_inner(alpha, sigma, sigma))
     flat = manifolds.Flat(3)
-    fconn = geometry.levi_civita(flat)
+    fconn = geometry.ConnectionSpec(flat)
     a = loops.random_bandlimited_loop(rng, 3, n)
     b = charts.random_section(rng, flat, a)
     fpath = geometry.loop_geodesic(fconn, a, b, 1.0, 32)
@@ -495,7 +495,7 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng) -> list:
             np.max(np.abs(looped.vectors + swapped.vectors)))
 
     sphere = manifolds.Sphere2()
-    lc = geometry.levi_civita(sphere)
+    lc = geometry.ConnectionSpec(sphere)
     s_alpha = sphere.random_loop(rng, n)
     s_beta = charts.random_section(rng, sphere, s_alpha)
     s_gamma = charts.random_section(rng, sphere, s_alpha)
@@ -684,7 +684,7 @@ def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
     # partition-of-unity sections
     partition = manifold.tangent_partition()
     out.add("partition-squares", "the squared weights sum to one", 1e-10,
-            partition.validate(manifold, rng, tol=np.inf))
+            partition.validate(manifold, rng))
     for _ in range(10):
         p = manifold.random_point(rng)
         v = manifolds.random_tangent(manifold, rng, p, 0.5)

@@ -16,7 +16,7 @@ Four constructions, all driven by compactly supported flows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,18 @@ from .manifolds import (
     EmbeddedManifold,
     LocalAdditionSpec,
     PatchChart,
-    SquaredPartition,
     TangentAtPoint,
     _rk4,
-    tubular_projection,
 )
 from .charts import TangentSection
 
 
 # -- smooth bump profile --------------------------------------------------------
+
+#: the bump is 1 for |w|^2 <= BUMP_LOWER and 0 for |w|^2 >= BUMP_UPPER
+BUMP_LOWER = 1.0
+BUMP_UPPER = 2.0
+
 
 def _mollifier(s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s)
@@ -48,38 +51,29 @@ def _mollifier(s: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """A smooth profile equal to 1 on (-inf, lower] and 0 on [upper, inf).
+def _bump(x) -> np.ndarray:
+    """A smooth profile equal to 1 on (-inf, BUMP_LOWER] and 0 on
+    [BUMP_UPPER, inf).
 
     Built from the standard exp(-1/x) mollifier, so it is monotone on the
     transition band.
     """
-
-    lower: float = 1.0
-    upper: float = 2.0
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        a = _mollifier(self.upper - x)
-        b = _mollifier(x - self.lower)
-        total = a + b
-        return a / np.where(total == 0.0, 1.0, total)
+    x = np.asarray(x, dtype=np.float64)
+    a = _mollifier(BUMP_UPPER - x)
+    b = _mollifier(x - BUMP_LOWER)
+    total = a + b
+    return a / np.where(total == 0.0, 1.0, total)
 
 
-BUMP = BumpProfile()
-
-
-def _flow_constant_direction(w, c, profile: BumpProfile, steps: int,
-                             sign: float = 1.0) -> np.ndarray:
-    """Flow of w' = profile(|w|^2) c over unit time, batched over rows.
+def _flow_constant_direction(w, c, steps: int, sign: float = 1.0) -> np.ndarray:
+    """Flow of w' = _bump(|w|^2) c over unit time, batched over rows.
 
     The field is parallel to c, so each row stays on the line w0 + sigma c
-    with sigma' = profile(q(sigma)), sigma(0) = 0, where
-    q(sigma) = |w0 + sigma c|^2 = q0 + b sigma + a sigma^2.  As the profile
+    with sigma' = _bump(q(sigma)), sigma(0) = 0, where
+    q(sigma) = |w0 + sigma c|^2 = q0 + b sigma + a sigma^2.  As the bump
     lies in [0, 1], sigma stays in [0, 1], and q is convex, so a row with
-    max(q(0), q(1)) <= lower translates by exactly c, and a row with
-    q(0) >= upper (or c = 0) never moves.  Only the rows left in the
+    max(q(0), q(1)) <= BUMP_LOWER translates by exactly c, and a row with
+    q(0) >= BUMP_UPPER (or c = 0) never moves.  Only the rows left in the
     transition band integrate sigma, by fixed-step RK4.
     """
     w = np.asarray(w, dtype=np.float64)
@@ -90,14 +84,14 @@ def _flow_constant_direction(w, c, profile: BumpProfile, steps: int,
     q0 = np.sum(w * w, axis=-1)
     b = 2.0 * np.sum(w * c, axis=-1)
     a = np.sum(c * c, axis=-1)
-    translate = np.maximum(q0, q0 + b + a) <= profile.lower
-    band = ~translate & (q0 < profile.upper) & (a > 0.0)
+    translate = np.maximum(q0, q0 + b + a) <= BUMP_LOWER
+    band = ~translate & (q0 < BUMP_UPPER) & (a > 0.0)
     out = np.where(translate[:, None], w + c, w)
     if np.any(band):
         q0, b, a = q0[band], b[band], a[band]
 
         def rate(t, s):
-            return profile(q0 + s * (b + a * s))
+            return _bump(q0 + s * (b + a * s))
 
         s = _rk4(rate, np.zeros_like(q0), 0.0, 1.0 / steps, steps)
         out[band] = w[band] + s[:, None] * c[band]
@@ -109,42 +103,39 @@ class FlowDiffeo:
     """The compactly supported diffeomorphism exp(X_v), X_v(u) = rho(|u|^2) v.
 
     Flowing for unit time from the origin lands exactly on v whenever
-    |v| <= sqrt(lower of the profile): the segment from 0 to v lies in the
-    plateau, so the flow returns v by construction.  Inversion flows the
-    reversed field.
+    |v| <= sqrt(BUMP_LOWER): the segment from 0 to v lies in the plateau,
+    so the flow returns v by construction.  Inversion flows the reversed
+    field.
     """
 
     vector: np.ndarray
     steps: int = 100
-    profile: BumpProfile = field(default_factory=BumpProfile)
 
     def __post_init__(self):
         object.__setattr__(self, "vector",
                            np.asarray(self.vector, dtype=np.float64))
 
     def forward(self, u) -> np.ndarray:
-        return _flow_constant_direction(u, self.vector, self.profile, self.steps)
+        return _flow_constant_direction(u, self.vector, self.steps)
 
     def inverse(self, u) -> np.ndarray:
-        return _flow_constant_direction(u, self.vector, self.profile, self.steps,
-                                        sign=-1.0)
+        return _flow_constant_direction(u, self.vector, self.steps, sign=-1.0)
 
 
 # -- the based fibration --------------------------------------------------------
 
 def _apply_patch_flow(chart: PatchChart, samples: np.ndarray, v: np.ndarray,
-                      steps: int, sign: float, profile: BumpProfile) -> np.ndarray:
+                      steps: int, sign: float) -> np.ndarray:
     out = samples.copy()
     mask = chart.mask(samples)
     if np.any(mask):
         w = chart.to_coords(samples[mask])
-        moved = _flow_constant_direction(w, v, profile, steps, sign=sign)
+        moved = _flow_constant_direction(w, v, steps, sign=sign)
         out[mask] = chart.from_coords(moved)
     return out
 
 
-def based_trivialize(chart: PatchChart, gamma: SampledLoop, steps: int = 100,
-                     profile: BumpProfile = BUMP):
+def based_trivialize(chart: PatchChart, gamma: SampledLoop, steps: int = 100):
     """Split a loop near the fiber at the chart center: gamma -> (omega, u).
 
     u = gamma(0); omega is gamma pushed through the inverse of the
@@ -153,58 +144,51 @@ def based_trivialize(chart: PatchChart, gamma: SampledLoop, steps: int = 100,
     """
     u = gamma.samples[0]
     v = chart.to_coords(u)
-    if not np.all(chart.mask(u[None])[0]) or np.linalg.norm(v) > np.sqrt(profile.lower):
+    if not np.all(chart.mask(u[None])[0]) or np.linalg.norm(v) > np.sqrt(BUMP_LOWER):
         raise OutsidePatch("loop base point outside the trivializing patch")
-    omega = _apply_patch_flow(chart, gamma.samples, v, steps, -1.0, profile)
+    omega = _apply_patch_flow(chart, gamma.samples, v, steps, -1.0)
     return SampledLoop(omega), u
 
 
-def based_detrivialize(chart: PatchChart, omega: SampledLoop, u, steps: int = 100,
-                       profile: BumpProfile = BUMP) -> SampledLoop:
+def based_detrivialize(chart: PatchChart, omega: SampledLoop, u,
+                       steps: int = 100) -> SampledLoop:
     """Inverse of :func:`based_trivialize`: (omega, u) -> phi_u(omega)."""
     v = chart.to_coords(np.asarray(u, dtype=np.float64))
-    if np.linalg.norm(v) > np.sqrt(profile.lower):
+    if np.linalg.norm(v) > np.sqrt(BUMP_LOWER):
         raise OutsidePatch("target base point outside the trivializing patch")
-    moved = _apply_patch_flow(chart, omega.samples, v, steps, 1.0, profile)
+    moved = _apply_patch_flow(chart, omega.samples, v, steps, 1.0)
     return SampledLoop(moved)
 
 
 # -- partition-of-unity sections of TM -------------------------------------------
 
-class PouSection:
-    """A compactly supported section of TM, linear in its seed vector."""
+def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint):
+    """The global section s(v) with s(v)(base) = v, linear in v.
 
-    def __init__(self, manifold: EmbeddedManifold, partition: SquaredPartition,
-                 base_point, vector):
-        self.manifold = manifold
-        self.partition = partition
-        self.base_point = np.asarray(base_point, dtype=np.float64)
-        self.vector = np.asarray(vector, dtype=np.float64)
-        manifold.require_on_manifold(self.base_point)
+    Returns the map points (..., k) -> (..., k).  Over the squared partition
+    ``manifold.tangent_partition()``, s(v)(x) is the sum over patches of
+    w(p) w(x) F(x) F(p)^T v, with p the base of v, w the patch weight and F
+    its orthonormal frame.
+    """
+    p = v.base[None]
+    terms = []
+    for patch in manifold.tangent_partition().patches:
+        wp = float(patch.weight(p)[0])
+        if wp != 0.0:
+            terms.append((patch, wp, np.einsum("kn,k->n", patch.frame(p)[0], v.vector)))
 
-    def __call__(self, points) -> np.ndarray:
+    def section(points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         single = points.ndim == 1
         pts = points[None] if single else points
         out = np.zeros_like(pts)
-        p = self.base_point[None]
-        for patch in self.partition.patches:
-            wp = float(patch.weight(p)[0])
-            if wp == 0.0:
-                continue
-            coords = np.einsum("kn,k->n", patch.frame(p)[0], self.vector)
+        for patch, wp, coords in terms:
             wx = patch.weight(pts)
             fx = patch.frame(pts)
             out += wp * wx[..., None] * np.einsum("...kn,n->...k", fx, coords)
         return out[0] if single else out
 
-
-def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint,
-                partition: SquaredPartition | None = None) -> PouSection:
-    """The global section s(v) with s(v)(base) = v, linear in v."""
-    if partition is None:
-        partition = manifold.tangent_partition()
-    return PouSection(manifold, partition, v.base, v.vector)
+    return section
 
 
 # -- tubes around coincidence submanifolds ----------------------------------------
@@ -213,11 +197,11 @@ TUBE_RADIUS = 1.0  # fiber-coordinate radius of exactly recoverable seeds
 
 
 def _fiber_flow(manifold, addition: LocalAdditionSpec, anchors, points, drive,
-                steps: int, sign: float, profile: BumpProfile):
+                steps: int, sign: float):
     """Flow points of M vertically in the fibers over the anchors.
 
     Each point q is pulled back to w = nu^{-1}(q) in the fiber at its
-    anchor, flowed along w' = tau(|w|^2) * drive, and pushed forward again.
+    anchor, flowed along w' = _bump(|w|^2) * drive, and pushed forward again.
     Points outside the tube (or beyond the flow support) stay fixed; the
     decompression sends the tube boundary to infinity, so the extension by
     the identity is smooth.
@@ -234,14 +218,13 @@ def _fiber_flow(manifold, addition: LocalAdditionSpec, anchors, points, drive,
         return out
     a_in = anchors[inside]
     w = addition.decompress(manifold.log(a_in, points[inside]))
-    moved = _flow_constant_direction(w, drive[inside], profile, steps, sign=sign)
+    moved = _flow_constant_direction(w, drive[inside], steps, sign=sign)
     out[inside] = manifold.exp(a_in, addition.compress(moved))
     return out
 
 
 def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
-                       v: TangentAtPoint, steps: int = 100,
-                       profile: BumpProfile = BUMP) -> SampledLoop:
+                       v: TangentAtPoint, steps: int = 100) -> SampledLoop:
     """Tube map for the submanifold of loops through x0.
 
     Carries (alpha, v) with alpha(0) = x0 and v in T_{x0}M to a loop whose
@@ -257,12 +240,12 @@ def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
     anchors = np.broadcast_to(x0, alpha.samples.shape)
     drive = np.broadcast_to(v.vector, alpha.samples.shape)
     out = _fiber_flow(manifold, addition, anchors, alpha.samples, drive,
-                      steps, 1.0, profile)
+                      steps, 1.0)
     return SampledLoop(out)
 
 
 def point_tube_inverse(manifold: EmbeddedManifold, x0, beta: SampledLoop,
-                       steps: int = 100, profile: BumpProfile = BUMP):
+                       steps: int = 100):
     """Inverse tube map: beta -> (alpha based at x0, v = nu^{-1}(beta(0)))."""
     x0 = np.asarray(x0, dtype=np.float64)
     addition = LocalAdditionSpec(manifold)
@@ -274,13 +257,12 @@ def point_tube_inverse(manifold: EmbeddedManifold, x0, beta: SampledLoop,
     anchors = np.broadcast_to(x0, beta.samples.shape)
     drive = np.broadcast_to(vec, beta.samples.shape)
     out = _fiber_flow(manifold, addition, anchors, beta.samples, drive,
-                      steps, -1.0, profile)
+                      steps, -1.0)
     return SampledLoop(out), TangentAtPoint(manifold, x0, vec)
 
 
 def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
-                          v: TangentAtPoint, steps: int = 100,
-                          profile: BumpProfile = BUMP):
+                          v: TangentAtPoint, steps: int = 100):
     """Tube map for pairs of loops coinciding at time 0.
 
     The first loop is the anchor and never moves; the second is flowed
@@ -296,12 +278,12 @@ def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
     section = pou_section(manifold, v)
     drive = section(a1.samples)
     out = _fiber_flow(manifold, addition, a1.samples, a2.samples, drive,
-                      steps, 1.0, profile)
+                      steps, 1.0)
     return a1, SampledLoop(out)
 
 
 def diagonal_tube_inverse(manifold: EmbeddedManifold, beta_pair,
-                          steps: int = 100, profile: BumpProfile = BUMP):
+                          steps: int = 100):
     """Inverse of :func:`diagonal_tube_forward`."""
     b1, b2 = beta_pair
     addition = LocalAdditionSpec(manifold)
@@ -314,7 +296,7 @@ def diagonal_tube_inverse(manifold: EmbeddedManifold, beta_pair,
     section = pou_section(manifold, v)
     drive = section(b1.samples)
     out = _fiber_flow(manifold, addition, b1.samples, b2.samples, drive,
-                      steps, -1.0, profile)
+                      steps, -1.0)
     return (b1, SampledLoop(out)), v
 
 
@@ -343,13 +325,12 @@ class FinitePointMap:
 
 
 def local_average(manifold: EmbeddedManifold, beta: FinitePointMap) -> np.ndarray:
-    """Tubular projection of the group average of the values.
+    """Nearest-point projection of the group average of the values.
 
     The finite mean for C_m, the uniform quadrature mean for the circle;
     raises OutsideTube when the Euclidean mean leaves the projection domain.
     """
-    mean = beta.values.mean(axis=0)
-    return tubular_projection(manifold, mean)
+    return manifold.project_point(beta.values.mean(axis=0))
 
 
 def _coset_view(samples: np.ndarray, m: int) -> np.ndarray:

@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds the API it counts work through.
+
+``perfbench/tracer.py`` wraps the public functions of the lab by name and
+computes its work counters from the arguments of a few of them.  A renamed
+function or parameter would silently zero a counter, so one small traced
+pass must wrap every counted name and move every counter.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from loopspace_lab import cli, loops
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pass_reads_every_counter(tmp_path):
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    loop = loops.random_bandlimited_loop(np.random.default_rng(0), 3, 64)
+    tracer.install()
+    try:
+        tracer.begin_pass(0)
+        for suite in ("fibration", "geodesic-pointwise", "polarization-index"):
+            code = cli.main(["run", "--suite", suite, "--resolution", "32",
+                             "--seed", "7", "--out", str(tmp_path), "--quiet"])
+            assert code == 0, suite
+        loops.rotate(loop, 0.3 / 64)  # off the node grid: goes through evaluate
+        metrics = tracer.end_pass(1.0)
+    finally:
+        tracer.uninstall()
+    assert set(tracer_module.COUNTERS) <= set(tracer.names)
+    for name in tracer_module.COUNTER_METRICS:
+        assert metrics[name] > 0, name

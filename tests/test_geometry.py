@@ -22,7 +22,6 @@ from loopspace_lab.geometry import (
     exp_nonsurjectivity_witness,
     frame_from_module_map,
     l2_inner,
-    levi_civita,
     loop_geodesic,
     loop_parallel_transport,
     matrix_loop_from_dict,
@@ -112,7 +111,7 @@ class TestCovDeriv:
         flat, path = self.make_flat_path()
         c = random_section(np.random.default_rng(5), flat, path.loops[0])
         field = [TangentSection(flat, lp, c.vectors) for lp in path.loops]
-        out = cov_deriv_along_path(levi_civita(flat), path, field)
+        out = cov_deriv_along_path(ConnectionSpec(flat), path, field)
         assert max(float(np.max(np.abs(d.vectors))) for d in out) < 1e-10
 
     def test_linear_ramp_product_rule(self):
@@ -121,7 +120,7 @@ class TestCovDeriv:
         s = path.s_grid
         field = [TangentSection(flat, lp, (2.0 + 3.0 * si) * c.vectors)
                  for si, lp in zip(s, path.loops)]
-        out = cov_deriv_along_path(levi_civita(flat), path, field)
+        out = cov_deriv_along_path(ConnectionSpec(flat), path, field)
         for d in out:  # central differences are exact on linear data
             assert np.max(np.abs(d.vectors - 3.0 * c.vectors)) < 1e-9
 
@@ -132,11 +131,11 @@ class TestCovDeriv:
         path = LoopPath(flat, s, tuple([a] * 3))
         field = [zero_section(flat, a)] * 3
         with pytest.raises(GridTooCoarse):
-            cov_deriv_along_path(levi_civita(flat), path, field)
+            cov_deriv_along_path(ConnectionSpec(flat), path, field)
 
     def test_metric_compatibility_on_sphere(self):
         rng = np.random.default_rng(7)
-        conn = levi_civita(SPHERE)
+        conn = ConnectionSpec(SPHERE)
         alpha = unit_circle_loop(64)
         nu = random_section(rng, SPHERE, alpha, scale=0.2)
         grid = 128
@@ -173,7 +172,7 @@ class TestLoopGeodesic:
         flat = Flat(2)
         a = random_bandlimited_loop(np.random.default_rng(8), 2, 64)
         b = random_section(np.random.default_rng(9), flat, a)
-        path = loop_geodesic(levi_civita(flat), a, b, 1.0, 16)
+        path = loop_geodesic(ConnectionSpec(flat), a, b, 1.0, 16)
         for si, lp in zip(path.s_grid, path.loops):
             assert np.max(np.abs(lp.samples - (a.samples + si * b.vectors))) < 1e-12
 
@@ -181,14 +180,14 @@ class TestLoopGeodesic:
         alpha = SampledLoop.constant(NORTH, 64)
         nu = TangentSection(SPHERE, alpha,
                             np.tile([np.pi / 2, 0.0, 0.0], (64, 1)))
-        path = loop_geodesic(levi_civita(SPHERE), alpha, nu, 1.0, 200)
+        path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         assert np.max(np.abs(path.loops[-1].samples - [1.0, 0.0, 0.0])) < 1e-8
 
     def test_pointwise_oracle(self):
         rng = np.random.default_rng(10)
         alpha = unit_circle_loop(64)
         nu = random_section(rng, SPHERE, alpha, scale=0.5)
-        path = loop_geodesic(levi_civita(SPHERE), alpha, nu, 1.0, 200)
+        path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         for idx in (50, 200):
             s = path.s_grid[idx]
             oracle = SPHERE.exp(alpha.samples, s * nu.vectors)
@@ -198,7 +197,7 @@ class TestLoopGeodesic:
         rng = np.random.default_rng(11)
         alpha = unit_circle_loop(64)
         nu = random_section(rng, SPHERE, alpha, scale=0.4)
-        path = loop_geodesic(levi_civita(SPHERE), alpha, nu, 1.0, 200)
+        path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         vals = path.values
         h = path.s_grid[1] - path.s_grid[0]
         vel = (vals[2:] - vals[:-2]) / (2 * h)
@@ -211,26 +210,26 @@ class TestLoopTransport:
         flat = Flat(3)
         a = random_bandlimited_loop(np.random.default_rng(12), 3, 64)
         b = random_section(np.random.default_rng(13), flat, a)
-        path = loop_geodesic(levi_civita(flat), a, b, 1.0, 16)
+        path = loop_geodesic(ConnectionSpec(flat), a, b, 1.0, 16)
         sigma = random_section(np.random.default_rng(14), flat, a)
-        out = loop_parallel_transport(levi_civita(flat), path, sigma)
+        out = loop_parallel_transport(ConnectionSpec(flat), path, sigma)
         assert np.max(np.abs(out.vectors - sigma.vectors)) < 1e-9
 
     def test_constant_loop_quarter_circle(self):
         alpha = SampledLoop.constant(NORTH, 64)
         nu = TangentSection(SPHERE, alpha, np.tile([np.pi / 2, 0, 0], (64, 1)))
-        path = loop_geodesic(levi_civita(SPHERE), alpha, nu, 1.0, 200)
+        path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         sigma = TangentSection(SPHERE, alpha, np.tile([0.0, 1.0, 0.0], (64, 1)))
-        out = loop_parallel_transport(levi_civita(SPHERE), path, sigma)
+        out = loop_parallel_transport(ConnectionSpec(SPHERE), path, sigma)
         assert np.max(np.abs(out.vectors - [0.0, 1.0, 0.0])) < 1e-8
 
     def test_l2_isometry(self):
         rng = np.random.default_rng(15)
         alpha = unit_circle_loop(64)
         nu = random_section(rng, SPHERE, alpha, scale=0.5)
-        path = loop_geodesic(levi_civita(SPHERE), alpha, nu, 1.0, 200)
+        path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         sigma = random_section(rng, SPHERE, alpha)
-        out = loop_parallel_transport(levi_civita(SPHERE), path, sigma)
+        out = loop_parallel_transport(ConnectionSpec(SPHERE), path, sigma)
         assert abs(l2_inner(path.loops[-1], out, out)
                    - l2_inner(alpha, sigma, sigma)) < 1e-7
 
@@ -239,9 +238,9 @@ class TestLoopTransport:
         rng = np.random.default_rng(16)
         alpha = unit_circle_loop(64)
         nu = random_section(rng, SPHERE, alpha, scale=0.5)
-        path = loop_geodesic(levi_civita(SPHERE), alpha, nu, 1.0, 200)
+        path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         sigma = random_section(rng, SPHERE, alpha)
-        out = loop_parallel_transport(levi_civita(SPHERE), path, sigma)
+        out = loop_parallel_transport(ConnectionSpec(SPHERE), path, sigma)
         for j in (0, 17, 40):
             trace = path.values[:, j, :]
             single = parallel_transport(
@@ -255,7 +254,7 @@ class TestTorsion:
         alpha = unit_circle_loop(64)
         b = random_section(rng, SPHERE, alpha)
         c = random_section(rng, SPHERE, alpha)
-        out = torsion(levi_civita(SPHERE), alpha, b, c)
+        out = torsion(ConnectionSpec(SPHERE), alpha, b, c)
         assert np.max(np.abs(out.vectors)) == 0.0
 
     def test_cross_product_torsion(self):
@@ -293,7 +292,7 @@ class TestBundleChart:
         rng = np.random.default_rng(19)
         alpha = unit_circle_loop(64)
         gamma = random_section(rng, SPHERE, alpha)
-        out = bundle_chart(levi_civita(SPHERE), alpha,
+        out = bundle_chart(ConnectionSpec(SPHERE), alpha,
                            zero_section(SPHERE, alpha), gamma)
         assert np.max(np.abs(out.vectors - gamma.vectors)) < 1e-12
         assert np.max(np.abs(out.base.samples - alpha.samples)) == 0.0
@@ -304,7 +303,7 @@ class TestBundleChart:
         alpha = random_bandlimited_loop(rng, 2, 64)
         beta = random_section(rng, flat, alpha)
         gamma = random_section(rng, flat, alpha)
-        out = bundle_chart(levi_civita(flat), alpha, beta, gamma)
+        out = bundle_chart(ConnectionSpec(flat), alpha, beta, gamma)
         assert np.max(np.abs(out.vectors - gamma.vectors)) < 1e-14
         spec = LocalAdditionSpec(flat)
         expected_base = alpha.samples + spec.compress(beta.vectors)
@@ -317,7 +316,7 @@ class TestBundleChart:
         g1 = random_section(rng, SPHERE, alpha)
         g2 = random_section(rng, SPHERE, alpha)
         nu = 0.4 + 0.3 * np.sin(2 * np.pi * alpha.nodes)
-        conn = levi_civita(SPHERE)
+        conn = ConnectionSpec(SPHERE)
         lhs = bundle_chart(conn, alpha, beta, g1.scaled(nu) + g2)
         rhs_vec = nu[:, None] * bundle_chart(conn, alpha, beta, g1).vectors \
             + bundle_chart(conn, alpha, beta, g2).vectors
@@ -328,7 +327,7 @@ class TestBundleChart:
         alpha = unit_circle_loop(64)
         beta = random_section(rng, SPHERE, alpha, scale=0.8)
         gamma = random_section(rng, SPHERE, alpha)
-        out = bundle_chart(levi_civita(SPHERE), alpha, beta, gamma)
+        out = bundle_chart(ConnectionSpec(SPHERE), alpha, beta, gamma)
         assert np.max(np.abs(np.linalg.norm(out.vectors, axis=1)
                              - np.linalg.norm(gamma.vectors, axis=1))) < 1e-12
 
@@ -443,7 +442,7 @@ class TestSerialization:
         flat = Flat(2)
         a = random_bandlimited_loop(np.random.default_rng(26), 2, 16)
         b = random_section(np.random.default_rng(27), flat, a)
-        path = loop_geodesic(levi_civita(flat), a, b, 1.0, 8)
+        path = loop_geodesic(ConnectionSpec(flat), a, b, 1.0, 8)
         again = path_from_dict(path_to_dict(path))
         assert np.array_equal(again.s_grid, path.s_grid)
         assert all(np.array_equal(x.samples, y.samples)

@@ -64,8 +64,7 @@ class TestEvaluate:
                 out = out + b * np.sin(2 * np.pi * k * t)
             return out
 
-        loop = SampledLoop.from_function(
-            lambda t: np.stack([closed_form(tt) for tt in np.atleast_1d(t)]), n)
+        loop = SampledLoop(np.stack([closed_form(tt) for tt in np.arange(n) / n]))
         for t in rng.uniform(0, 1, 20):
             assert np.max(np.abs(evaluate(loop, t) - closed_form(t))) < 1e-10
 

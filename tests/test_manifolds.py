@@ -25,15 +25,12 @@ from loopspace_lab.manifolds import (
     TangentAtPoint,
     exp_map,
     integrate_geodesic,
-    local_addition,
-    local_addition_inv,
     log_by_shooting,
     log_map,
     manifold_from_tag,
     parallel_transport,
     project_tangent,
     random_tangent,
-    tubular_projection,
 )
 
 SPHERE = Sphere2()
@@ -207,6 +204,12 @@ class TestLogMap:
         with pytest.raises(OutOfInjectivityDomain):
             log_map(TORUS, p, q)
 
+    def test_nan_target_rejected(self):
+        # a NaN angle must not compare as short of the cut locus
+        with pytest.raises(OutOfInjectivityDomain):
+            FlatTorus2().log(np.array([1.0, 0.0, 1.0, 0.0]),
+                             np.array([np.nan, 0.0, 1.0, 0.0]))
+
     def test_shooting_agrees_with_closed_form(self):
         # independent route: iterate the integrated exponential
         rng = np.random.default_rng(11)
@@ -368,13 +371,13 @@ class TestLocalAddition:
             spec = LocalAdditionSpec(manifold)
             p = manifold.random_point(rng)
             v = TangentAtPoint(manifold, p, np.zeros(manifold.ambient_dim))
-            assert np.max(np.abs(local_addition(spec, v) - p)) == 0.0
+            assert np.max(np.abs(spec.forward(v.base, v.vector) - p)) == 0.0
 
     def test_flat_line_compression_value(self):
         flat = Flat(1)
         spec = LocalAdditionSpec(flat, 1.0)
         v = TangentAtPoint(flat, np.zeros(1), np.ones(1))
-        out = local_addition(spec, v)
+        out = spec.forward(v.base, v.vector)
         assert abs(out[0] - 0.70710678) < 1e-8
         assert abs(out[0] - 1 / np.sqrt(2)) < 1e-12
 
@@ -387,9 +390,9 @@ class TestLocalAddition:
                 v = random_tangent(manifold, rng, p)
                 v = TangentAtPoint(manifold, p,
                                    v.vector / max(v.norm, 1e-9) * rng.uniform(0, 10))
-                q = local_addition(spec, v)
-                back = local_addition_inv(spec, p, q)
-                assert np.max(np.abs(back.vector - v.vector)) < 1e-7
+                q = spec.forward(p, v.vector)
+                back = spec.inverse(p, q)
+                assert np.max(np.abs(back - v.vector)) < 1e-7
 
     def test_compressed_radius_bound(self):
         spec = LocalAdditionSpec(SPHERE)
@@ -414,7 +417,7 @@ class TestLocalAddition:
     def test_out_of_reach_rejected(self):
         spec = LocalAdditionSpec(SPHERE)
         with pytest.raises(OutOfV):
-            local_addition_inv(spec, NORTH, np.array([0.0, 0.0, -1.0]))
+            spec.inverse(NORTH, np.array([0.0, 0.0, -1.0]))
 
     def test_nan_target_rejected(self):
         # NaN distances and radii must not compare as within reach
@@ -427,31 +430,36 @@ class TestLocalAddition:
 
 class TestTubularProjection:
     def test_sphere_radial(self):
-        out = tubular_projection(SPHERE, np.array([0.0, 0.0, 2.0]))
+        out = SPHERE.project_point(np.array([0.0, 0.0, 2.0]))
         assert np.max(np.abs(out - NORTH)) < 1e-14
 
     def test_already_on_manifold(self):
         p = SPHERE.random_point(np.random.default_rng(18))
-        assert np.max(np.abs(tubular_projection(SPHERE, p) - p)) < 1e-14
+        assert np.max(np.abs(SPHERE.project_point(p) - p)) < 1e-14
 
     def test_flat_identity(self):
         x = np.array([3.0, -1.0])
-        assert np.array_equal(tubular_projection(Flat(2), x), x)
+        assert np.array_equal(Flat(2).project_point(x), x)
 
     def test_residual_is_orthogonal(self):
         rng = np.random.default_rng(19)
         for manifold in (SPHERE, TORUS):
             p = manifold.random_point(rng)
             x = p + 0.3 * rng.normal(size=manifold.ambient_dim)
-            q = tubular_projection(manifold, x)
+            q = manifold.project_point(x)
             residual = x - q
             assert np.max(np.abs(manifold.project_tangent_vector(q, residual))) < 1e-8
 
     def test_outside_tube_rejected(self):
         with pytest.raises(OutsideTube):
-            tubular_projection(SPHERE, np.array([0.0, 0.0, 0.05]))
+            SPHERE.project_point(np.array([0.0, 0.0, 0.05]))
         with pytest.raises(OutsideTube):
-            tubular_projection(TORUS, np.zeros(4))
+            TORUS.project_point(np.zeros(4))
+
+    def test_nan_point_rejected(self):
+        # a NaN radius must not compare as above the projection floor
+        with pytest.raises(OutsideTube):
+            Sphere2().project_point(np.array([np.nan, 0.0, 0.0]))
 
 
 class TestTags:

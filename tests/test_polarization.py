@@ -6,16 +6,14 @@ import pytest
 
 from loopspace_lab.errors import IndexUnstable, SingularSymbol
 from loopspace_lab.geometry import MatrixLoop
-from loopspace_lab.loops import SampledLoop
+from loopspace_lab.loops import SampledLoop, to_fourier
 from loopspace_lab.polarization import (
     active_bandwidth,
     compactness_profile,
     fourier_split,
     fredholm_data,
     fredholm_index,
-    full_multiplication_matrix,
     profile_to_csv,
-    recombine,
     symbol_coefficients,
     toeplitz_blocks,
     winding_number,
@@ -27,6 +25,25 @@ def monomial(m, n_nodes=64, n=1):
     t = np.arange(n_nodes) / n_nodes
     vals = np.exp(2j * np.pi * m * t)[:, None, None] * np.eye(n)
     return MatrixLoop(vals)
+
+
+def product_oracle_error(symbol, K, support, rng):
+    """Max error of the assembled operator against pointwise multiplication.
+
+    Independent oracle: a loop with random Fourier coefficients on modes
+    |m| <= support is multiplied by the symbol node by node in sample space,
+    and the product's coefficients on modes -K..K are read back off the FFT.
+    """
+    n_nodes, n = symbol.resolution, symbol.n
+    modes = np.arange(-K, K + 1)
+    coeffs = rng.normal(size=(2 * K + 1, n)) + 1j * rng.normal(size=(2 * K + 1, n))
+    coeffs[np.abs(modes) > support] = 0.0
+    t = np.arange(n_nodes) / n_nodes
+    f_samples = np.exp(2j * np.pi * np.outer(t, modes)) @ coeffs
+    product = np.einsum("tij,tj->ti", symbol.matrices, f_samples)
+    oracle = (np.fft.fft(product, axis=0) / n_nodes)[modes % n_nodes]
+    via_blocks = toeplitz_blocks(symbol, K).assembled() @ coeffs.reshape(-1)
+    return np.max(np.abs(via_blocks - oracle.reshape(-1)))
 
 
 class TestFourierSplit:
@@ -62,15 +79,16 @@ class TestFourierSplit:
             assert abs(c - np.conj(plus[-k])) < 1e-13
 
     def test_recombination_exact(self):
+        # minus then plus side, in mode order, is the full spectrum exactly
         rng = np.random.default_rng(1)
         samples = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
         loop = SampledLoop(samples)
         split = fourier_split(loop)
-        modes, coeffs = recombine(split)
-        from loopspace_lab.loops import to_fourier
         rep = to_fourier(loop)
-        assert np.array_equal(modes, rep.modes)
-        assert np.array_equal(coeffs, rep.coefficients)
+        assert np.array_equal(np.concatenate([split.minus_modes, split.plus_modes]),
+                              rep.modes)
+        assert np.array_equal(np.concatenate([split.minus, split.plus]),
+                              rep.coefficients)
 
 
 class TestToeplitzBlocks:
@@ -93,33 +111,19 @@ class TestToeplitzBlocks:
         assert tuple(nz[0]) == (0, 7)  # mode -1 feeds mode 0
 
     def test_assembly_matches_full_operator(self):
+        # the battery's scalar and 2x2 symbols against the sample-space product
         rng = np.random.default_rng(2)
-        for symbol in symbol_battery(rng, count=4):
-            K = 16
-            blocks = toeplitz_blocks(symbol, K)
-            full = full_multiplication_matrix(symbol, K)
-            assert np.max(np.abs(blocks.assembled() - full)) < 1e-12
+        symbols = symbol_battery(rng, count=4)
+        assert {symbol.n for symbol in symbols} == {1, 2}
+        for symbol in symbols:
+            assert product_oracle_error(symbol, 16, 16, rng) < 1e-12
 
     def test_assembled_operator_multiplies(self):
-        # independent oracle: multiply pointwise in sample space and read
-        # the product's Fourier coefficients back off the FFT
-        rng = np.random.default_rng(7)
         t = np.arange(64) / 64
         z = np.exp(2j * np.pi * t)
         symbol = MatrixLoop((z ** 2 + 0.5 / z + 0.25)[:, None, None])
-        K = 8
-        blocks = toeplitz_blocks(symbol, K)
-        modes = np.arange(-K, K + 1)
         # a loop supported well inside the truncation window
-        inner = (np.abs(modes) <= K - 3)
-        coeffs = np.where(inner, rng.normal(size=2 * K + 1)
-                          + 1j * rng.normal(size=2 * K + 1), 0.0)
-        f_samples = (np.exp(2j * np.pi * np.outer(t, modes)) @ coeffs)
-        product = symbol.matrices[:, 0, 0] * f_samples
-        fft_coeffs = np.fft.fft(product) / 64
-        oracle = np.array([fft_coeffs[m % 64] for m in modes])
-        via_blocks = blocks.assembled() @ coeffs
-        assert np.max(np.abs(via_blocks - oracle)) < 1e-12
+        assert product_oracle_error(symbol, 8, 5, np.random.default_rng(7)) < 1e-12
 
     def test_projections_split_exactly(self):
         # plus and minus coefficient masks are complementary idempotents

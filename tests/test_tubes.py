@@ -23,10 +23,9 @@ from loopspace_lab.manifolds import (
     random_tangent,
 )
 from loopspace_lab.tubes import (
-    BUMP,
-    BumpProfile,
     FinitePointMap,
     FlowDiffeo,
+    _bump,
     _flow_constant_direction,
     based_detrivialize,
     based_trivialize,
@@ -48,20 +47,18 @@ NORTH = np.array([0.0, 0.0, 1.0])
 
 class TestBumpProfile:
     def test_plateau_and_support(self):
-        rho = BumpProfile()
-        vals = rho(np.array([-3.0, 0.0, 1.0, 2.0, 5.0]))
+        vals = _bump(np.array([-3.0, 0.0, 1.0, 2.0, 5.0]))
         assert np.array_equal(vals[[0, 1, 2]], [1.0, 1.0, 1.0])
         assert np.array_equal(vals[[3, 4]], [0.0, 0.0])
 
     def test_monotone_on_band(self):
-        rho = BumpProfile()
         x = np.linspace(1.0, 2.0, 200)
-        vals = rho(x)
+        vals = _bump(x)
         assert np.all(np.diff(vals) <= 0)
         assert np.all((vals >= 0) & (vals <= 1))
 
     def test_smooth_across_junctions(self):
-        rho = BumpProfile()
+        rho = _bump
         h = 1e-4
         for x0 in (1.0, 2.0):
             left = (rho(np.array([x0 - h]))[0] - rho(np.array([x0 - 2 * h]))[0]) / h
@@ -120,7 +117,7 @@ class TestFlowRowClasses:
         fd = FlowDiffeo(np.array([0.9, 0.0, 0.0]))
         assert np.array_equal(fd.forward(w), w)
         assert np.array_equal(FlowDiffeo(np.zeros(3)).forward(w), w)
-        assert np.array_equal(_flow_constant_direction(w, c, BUMP, 100), w)
+        assert np.array_equal(_flow_constant_direction(w, c, 100), w)
 
     def test_band_rows_match_vector_ode(self):
         rng = np.random.default_rng(32)
@@ -131,7 +128,7 @@ class TestFlowRowClasses:
             w = _rows_with_norms(rng, 8, 1.05, 1.4)  # 1 < |w|^2 < 2: in the band
             out = FlowDiffeo(c, steps=200).forward(w)
             for w0, got in zip(w, out):
-                sol = solve_ivp(lambda t, y: BUMP(y @ y) * c, (0.0, 1.0), w0,
+                sol = solve_ivp(lambda t, y: _bump(y @ y) * c, (0.0, 1.0), w0,
                                 method="DOP853", rtol=1e-12, atol=1e-12)
                 worst = max(worst, float(np.max(np.abs(sol.y[:, -1] - got))))
         assert worst < 1e-9
@@ -195,8 +192,7 @@ class TestPouSection:
     @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
     def test_reproduces_seed_and_linearity(self, manifold):
         rng = np.random.default_rng(3)
-        partition = manifold.tangent_partition()
-        partition.validate(manifold, rng)
+        assert manifold.tangent_partition().validate(manifold, rng) <= 1e-10
         for _ in range(10):
             p = manifold.random_point(rng)
             v = random_tangent(manifold, rng, p, 0.7)
@@ -224,8 +220,7 @@ class TestPouSection:
 
         bad = SquaredPartition((BundlePatch(weight, first.frame),)
                                + partition.patches[1:])
-        with pytest.raises(ValueError, match="nan"):
-            bad.validate(SPHERE, np.random.default_rng(5))
+        assert np.isnan(bad.validate(SPHERE, np.random.default_rng(5)))
 
     def test_zero_seed_gives_zero_section(self):
         rng = np.random.default_rng(4)
