@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BaseMismatch, NotInChartDomain, NotInOverlap
-from .loops import SampledLoop, loop_from_dict, loop_to_dict
+from .loops import SampledLoop, _fourier_noise, loop_from_dict, loop_to_dict
 from .manifolds import (
     EmbeddedManifold,
     Flat,
     LocalAdditionSpec,
+    _same_point,
     manifold_from_tag,
 )
-
-BASE_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class TangentSection:
 
 def require_based(section: TangentSection, loop: SampledLoop) -> None:
     """Raise BaseMismatch unless ``section`` lives over ``loop``."""
-    if section.base.samples.shape != loop.samples.shape or \
-            np.max(np.abs(section.base.samples - loop.samples)) > BASE_MATCH_TOL:
+    if not _same_point(section.base.samples, loop.samples):
         raise BaseMismatch("section is not based at the given loop")
 
 
@@ -89,17 +87,10 @@ def section_from_ambient(manifold: EmbeddedManifold, base: SampledLoop, w) -> Ta
 
 
 def random_section(rng, manifold: EmbeddedManifold, base: SampledLoop,
-                   scale: float = 1.0, bandwidth: int = 4) -> TangentSection:
-    """A random smooth section: band-limited ambient noise, projected."""
-    n = base.resolution
-    t = base.nodes
-    w = np.zeros((n, manifold.ambient_dim))
-    for k in range(bandwidth + 1):
-        a = rng.normal(size=manifold.ambient_dim) * scale / (1 + k)
-        b = rng.normal(size=manifold.ambient_dim) * scale / (1 + k)
-        w += np.outer(np.cos(2 * np.pi * k * t), a)
-        if k > 0:
-            w += np.outer(np.sin(2 * np.pi * k * t), b)
+                   scale: float = 1.0) -> TangentSection:
+    """A random smooth section: the ambient noise of random_bandlimited_loop
+    at bandwidth 4 and amplitude ``scale``, projected into the tangent spaces."""
+    w = _fourier_noise(rng, base.resolution, manifold.ambient_dim, 4, scale)
     return section_from_ambient(manifold, base, w)
 
 
@@ -161,15 +152,12 @@ def transition(chart1: Chart, chart2: Chart, beta: TangentSection) -> TangentSec
 def loop_map(f, gamma: SampledLoop) -> SampledLoop:
     """The loop of a pointwise map: f^L(gamma) = f o gamma.
 
-    ``f`` maps an (N, d) array of points to an (N, d') array; a non-vectorized
-    point evaluator also works.
+    ``f`` must be vectorized: it maps the (N, d) array of samples to an
+    (N, d') array in one call.  Any other output shape raises ValueError.
     """
-    try:
-        vals = np.asarray(f(gamma.samples), dtype=np.float64)
-        if vals.shape[0] != gamma.resolution or vals.ndim != 2:
-            raise ValueError
-    except Exception:
-        vals = np.asarray([f(p) for p in gamma.samples], dtype=np.float64)
+    vals = np.asarray(f(gamma.samples), dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[0] != gamma.resolution:
+        raise ValueError(f"f returned shape {vals.shape} for {gamma.resolution} points")
     return SampledLoop(vals)
 
 

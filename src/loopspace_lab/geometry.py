@@ -21,7 +21,7 @@ from .errors import (
     NotPointwiseLinear,
     SingularFrame,
 )
-from .loops import SampledLoop, evaluate
+from .loops import SampledLoop, rotate
 from .manifolds import (
     EmbeddedManifold,
     Flat,
@@ -304,16 +304,14 @@ def frame_from_module_map(g, n: int, resolution: int, rng=None) -> MatrixLoop:
 
 # -- curves of loops and the tangent identification -------------------------------
 
-def curve_of_loops_derivative(curve, s0: float = 0.0, h: float = 1e-4) -> np.ndarray:
-    """Finite-difference derivative of a curve of loops at s0, as node data.
+def curve_of_loops_derivative(curve, s0: float = 0.0) -> np.ndarray:
+    """Central difference, step 1e-4, of a curve of loops at s0, as node data.
 
     ``curve(s)`` returns a SampledLoop; the result is the (N, d) array of
     nodewise derivatives, i.e. the image of the curve's velocity under the
     identification of T LM with loops in TM.
     """
-    plus = curve(s0 + h).samples
-    minus = curve(s0 - h).samples
-    return (plus - minus) / (2.0 * h)
+    return (curve(s0 + 1e-4).samples - curve(s0 - 1e-4).samples) / 2e-4
 
 
 # -- non-surjectivity of the loop exponential --------------------------------------
@@ -335,7 +333,7 @@ def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
     offset = 0.0
     samples = target.samples
     for candidate in (0.0, 0.5 / n, 0.25 / n):
-        pts = samples if candidate == 0.0 else evaluate(target, (np.arange(n) + candidate * n) / n)
+        pts = samples if candidate == 0.0 else rotate(target, candidate).samples
         pts = manifold.project_point(pts)
         d = manifold.dist(np.broadcast_to(p, pts.shape), pts)
         if np.max(d) < np.pi - manifold.CUT_MARGIN:

@@ -124,12 +124,11 @@ def _split_spectrum(loop: SampledLoop):
     data and whose derivative at the nodes matches spectral differentiation.
     """
     n = loop.resolution
-    c = np.fft.fft(loop.samples, axis=0) / n
-    modes = np.arange(-n // 2, n // 2 + 1)
-    coeffs = c[modes % n].astype(np.complex128)
+    c = to_fourier(loop).coefficients
+    coeffs = np.concatenate([c[-1:], c])  # mode -N/2 repeats mode N/2
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5
-    return modes, coeffs
+    return np.arange(-n // 2, n // 2 + 1), coeffs
 
 
 def evaluate(loop: SampledLoop, t) -> np.ndarray:
@@ -198,11 +197,9 @@ def rotate(loop: SampledLoop, s: float) -> SampledLoop:
     return SampledLoop(evaluate(loop, (np.arange(n) + shift) / n))
 
 
-def random_bandlimited_loop(rng, dim: int, n: int = 128, bandwidth: int = 4,
-                            amplitude: float = 1.0) -> SampledLoop:
-    """A random real loop with Fourier support in |k| <= bandwidth."""
-    if bandwidth > n // 4:
-        raise ValueError("bandwidth above N/4 would not survive resampling")
+def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> np.ndarray:
+    """(n, dim) samples of a random real trigonometric polynomial of degree
+    ``bandwidth``; mode k has amplitude ``amplitude / (1 + k)``."""
     t = np.arange(n) / n
     vals = np.zeros((n, dim))
     for k in range(bandwidth + 1):
@@ -211,7 +208,15 @@ def random_bandlimited_loop(rng, dim: int, n: int = 128, bandwidth: int = 4,
         vals += np.outer(np.cos(2 * np.pi * k * t), a)
         if k > 0:
             vals += np.outer(np.sin(2 * np.pi * k * t), b)
-    return SampledLoop(vals)
+    return vals
+
+
+def random_bandlimited_loop(rng, dim: int, n: int = 128, bandwidth: int = 4,
+                            amplitude: float = 1.0) -> SampledLoop:
+    """A random real loop with Fourier support in |k| <= bandwidth."""
+    if bandwidth > n // 4:
+        raise ValueError("bandwidth above N/4 would not survive resampling")
+    return SampledLoop(_fourier_noise(rng, n, dim, bandwidth, amplitude))
 
 
 # -- serialization -------------------------------------------------------------

@@ -44,6 +44,12 @@ TANGENT_TOL = 1e-10
 MIDFLOW_TOL = 1e-6
 
 
+def _same_point(a, b) -> bool:
+    """One shape, and entrywise agreement to 1e-9; a NaN agrees with nothing."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= 1e-9)
+
+
 class EmbeddedManifold:
     """Base class: an n-manifold embedded in R^k with orthogonal projectors.
 
@@ -103,10 +109,10 @@ class EmbeddedManifold:
 
     # -- helpers --------------------------------------------------------------
 
-    def require_on_manifold(self, p, tol: float = ON_MANIFOLD_TOL) -> None:
+    def require_on_manifold(self, p) -> None:
         res = np.max(np.atleast_1d(self.constraint_residual(p)))
-        if not res <= tol:
-            raise OffManifold(f"constraint residual {res:.3e} exceeds {tol:.1e}")
+        if not res <= ON_MANIFOLD_TOL:
+            raise OffManifold(f"constraint residual {res:.3e} exceeds {ON_MANIFOLD_TOL:.1e}")
 
     def require_tangent(self, p, v) -> None:
         """Raise ValueError unless v is tangent at p; a NaN is not tangent."""
@@ -711,7 +717,7 @@ def parallel_transport(manifold: EmbeddedManifold, path, v: TangentAtPoint,
     """
     path = np.asarray(path, dtype=np.float64)
     manifold.require_on_manifold(path[0])
-    if np.max(np.abs(path[0] - v.base)) > 1e-9:
+    if not _same_point(path[0], v.base):
         raise ValueError("vector is not based at the start of the path")
     s_grid = np.linspace(0.0, 1.0, path.shape[0])
     out = integrate_transport(manifold, s_grid, path, v.vector, steps=steps)

@@ -63,7 +63,10 @@ def symbol_coefficients(symbol: MatrixLoop) -> np.ndarray:
 
 def active_bandwidth(symbol: MatrixLoop) -> int:
     """The largest |m| whose coefficient has an entry above 1e-12."""
-    coeffs = symbol_coefficients(symbol)
+    return _bandwidth(symbol_coefficients(symbol))
+
+
+def _bandwidth(coeffs: np.ndarray) -> int:
     index = np.arange(len(coeffs))
     active = np.max(np.abs(coeffs), axis=(1, 2)) > 1e-12
     return int(np.max(np.minimum(index, len(coeffs) - index)[active], initial=0))
@@ -119,11 +122,11 @@ def toeplitz_blocks(symbol: MatrixLoop, truncation: int) -> OperatorBlocks:
     Requires K at least the active bandwidth (so no convolution mass falls
     off the ends) and 2K at most the node count (so no aliasing).
     """
-    if truncation < active_bandwidth(symbol):
+    coeffs = symbol_coefficients(symbol)
+    if truncation < _bandwidth(coeffs):
         raise ValueError("truncation below the active bandwidth of the symbol")
     if 2 * truncation > symbol.resolution:
         raise ValueError("truncation beyond the Nyquist range of the symbol")
-    coeffs = symbol_coefficients(symbol)
     plus = np.arange(0, truncation + 1)
     minus = np.arange(-truncation, 0)
     return OperatorBlocks(
@@ -137,23 +140,19 @@ def toeplitz_blocks(symbol: MatrixLoop, truncation: int) -> OperatorBlocks:
 
 # -- Fredholm index ---------------------------------------------------------------
 
-def _adjoint_symbol(symbol: MatrixLoop) -> MatrixLoop:
-    return MatrixLoop(np.conj(np.swapaxes(symbol.matrices, 1, 2)))
-
-
 def _numerical_kernel_dim(matrix: np.ndarray) -> int:
     svals = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(svals <= RANK_THRESHOLD))
 
 
-def _plus_kernel_dim(symbol: MatrixLoop, truncation: int, pad: int) -> int:
+def _plus_kernel_dim(coeffs: np.ndarray, truncation: int, pad: int) -> int:
     """Kernel dimension of the plus-sector compression on a rectangular
     window: columns are modes 0..K, rows all plus modes they can reach."""
-    if 2 * (truncation + pad) > symbol.resolution:
+    if 2 * (truncation + pad) > len(coeffs):
         raise ValueError("stabilized truncation beyond the symbol's Nyquist range")
     rows = np.arange(0, truncation + pad + 1)
     cols = np.arange(0, truncation + 1)
-    return _numerical_kernel_dim(_block(symbol_coefficients(symbol), rows, cols))
+    return _numerical_kernel_dim(_block(coeffs, rows, cols))
 
 
 def fredholm_data(blocks: OperatorBlocks):
@@ -161,16 +160,18 @@ def fredholm_data(blocks: OperatorBlocks):
 
     A kernel dimension counts the singular values at most RANK_THRESHOLD.
     Counts are taken at the block's truncation and again four modes higher;
-    disagreement raises IndexUnstable.
+    disagreement raises IndexUnstable.  The cokernel is counted on the
+    adjoint's table: mode m holds the conjugate transpose of mode -m.
     """
     symbol = blocks.symbol
     _require_invertible(symbol)
     pad = max(1, active_bandwidth(symbol))
-    adj = _adjoint_symbol(symbol)
+    coeffs = symbol_coefficients(symbol)
+    adjoint = np.conj(np.swapaxes(coeffs[-np.arange(len(coeffs))], 1, 2))
     results = []
     for k in (blocks.truncation, blocks.truncation + STABILITY_STEP):
-        ker = _plus_kernel_dim(symbol, k, pad)
-        coker = _plus_kernel_dim(adj, k, pad)
+        ker = _plus_kernel_dim(coeffs, k, pad)
+        coker = _plus_kernel_dim(adjoint, k, pad)
         results.append((ker - coker, ker, coker))
     if results[0] != results[1]:
         raise IndexUnstable(

@@ -265,7 +265,7 @@ def suite_tangent_identification(cfg: ExperimentConfig, rng) -> list:
         alpha = manifold.random_loop(rng, n)
         u = charts.random_section(rng, manifold, alpha, scale=0.5)
         curve = lambda s: loops.SampledLoop(manifold.exp(alpha.samples, s * u.vectors))
-        vel = geometry.curve_of_loops_derivative(curve, 0.0, h=1e-4)
+        vel = geometry.curve_of_loops_derivative(curve, 0.0)
         out.track("exp-family", vel - u.vectors)
     flat = manifolds.Flat(3)
     for _ in range(reps):
@@ -274,7 +274,7 @@ def suite_tangent_identification(cfg: ExperimentConfig, rng) -> list:
         c = charts.random_section(rng, flat, a, scale=1.0)
         s0 = float(rng.uniform(-0.5, 0.5))
         curve = lambda s: loops.SampledLoop(a.samples + s * b.vectors + s * s * c.vectors)
-        vel = geometry.curve_of_loops_derivative(curve, s0, h=1e-4)
+        vel = geometry.curve_of_loops_derivative(curve, s0)
         exact = b.vectors + 2 * s0 * c.vectors
         out.track("flat-quadratic", vel - exact)
     out.add("exp-family", "d/ds of a loop curve = loop of pointwise d/ds", 1e-5)
@@ -884,10 +884,10 @@ def suite_polarization_index(cfg: ExperimentConfig, rng) -> list:
     return out.records
 
 
-def _entire_rotation_symbol(n_nodes: int = 256, amplitude: float = 8.0) -> geometry.MatrixLoop:
-    t = np.arange(n_nodes) / n_nodes
-    ang = amplitude * np.sin(2 * np.pi * t)
-    mats = np.zeros((n_nodes, 2, 2), dtype=np.complex128)
+def _entire_rotation_symbol() -> geometry.MatrixLoop:
+    t = np.arange(256) / 256
+    ang = 8.0 * np.sin(2 * np.pi * t)
+    mats = np.zeros((256, 2, 2), dtype=np.complex128)
     mats[:, 0, 0] = np.cos(ang)
     mats[:, 0, 1] = np.sin(ang)
     mats[:, 1, 0] = -np.sin(ang)

@@ -33,6 +33,7 @@ from .manifolds import (
     PatchChart,
     TangentAtPoint,
     _rk4,
+    _same_point,
 )
 from .charts import TangentSection
 
@@ -144,7 +145,7 @@ def based_trivialize(chart: PatchChart, gamma: SampledLoop, steps: int = 100):
     """
     u = gamma.samples[0]
     v = chart.to_coords(u)
-    if not np.all(chart.mask(u[None])[0]) or np.linalg.norm(v) > np.sqrt(BUMP_LOWER):
+    if not np.all(chart.mask(u[None])[0]) or not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
         raise OutsidePatch("loop base point outside the trivializing patch")
     omega = _apply_patch_flow(chart, gamma.samples, v, steps, -1.0)
     return SampledLoop(omega), u
@@ -154,7 +155,7 @@ def based_detrivialize(chart: PatchChart, omega: SampledLoop, u,
                        steps: int = 100) -> SampledLoop:
     """Inverse of :func:`based_trivialize`: (omega, u) -> phi_u(omega)."""
     v = chart.to_coords(np.asarray(u, dtype=np.float64))
-    if np.linalg.norm(v) > np.sqrt(BUMP_LOWER):
+    if not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
         raise OutsidePatch("target base point outside the trivializing patch")
     moved = _apply_patch_flow(chart, omega.samples, v, steps, 1.0)
     return SampledLoop(moved)
@@ -232,9 +233,9 @@ def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
     coordinates of the local addition at x0.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    if np.max(np.abs(alpha.samples[0] - x0)) > 1e-9:
+    if not _same_point(alpha.samples[0], x0):
         raise OutsideTube("loop is not based at the submanifold point")
-    if np.max(np.abs(v.base - x0)) > 1e-9 or v.norm > TUBE_RADIUS:
+    if not _same_point(v.base, x0) or not v.norm <= TUBE_RADIUS:
         raise OutsideTube("seed vector outside the tube-radius ball")
     addition = LocalAdditionSpec(manifold)
     anchors = np.broadcast_to(x0, alpha.samples.shape)
@@ -270,9 +271,9 @@ def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
     partition-of-unity section seeded with v at the common base point.
     """
     a1, a2 = alpha_pair
-    if np.max(np.abs(a1.samples[0] - a2.samples[0])) > 1e-9:
+    if not _same_point(a1.samples[0], a2.samples[0]):
         raise OutsideTube("pair does not coincide at time 0")
-    if np.max(np.abs(v.base - a1.samples[0])) > 1e-9 or v.norm > TUBE_RADIUS:
+    if not _same_point(v.base, a1.samples[0]) or not v.norm <= TUBE_RADIUS:
         raise OutsideTube("seed vector outside the tube-radius ball")
     addition = LocalAdditionSpec(manifold)
     section = pou_section(manifold, v)

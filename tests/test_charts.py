@@ -23,7 +23,13 @@ from loopspace_lab.charts import (
 )
 from loopspace_lab.errors import BaseMismatch, NotInChartDomain, NotInOverlap
 from loopspace_lab.loops import SampledLoop, evaluate, random_bandlimited_loop
-from loopspace_lab.manifolds import Flat, FlatTorus2, LocalAdditionSpec, Sphere2
+from loopspace_lab.manifolds import (
+    Flat,
+    FlatTorus2,
+    LocalAdditionSpec,
+    Sphere2,
+    manifold_from_tag,
+)
 
 SPHERE = Sphere2()
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -218,6 +224,11 @@ class TestLoopMap:
         out = loop_map(lambda p: p * 2.0, gamma)
         assert np.max(np.abs(out.samples - 2 * gamma.samples)) < 1e-14
 
+    def test_wrong_row_count_rejected(self):
+        gamma = unit_circle_loop(32)
+        with pytest.raises(ValueError):
+            loop_map(lambda pts: pts[:8], gamma)
+
 
 class TestVerticalDerivative:
     def test_linear_map_reproduced(self):
@@ -269,6 +280,24 @@ class TestSectionArithmetic:
         sec = section_from_ambient(SPHERE, center, w)
         res = SPHERE.project_tangent_vector(center.samples, sec.vectors) - sec.vectors
         assert np.max(np.abs(res)) < 1e-12
+
+    @pytest.mark.parametrize("tag", ["sphere2", "torus2", "flat:3"])
+    def test_random_section_matches_fourier_loop(self, tag):
+        # reference: the band-limited ambient noise summed here, then projected
+        manifold = manifold_from_tag(tag)
+        base = manifold.random_loop(np.random.default_rng(16), 64)
+        for scale in (1.0, 0.05):
+            rng = np.random.default_rng(17)
+            w = np.zeros((64, manifold.ambient_dim))
+            for k in range(5):
+                a = rng.normal(size=manifold.ambient_dim) * scale / (1 + k)
+                b = rng.normal(size=manifold.ambient_dim) * scale / (1 + k)
+                w += np.outer(np.cos(2 * np.pi * k * base.nodes), a)
+                if k > 0:
+                    w += np.outer(np.sin(2 * np.pi * k * base.nodes), b)
+            expected = section_from_ambient(manifold, base, w)
+            got = random_section(np.random.default_rng(17), manifold, base, scale=scale)
+            assert np.array_equal(got.vectors, expected.vectors)
 
     def test_non_tangent_rejected(self):
         center = SampledLoop.constant(NORTH, 64)

@@ -424,7 +424,7 @@ class TestCurveDerivative:
         a = random_bandlimited_loop(np.random.default_rng(24), 2, 32)
         b = random_section(np.random.default_rng(25), Flat(2), a)
         curve = lambda s: SampledLoop(a.samples + s * b.vectors)
-        out = curve_of_loops_derivative(curve, 0.3, h=1e-4)
+        out = curve_of_loops_derivative(curve, 0.3)
         assert np.max(np.abs(out - b.vectors)) < 1e-9
 
 

@@ -8,6 +8,7 @@ import pytest
 from loopspace_lab.loops import (
     FourierRep,
     SampledLoop,
+    _split_spectrum,
     ck_seminorm,
     derivative,
     evaluate,
@@ -171,6 +172,22 @@ class TestFourier:
     def test_mode_range(self):
         rep = to_fourier(circle_loop(32))
         assert rep.modes[0] == -15 and rep.modes[-1] == 16
+
+    def test_split_spectrum_matches_direct_fft(self):
+        # reference: the symmetric grid indexed straight out of the FFT
+        rng = np.random.default_rng(13)
+        for n in (8, 64, 256):
+            for samples in (rng.normal(size=(n, 3)),
+                            rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))):
+                loop = SampledLoop(samples)
+                c = np.fft.fft(loop.samples, axis=0) / n
+                modes = np.arange(-n // 2, n // 2 + 1)
+                coeffs = c[modes % n].astype(np.complex128)
+                coeffs[0] *= 0.5
+                coeffs[-1] *= 0.5
+                got_modes, got = _split_spectrum(loop)
+                assert np.array_equal(got_modes, modes)
+                assert np.array_equal(got, coeffs)
 
 
 class TestInvariants:

@@ -8,6 +8,10 @@ from loopspace_lab.errors import IndexUnstable, SingularSymbol
 from loopspace_lab.geometry import MatrixLoop
 from loopspace_lab.loops import SampledLoop, to_fourier
 from loopspace_lab.polarization import (
+    STABILITY_STEP,
+    _block,
+    _numerical_kernel_dim,
+    _require_invertible,
     active_bandwidth,
     compactness_profile,
     fourier_split,
@@ -193,6 +197,45 @@ class TestFredholmIndex:
         vals = (np.exp(2j * np.pi * t) - 0.28)[:, None, None]
         with pytest.raises(IndexUnstable):
             fredholm_index(toeplitz_blocks(MatrixLoop(vals), 10))
+
+    def test_mode_flip_adjoint_matches_adjoint_fft(self):
+        # reference: the adjoint's table as the FFT of the adjoint symbol
+        def kernel_dim(symbol, k, pad):
+            if 2 * (k + pad) > symbol.resolution:
+                raise ValueError("stabilized truncation beyond the Nyquist range")
+            rows, cols = np.arange(0, k + pad + 1), np.arange(0, k + 1)
+            return _numerical_kernel_dim(_block(symbol_coefficients(symbol), rows, cols))
+
+        def reference(blocks):
+            symbol = blocks.symbol
+            _require_invertible(symbol)
+            pad = max(1, active_bandwidth(symbol))
+            adj = MatrixLoop(np.conj(np.swapaxes(symbol.matrices, 1, 2)))
+            results = []
+            for k in (blocks.truncation, blocks.truncation + STABILITY_STEP):
+                ker, coker = kernel_dim(symbol, k, pad), kernel_dim(adj, k, pad)
+                results.append((ker - coker, ker, coker))
+            if results[0] != results[1]:
+                raise IndexUnstable("kernel counts differ across truncations")
+            return results[0]
+
+        def outcome(route, blocks):
+            try:
+                return route(blocks)
+            except (IndexUnstable, SingularSymbol, ValueError) as exc:
+                return type(exc)
+
+        triples = 0
+        for symbol in symbol_battery(np.random.default_rng(12), count=10):
+            for K in (8, 16, 32):
+                try:
+                    blocks = toeplitz_blocks(symbol, K)
+                except ValueError:  # K below the symbol's bandwidth
+                    continue
+                new = outcome(fredholm_data, blocks)
+                assert new == outcome(reference, blocks)
+                triples += isinstance(new, tuple)
+        assert triples >= 20
 
     def test_rotation_covariance(self):
         rng = np.random.default_rng(5)

@@ -187,6 +187,13 @@ class TestBasedTrivialize:
         with pytest.raises(OutsidePatch):
             based_trivialize(chart, far)
 
+    def test_nan_target_rejected(self):
+        # a NaN coordinate norm must not compare as inside the patch
+        chart = SPHERE.patch_chart(NORTH)
+        omega = SampledLoop.constant(NORTH, 64)
+        with pytest.raises(OutsidePatch):
+            based_detrivialize(chart, omega, [np.nan, np.nan, np.nan])
+
 
 class TestPouSection:
     @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
@@ -281,6 +288,13 @@ class TestPointTube:
         big = TangentAtPoint(SPHERE, x0, raw.vector / max(raw.norm, 1e-9) * 1.5)
         with pytest.raises(OutsideTube):
             point_tube_forward(SPHERE, x0, alpha, big)
+
+    def test_nan_point_rejected(self):
+        # a NaN distance to the submanifold point must not compare as based
+        alpha = self.based_loop(SPHERE, NORTH, np.random.default_rng(9))
+        v = TangentAtPoint(SPHERE, NORTH, np.array([0.3, 0.0, 0.0]))
+        with pytest.raises(OutsideTube):
+            point_tube_forward(SPHERE, [np.nan, 0.0, 1.0], alpha, v)
 
 
 class TestDiagonalTube:

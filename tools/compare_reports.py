@@ -1,0 +1,84 @@
+"""Compare the seed-7 reports of two source trees byte for byte.
+
+    python3 tools/compare_reports.py <src-a> <src-b>
+
+Each argument is a directory that holds the ``loopspace_lab`` package (the
+``src/`` directory of a checkout).  For every suite and every manifold in
+MANIFOLDS, ``loopspace-lab run --seed 7`` runs once against each tree, in a
+fresh interpreter with that tree on ``PYTHONPATH``, writing into a temporary
+directory.  Every ``.json`` and ``.csv`` report that differs, or exists for
+one tree only, is printed, and so is every run that wrote no report.  The
+exit code is 1 if any report differs or any run wrote none, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+MANIFOLDS = ("sphere2", "torus2", "flat:3")
+SEED = "7"
+CLI = "import sys; from loopspace_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def cli(src: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", CLI, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def run_tree(src: Path, suites: list, out: Path) -> int:
+    """Run every suite on every manifold; return the number of runs that
+    wrote no report."""
+    def one(job) -> bool:
+        suite, manifold = job
+        proc = cli(src, "run", "--suite", suite, "--manifold", manifold,
+                   "--seed", SEED, "--out", str(out / manifold), "--quiet")
+        if proc.returncode in (0, 1):  # 1 is a failed check, still reported
+            return True
+        print(f"{src}: {suite} on {manifold} exited {proc.returncode}: "
+              f"{proc.stderr.strip()[-300:]}")
+        return False
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(one, [(s, m) for m in MANIFOLDS for s in suites])).count(False)
+
+
+def reports(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.suffix in (".json", ".csv") and not p.name.endswith(".meta.json")}
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/compare_reports.py <src-a> <src-b>", file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    suites = cli(trees[0], "list-suites").stdout.split()
+    if not suites:
+        print(f"{argv[0]}: list-suites printed no suite", file=sys.stderr)
+        return 2
+    failed = 0
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, src in enumerate(trees):
+            out = Path(tmp) / str(i)
+            failed += run_tree(src, suites, out)
+            found.append(reports(out))
+    a, b = found
+    differ = sorted(name for name in set(a) | set(b) if a.get(name) != b.get(name))
+    for name in differ:
+        missing = "" if name in a and name in b else \
+            f" (missing from {argv[1] if name in a else argv[0]})"
+        print(f"differs: {name}{missing}")
+    print(f"{len(set(a) | set(b)) - len(differ)} identical, {len(differ)} differ, "
+          f"{failed} runs wrote no report")
+    return 1 if differ or failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
