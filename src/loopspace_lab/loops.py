@@ -187,14 +187,22 @@ def rotate(loop: SampledLoop, s: float) -> SampledLoop:
     """The circle action: ``rotate(loop, s)(t) = loop(t + s)``.
 
     When s is a multiple of 1/N this is an exact cyclic shift of the
-    samples; otherwise the interpolant is resampled.
+    samples.  Otherwise it is an FFT phase shift: mode k is multiplied by
+    e^{2 pi i k s}, and the Nyquist mode by cos(pi N s), which folds the two
+    half-weight +-N/2 terms of the symmetric interpolant into one, so the
+    result is the interpolant of :func:`evaluate` resampled at t_j + s.
     """
     n = loop.resolution
     shift = (float(s) % 1.0) * n
     nearest = round(shift)
     if abs(shift - nearest) < 1e-12:
         return SampledLoop(np.roll(loop.samples, -int(nearest) % n, axis=0))
-    return SampledLoop(evaluate(loop, (np.arange(n) + shift) / n))
+    phase = np.exp(2j * np.pi * np.fft.fftfreq(n) * shift)
+    phase[n // 2] = np.cos(np.pi * shift)
+    vals = np.fft.ifft(np.fft.fft(loop.samples, axis=0) * phase[:, None], axis=0)
+    if loop.is_real:
+        vals = vals.real
+    return SampledLoop(vals)
 
 
 def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> np.ndarray:

@@ -34,7 +34,8 @@ def test_traced_pass_reads_every_counter(tmp_path):
             code = cli.main(["run", "--suite", suite, "--resolution", "32",
                              "--seed", "7", "--out", str(tmp_path), "--quiet"])
             assert code == 0, suite
-        loops.rotate(loop, 0.3 / 64)  # off the node grid: goes through evaluate
+        # rotate shifts by FFT and no suite calls evaluate, so call it here
+        loops.evaluate(loop, np.array([0.1, 0.3, 0.7]) / 64)
         metrics = tracer.end_pass(1.0)
     finally:
         tracer.uninstall()

@@ -150,6 +150,38 @@ class TestRotate:
             base = ck_seminorm(loop, k)
             assert abs(ck_seminorm(rotate(loop, 0.1234), k) - base) < 1e-10
 
+    def test_fft_shift_matches_dense_evaluation(self):
+        # reference: the dense interpolant of evaluate at the shifted nodes.
+        # Only the complex full-spectrum loop sees the Nyquist fold: on real
+        # data taking the real part hides a dropped cos(pi N s) factor.
+        rng = np.random.default_rng(14)
+        for n in (8, 64, 1024):
+            for loop in (random_bandlimited_loop(rng, 3, n, bandwidth=min(8, n // 4)),
+                         SampledLoop(rng.normal(size=(n, 3))),
+                         SampledLoop(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))):
+                off = int(rng.integers(n)) + rng.uniform(0.1, 0.9)
+                for s in (off / n, -off / n):
+                    err = np.max(np.abs(rotate(loop, s).samples - evaluate(loop, loop.nodes + s)))
+                    assert err <= 1e-12 * np.max(np.abs(loop.samples)), (n, s)
+
+    def test_sweep_to_n_16384_against_closed_form(self):
+        # p(t) = sum_k a_k cos(2 pi k t) + b_k sin(2 pi k t), degree 8
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=(2, 9, 3))
+        modes = np.arange(9)
+
+        def closed_form(t):
+            arg = 2 * np.pi * np.outer(t, modes)
+            return np.cos(arg) @ a + np.sin(arg) @ b
+
+        for n in 2 ** np.arange(7, 15):
+            loop = SampledLoop(closed_form(np.arange(n) / n))
+            s = (int(rng.integers(n)) + rng.uniform(0.1, 0.9)) / n
+            shifted = rotate(loop, s)
+            assert np.max(np.abs(shifted.samples - closed_form(loop.nodes + s))) <= 1e-12, n
+            back = rotate(shifted, -s)
+            assert np.max(np.abs(back.samples - loop.samples)) <= 1e-12, n
+
 
 class TestFourier:
     def test_round_trip(self):

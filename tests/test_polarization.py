@@ -175,6 +175,16 @@ class TestFredholmIndex:
             idx = fredholm_index(toeplitz_blocks(symbol, 16))
             assert idx == -winding_number(symbol)
 
+    def test_index_sweep_to_k_512(self):
+        # the finite sections keep the index at -winding as K grows
+        # (Boettcher and Silbermann, ch. 2-3); 2x2 symbols stop at K = 256,
+        # where one section already costs about as much as a scalar at 512
+        rng = np.random.default_rng(0)
+        for symbol in symbol_battery(rng, n_nodes=2048, count=5):
+            winding = winding_number(symbol)
+            for k in (128, 256, 512) if symbol.n == 1 else (128, 256):
+                assert fredholm_index(toeplitz_blocks(symbol, k)) == -winding, k
+
     def test_additivity_for_monomials(self):
         for a in (-3, -1, 2):
             for b in (-2, 1, 3):
