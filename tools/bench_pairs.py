@@ -1,20 +1,21 @@
 """Alternating before/after runs of the benchmark on two checkouts.
 
     python3 tools/bench_pairs.py <checkout-a> <checkout-b> --workload W [W ...] \\
-        --pairs P --seconds S --seed0 N --save BENCH_<label>.json
+        --pairs P --seed0 N --save BENCH_<label>.json
 
 Checkout a is the before side and b the after side.  Both must hold
 byte-identical ``perfbench/`` directories and ``BENCHMARK.json``; if they do
 not, nothing runs and the exit code is 2.  Pair i runs each checkout's own
-``perfbench/run.py --trace 0`` at seed N + i from that checkout's root, a
-first on even i and b first on odd i, and reads the last line of each run's
-output as JSON.
+``perfbench/run.py --trace 0`` at seed N + i for the ``run_seconds`` that
+BENCHMARK.json sets, from that checkout's root, a first on even i and b
+first on odd i, and reads the last line of each run's output as JSON.
 
 For each workload and each end-to-end metric of BENCHMARK.json the saved file
 holds both sides' values, medians and quartiles, the pairs each side won
 (ties count for neither), b's median relative to a's with the metric's bound,
-and ``gain``: b won at least nine tenths of the pairs and the medians differ
-by more than the distance between a's quartiles.  It also holds each side's
+and ``gain``: there were at least ten pairs, b failed no more operations
+than a, b won at least nine tenths of the pairs and the medians differ by
+more than the distance between a's quartiles.  It also holds each side's
 failed and attempted operation counts and the ``env`` line of its first run.
 The exit code is 1 if any run failed an operation or output check.
 """
@@ -30,7 +31,8 @@ from pathlib import Path
 
 SIDES = ("a", "b")
 GAIN_SHARE = 0.9
-RUN_MARGIN_S = 600.0  # setup probes and checks on top of --seconds
+GAIN_MIN_PAIRS = 10
+RUN_MARGIN_S = 600.0  # setup probes and checks on top of run_seconds
 
 
 def files(root: Path) -> dict:
@@ -66,6 +68,8 @@ def quartiles(values: list) -> dict:
 
 def summary(runs: list, declared: list) -> dict:
     """Per-metric comparison of the b side against the a side."""
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
+    countable = len(runs) >= GAIN_MIN_PAIRS and failed["b"] <= failed["a"]
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -84,7 +88,7 @@ def summary(runs: list, declared: list) -> dict:
             **{side: {"values": values[side], **stats[side]} for side in SIDES},
             "wins": wins,
             "b_over_a": med_b / med_a - 1.0 if med_a else None,
-            "gain": wins["b"] >= GAIN_SHARE * len(runs)
+            "gain": countable and wins["b"] >= GAIN_SHARE * len(runs)
             and abs(med_b - med_a) > spread_a,
         }
     return out
@@ -96,7 +100,6 @@ def main(argv=None) -> int:
     parser.add_argument("checkout_b", type=Path)
     parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--seed0", type=int, required=True)
     parser.add_argument("--save", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -114,9 +117,10 @@ def main(argv=None) -> int:
         print("the checkouts' benchmarks differ: " + ", ".join(differ),
               file=sys.stderr)
         return 2
-    declared = json.loads(bench["a"][Path("BENCHMARK.json")])["end_to_end"]
+    benchmark = json.loads(bench["a"][Path("BENCHMARK.json")])
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
-    result = {"pairs": args.pairs, "seconds": args.seconds, "seed0": args.seed0,
+    result = {"pairs": args.pairs, "seconds": seconds, "seed0": args.seed0,
               "workloads": {}}
     for workload in args.workload:
         runs = []
@@ -124,7 +128,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": args.seed0 + i, "first": order[0]}
             for side in order:
-                pair[side] = run(checkouts[side], workload, pair["seed"], args.seconds)
+                pair[side] = run(checkouts[side], workload, pair["seed"], seconds)
             runs.append(pair)
             print(f"{workload} pair {i + 1}/{args.pairs} seed {pair['seed']}: " +
                   ", ".join(f"{side} pass_s {pair[side]['metrics']['pass_s']['value']:.4f}"
