@@ -219,6 +219,16 @@ class RoundSpheres(EmbeddedManifold):
     unit-sphere formula to each factor on the last axis.  Projectors are
     applied, never built: P v = v - p<p,v> and (dP[w]) v = -(w<p,v> + p<w,v>)
     per factor.
+
+    The per-factor sums (inner products, norms, and the max and norm across
+    the factors) are unrolled into slice-and-add arithmetic: the axis is 2 or
+    3 long, where a numpy reduction costs far more per call than the adds,
+    and the integrators call these maps thousands of times per run.  They
+    add from +0.0 in component order, as ``np.sum`` does on fewer than eight
+    terms, so every result is bit for bit the reduction's, signed zeros
+    included.  Reductions over an ambient or a long axis stay ``np.sum`` and
+    ``np.linalg.norm``: from eight terms numpy sums pairwise, in an order
+    unrolled adds would not repeat.
     """
 
     factors: int = 1
@@ -236,20 +246,33 @@ class RoundSpheres(EmbeddedManifold):
 
     @staticmethod
     def _dot(a, b):
-        return np.sum(a * b, axis=-1, keepdims=True)
+        """<a, b> on the last axis, kept as length 1: np.sum's bits."""
+        p = a * b
+        s = 0.0 + p[..., 0:1]
+        for i in range(1, p.shape[-1]):
+            s += p[..., i:i + 1]
+        return s
+
+    @classmethod
+    def _norm(cls, x):
+        """|x| on the last axis, kept as length 1: np.linalg.norm's bits."""
+        return np.sqrt(cls._dot(x, x))
 
     @classmethod
     def _chord(cls, p, q):
         """Per factor: q - <p,q> p, its norm and the angle from p to q."""
         c = np.clip(cls._dot(p, q), -1.0, 1.0)
         w = q - c * p
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
+        nw = cls._norm(w)
         # arctan2 keeps the angle accurate at both ends of [0, pi]
         return w, nw, np.arctan2(nw, c)
 
     def constraint_residual(self, p):
-        r = np.linalg.norm(self._view(p), axis=-1)
-        return np.max(np.abs(r - 1.0), axis=-1)
+        r = self._norm(self._view(p))[..., 0]
+        worst = np.abs(r[..., 0] - 1.0)
+        for i in range(1, self.factors):
+            worst = np.maximum(worst, np.abs(r[..., i] - 1.0))
+        return worst
 
     def project_tangent_vector(self, p, w):
         p, w = self._view(p), self._view(w)
@@ -261,7 +284,7 @@ class RoundSpheres(EmbeddedManifold):
 
     def project_point(self, x):
         x = self._view(x)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        r = self._norm(x)
         if not np.all(r > self.projection_floor):
             raise OutsideTube("point too close to the centre of a sphere factor")
         return self._unview(x / r)
@@ -272,7 +295,7 @@ class RoundSpheres(EmbeddedManifold):
 
     def exp(self, p, v):
         p, v = self._view(p), self._view(v)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        theta = self._norm(v)
         return self._unview(np.cos(theta) * p + np.sinc(theta / np.pi) * v)
 
     def log(self, p, q):
@@ -284,7 +307,7 @@ class RoundSpheres(EmbeddedManifold):
 
     def geodesic_transport(self, p, v, w):
         p, v, w = self._view(p), self._view(v), self._view(w)
-        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        theta = self._norm(v)
         safe = np.where(theta > 1e-300, theta, 1.0)
         u = np.where(theta > 1e-300, v / safe, 0.0 * v)
         a = self._dot(w, u)
@@ -292,7 +315,8 @@ class RoundSpheres(EmbeddedManifold):
 
     def dist(self, p, q):
         _, _, theta = self._chord(self._view(p), self._view(q))
-        return np.linalg.norm(theta[..., 0], axis=-1)
+        theta = theta[..., 0]
+        return np.sqrt(self._dot(theta, theta)[..., 0])
 
 
 class Sphere2(RoundSpheres):

@@ -21,6 +21,7 @@ from loopspace_lab.manifolds import (
     Flat,
     FlatTorus2,
     LocalAdditionSpec,
+    RoundSpheres,
     Sphere2,
     TangentAtPoint,
     exp_map,
@@ -362,6 +363,141 @@ class TestTorusAngleOracle:
         chart = TORUS.patch_chart(p[0])
         assert np.max(np.abs(chart.to_coords(q) - self.wrap(b - a[0]))) < 1e-12
         assert np.max(np.abs(chart.from_coords(t) - self.point(a[0] + t))) < 1e-12
+
+
+def reduction_maps(factors):
+    """The RoundSpheres maps as written with numpy reductions over the
+    per-factor axes, before those sums were unrolled: the bitwise oracle."""
+    def view(x):
+        x = np.asarray(x, dtype=np.float64)
+        return x.reshape(x.shape[:-1] + (factors, -1))
+
+    def unview(x):
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1, keepdims=True)
+
+    def norm(x):
+        return np.linalg.norm(x, axis=-1, keepdims=True)
+
+    def chord(p, q):
+        c = np.clip(dot(p, q), -1.0, 1.0)
+        w = q - c * p
+        nw = norm(w)
+        return w, nw, np.arctan2(nw, c)
+
+    def log(p, q):
+        w, nw, theta = chord(view(p), view(q))
+        scale = np.where(nw > 1e-300, theta / np.where(nw > 1e-300, nw, 1.0), 1.0)
+        return unview(scale * w)
+
+    def geodesic_transport(p, v, w):
+        p, v, w = view(p), view(v), view(w)
+        theta = norm(v)
+        safe = np.where(theta > 1e-300, theta, 1.0)
+        u = np.where(theta > 1e-300, v / safe, 0.0 * v)
+        a = dot(w, u)
+        return unview(w + a * (-np.sin(theta) * p + (np.cos(theta) - 1.0) * u))
+
+    def exp(p, v):
+        p, v = view(p), view(v)
+        theta = norm(v)
+        return unview(np.cos(theta) * p + np.sinc(theta / np.pi) * v)
+
+    return {
+        "constraint_residual": lambda x: np.max(
+            np.abs(np.linalg.norm(view(x), axis=-1) - 1.0), axis=-1),
+        "project_tangent_vector": lambda p, w: unview(
+            view(w) - view(p) * dot(view(p), view(w))),
+        "projector_derivative": lambda p, w, v: unview(
+            -(view(w) * dot(view(p), view(v)) + view(p) * dot(view(w), view(v)))),
+        "project_point": lambda x: unview(view(x) / norm(view(x))),
+        "geodesic_acceleration": lambda p, v: unview(-dot(view(v), view(v)) * view(p)),
+        "exp": exp,
+        "log": log,
+        "geodesic_transport": geodesic_transport,
+        "dist": lambda p, q: np.linalg.norm(chord(view(p), view(q))[2][..., 0], axis=-1),
+    }
+
+
+MAP_ARGS = {
+    "constraint_residual": "x", "project_tangent_vector": "pw",
+    "projector_derivative": "pwv", "project_point": "x",
+    "geodesic_acceleration": "pv", "exp": "pv", "log": "pq",
+    "geodesic_transport": "pvw", "dist": "pq",
+}
+
+
+def extreme_values(rng, shape):
+    """Order-one values, with magnitudes 1e-200 .. 1e200, signed zeros,
+    NaN and infinities mixed in."""
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    big = rng.random(shape) < 0.3
+    x[big] *= 10.0 ** rng.integers(-200, 201, size=int(big.sum()))
+    special = rng.random(shape) < 0.1
+    x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], size=int(special.sum()))
+    return x
+
+
+def same_bits(got, want) -> bool:
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+class TestUnrolledSums:
+    """RoundSpheres sums each factor component by component; every result
+    must carry the bits of the numpy reduction it replaced."""
+
+    @pytest.mark.parametrize("shape", [(3,), (128, 1, 3), (201, 1024, 1, 3), (1024, 2, 2)])
+    def test_dot_and_norm_match_numpy_reductions(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a, b = extreme_values(rng, shape), extreme_values(rng, shape)
+        with np.errstate(all="ignore"):
+            assert same_bits(RoundSpheres._dot(a, b), np.sum(a * b, axis=-1, keepdims=True))
+            assert same_bits(RoundSpheres._norm(a), np.linalg.norm(a, axis=-1, keepdims=True))
+
+    def test_all_negative_zero_products_sum_to_positive_zero(self):
+        # a zero vector against negative coordinates: every product is -0.0,
+        # and np.sum starts from +0.0 where a bare p0 + p1 + p2 keeps -0.0
+        p = np.array([-0.6, -0.0, -0.8])
+        zero = np.zeros(3)
+        products = p * zero
+        assert np.signbit(products[0] + products[1] + products[2])
+        assert same_bits(RoundSpheres._dot(p, zero), np.sum(products, axis=-1, keepdims=True))
+        assert not np.signbit(RoundSpheres._dot(p, zero)[0])
+
+    @staticmethod
+    def inputs(manifold, rng, batch):
+        """Points (a third with every coordinate negative), tangent vectors
+        (some +0.0, some -0.0), ambient vectors, targets and off-manifold
+        points, all of shape batch + (k,)."""
+        k = manifold.ambient_dim
+        if manifold.factors == 1:
+            p = rng.normal(size=batch + (k,))
+            p /= np.linalg.norm(p, axis=-1, keepdims=True)
+            negative = rng.random(batch) < 1 / 3
+            p = np.where(negative[..., None], -np.abs(p), p)
+        else:
+            turn = np.where(rng.random(batch + (2,)) < 1 / 3, np.pi, 0.0)
+            p = manifold.from_angles(rng.uniform(0.0, np.pi / 2, batch + (2,)) + turn)
+        v = manifold.project_tangent_vector(p, rng.normal(size=batch + (k,)))
+        zero = rng.choice([1.0, 0.0, -0.0], size=batch + (1,), p=[0.6, 0.2, 0.2])
+        v = np.where(zero == 1.0, v, zero * np.abs(v))
+        w = rng.normal(size=batch + (k,)) * rng.choice([1.0, 0.0, -0.0], size=batch + (1,))
+        q = manifold.exp(p, 0.7 * manifold.project_tangent_vector(p, rng.normal(size=batch + (k,))))
+        x = p * rng.uniform(0.5, 2.0, size=batch + (1,))
+        return {"p": p, "v": v, "w": w, "q": q, "x": x}
+
+    @pytest.mark.parametrize("batch", [(), (128,), (5, 64)])
+    def test_maps_match_reduction_formulas(self, batch):
+        for manifold in (SPHERE, TORUS):
+            oracle = reduction_maps(manifold.factors)
+            args = self.inputs(manifold, np.random.default_rng(len(batch) + 30), batch)
+            for name, names in MAP_ARGS.items():
+                values = [args[c] for c in names]
+                got = getattr(manifold, name)(*values)
+                assert same_bits(got, oracle[name](*values)), (manifold.kind, name)
 
 
 class TestLocalAddition:

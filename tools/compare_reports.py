@@ -3,12 +3,15 @@
     python3 tools/compare_reports.py <src-a> <src-b>
 
 Each argument is a directory that holds the ``loopspace_lab`` package (the
-``src/`` directory of a checkout).  For every suite and every manifold in
-MANIFOLDS, ``loopspace-lab run --seed 7`` runs once against each tree, in a
-fresh interpreter with that tree on ``PYTHONPATH``, writing into a temporary
-directory.  Every ``.json`` and ``.csv`` report that differs, or exists for
-one tree only, is printed, and so is every run that wrote no report.  The
-exit code is 1 if any report differs or any run wrote none, 0 otherwise.
+``src/`` directory of a checkout).  For every suite and every entry of RUNS,
+``loopspace-lab run --seed 7`` runs once against each tree, in a fresh
+interpreter with that tree on ``PYTHONPATH``, writing into a temporary
+directory.  RUNS holds the default resolution on each of three manifolds and
+then torus2 at N = 1024, the size of the ``battery-n1024-torus2`` benchmark
+workload, where the integrators see large arrays: 64 runs per tree.  Every
+``.json`` and ``.csv`` report that differs, or exists for one tree only, is
+printed, and so is every run that wrote no report.  The exit code is 1 if
+any report differs or any run wrote none, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-MANIFOLDS = ("sphere2", "torus2", "flat:3")
+#: (output directory, run arguments)
+RUNS = (("sphere2", ("--manifold", "sphere2")),
+        ("torus2", ("--manifold", "torus2")),
+        ("flat:3", ("--manifold", "flat:3")),
+        ("torus2-n1024", ("--manifold", "torus2", "--resolution", "1024")))
 SEED = "7"
 CLI = "import sys; from loopspace_lab.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -32,20 +39,20 @@ def cli(src: Path, *args: str) -> subprocess.CompletedProcess:
 
 
 def run_tree(src: Path, suites: list, out: Path) -> int:
-    """Run every suite on every manifold; return the number of runs that
-    wrote no report."""
+    """Run every suite for every entry of RUNS; return the number of runs
+    that wrote no report."""
     def one(job) -> bool:
-        suite, manifold = job
-        proc = cli(src, "run", "--suite", suite, "--manifold", manifold,
-                   "--seed", SEED, "--out", str(out / manifold), "--quiet")
+        suite, (name, args) = job
+        proc = cli(src, "run", "--suite", suite, *args,
+                   "--seed", SEED, "--out", str(out / name), "--quiet")
         if proc.returncode in (0, 1):  # 1 is a failed check, still reported
             return True
-        print(f"{src}: {suite} on {manifold} exited {proc.returncode}: "
+        print(f"{src}: {suite} on {name} exited {proc.returncode}: "
               f"{proc.stderr.strip()[-300:]}")
         return False
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(one, [(s, m) for m in MANIFOLDS for s in suites])).count(False)
+        return list(pool.map(one, [(s, r) for r in RUNS for s in suites])).count(False)
 
 
 def reports(root: Path) -> dict:
