@@ -12,7 +12,8 @@ Each kind carries two routes to its geometry:
   vectorized over leading axes, used by the chart machinery, and
 * generic integrators (:func:`exp_map`, :func:`parallel_transport`) that solve
   the geodesic and transport ODEs with a fixed-step 4th-order scheme and
-  per-step reprojection.
+  per-step reprojection; transport reads the sampled path through an in-repo
+  not-a-knot cubic spline, so the module needs numpy only.
 
 The two routes are independent, so one can serve as the oracle for the other.
 Tangent vectors use the linear convention: v in T_pM is an ambient vector
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     IntegrationDiverged,
@@ -672,12 +672,68 @@ def log_by_shooting(manifold: EmbeddedManifold, p, q, steps: int = 200,
 
 # -- parallel transport --------------------------------------------------------
 
+class _Piecewise:
+    """A piecewise polynomial: ``coeffs[k, i]`` multiplies
+    ``(s - knots[i]) ** (degree - k)`` on [knots[i], knots[i + 1]).
+
+    Times outside the knots use the end pieces, so a stage time one rounding
+    past the last knot extrapolates the end cubic.
+    """
+
+    def __init__(self, knots, coeffs):
+        self.knots, self.coeffs = knots, coeffs
+
+    def __call__(self, s: float):
+        i = min(max(np.searchsorted(self.knots, s, "right") - 1, 0), len(self.knots) - 2)
+        z = s - self.knots[i]
+        out = self.coeffs[0, i]
+        for c in self.coeffs[1:]:
+            out = out * z + c[i]
+        return out
+
+    def derivative(self):
+        powers = np.arange(len(self.coeffs) - 1, 0, -1)
+        powers = powers.reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
+        return _Piecewise(self.knots, self.coeffs[:-1] * powers)
+
+
 def _path_spline(s_grid, points):
-    s_grid = np.asarray(s_grid, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    if len(s_grid) >= 4:
-        return CubicSpline(s_grid, points, axis=0)
-    return CubicSpline(s_grid, points, axis=0, bc_type="natural")
+    """The not-a-knot cubic spline through ``points`` (axis 0) at ``s_grid``.
+
+    The knot slopes m solve a tridiagonal system whose first and last rows
+    make the third derivative continuous at the second and second-to-last
+    knots (de Boor, A Practical Guide to Splines, rev. ed. 2001, ch. IV).
+    The rows are those of the common banded layout, so the tests can hold
+    the result to a library spline as the oracle.  A Thomas sweep runs over
+    the knots, vectorized over the batch axes.  Fewer than 4 samples are
+    rejected: with 3 the two not-a-knot conditions coincide, with 2 there is
+    no inner knot.
+    """
+    x = np.asarray(s_grid, dtype=np.float64)
+    y = np.asarray(points, dtype=np.float64)
+    n = len(x)
+    if n < 4:
+        raise ValueError(f"a not-a-knot path spline needs at least 4 samples, got {n}")
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.concatenate(([0.0], dx[1:], [d1]))
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    upper = np.concatenate(([d0], dx[:-1], [0.0]))
+    m = np.empty_like(y)
+    m[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    m[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    m[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    for i in range(1, n):  # forward elimination
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        m[i] -= w * m[i - 1]
+    m[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):  # back substitution
+        m[i] = (m[i] - upper[i] * m[i + 1]) / diag[i]
+    t = (m[:-1] + m[1:] - 2 * slope) / dxr
+    return _Piecewise(x, np.stack([t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]]))
 
 
 def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
@@ -685,8 +741,9 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     """Solve the transport ODE v' = (d lambda)[x'] v along a sampled path.
 
     ``points`` has shape (len(s_grid),) + batch + (k,) and the path between
-    samples is the interpolating cubic spline.  After every step the vector
-    is reprojected to the tangent space and rescaled to its initial norm.
+    samples is the not-a-knot cubic spline through them (:func:`_path_spline`).
+    After every step the vector is reprojected to the tangent space and
+    rescaled to its initial norm.
     An optional ``torsion(x, xdot, v)`` term adds -0.5 T(xdot, v), the
     transport law of a connection with prescribed torsion tensor T.
     """
@@ -735,9 +792,10 @@ def parallel_transport(manifold: EmbeddedManifold, path, v: TangentAtPoint,
                        steps: int | None = None) -> TangentAtPoint:
     """Levi-Civita parallel transport of v along a discretized curve.
 
-    ``path`` is an (m, k) array of on-manifold points; v must be tangent at
-    path[0].  The transport preserves the norm exactly (renormalized) and
-    inner products to integration accuracy.
+    ``path`` is an (m, k) array of on-manifold points with m >= 4 (the
+    not-a-knot path spline needs four samples; fewer raise ValueError); v
+    must be tangent at path[0].  The transport preserves the norm exactly
+    (renormalized) and inner products to integration accuracy.
     """
     path = np.asarray(path, dtype=np.float64)
     manifold.require_on_manifold(path[0])

@@ -1,9 +1,14 @@
 """The experiment runner: config handling, exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loopspace_lab
 from loopspace_lab.cli import load_config, main, run_suite
 from loopspace_lab.errors import ConfigInvalid, UnknownSuite
 from loopspace_lab.suites import SUITES, ExperimentConfig
@@ -179,3 +184,27 @@ def test_sweep_ends_with_an_honest_outcome(tmp_path, suite, manifold, resolution
     if code == 1:
         data = json.loads((tmp_path / f"{suite}-0.json").read_text())
         assert data["all_pass"] is False
+
+
+NUMPY_ONLY_RUN = """
+import sys
+import loopspace_lab.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"import loopspace_lab.cli loaded {loaded}")
+sys.modules["scipy"] = None  # from here on every scipy import fails
+sys.exit(loopspace_lab.cli.main(["run", "--suite", "transport-pointwise",
+                                 "--resolution", "32", "--seed", "0",
+                                 "--out", sys.argv[1], "--quiet"]))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # a fresh interpreter, so that no scipy module loaded by the tests is reused
+    src = str(Path(loopspace_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "transport-pointwise-0.json").read_text())["all_pass"]

@@ -7,6 +7,7 @@ closed-form maps, and the closed forms against independently coded oracles
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from loopspace_lab.errors import (
     IntegrationDiverged,
@@ -322,6 +323,37 @@ class TestParallelTransport:
         v = TangentAtPoint(SPHERE, path[0], np.array([0.0, 1.0, 0.0]))
         with pytest.raises(IntegrationDiverged):
             parallel_transport(SPHERE, path, v)
+
+
+class TestPathSpline:
+    """The in-repo not-a-knot path spline against scipy's ``CubicSpline``,
+    whose default end condition is not-a-knot, on random batched data."""
+
+    @pytest.mark.parametrize("grid", ["uniform", "graded"])
+    @pytest.mark.parametrize("n", [4, 5, 17, 129, 201])
+    def test_matches_scipy_cubic_spline(self, n, grid):
+        rng = np.random.default_rng(n)
+        if grid == "uniform":
+            s_grid = np.linspace(0.0, 1.0, n)
+        else:  # unequal spacings tell the lower diagonal from the upper one
+            s_grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+        points = rng.standard_normal((n, 5, 64, 4))
+        s0, s1 = s_grid[0], s_grid[-1]
+        # one ulp past s1 is where RK4's `t += h` can land; both extrapolate
+        s = np.concatenate([rng.uniform(s0, s1, 20), [s0, s1, np.nextafter(s1, np.inf)]])
+        ours = manifolds._path_spline(s_grid, points)
+        oracle = CubicSpline(s_grid, points, axis=0)
+        for fit, ref, tol in ((ours, oracle, 1e-13),
+                              (ours.derivative(), oracle.derivative(), 1e-10)):
+            assert np.max(np.abs(np.stack([fit(si) for si in s]) - ref(s))) <= tol
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_short_grids_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            manifolds._path_spline(np.linspace(0.0, 1.0, n), np.zeros((n, 3)))
+        path = np.stack([np.zeros(n), np.zeros(n), np.ones(n)], axis=-1)
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            parallel_transport(SPHERE, path, TangentAtPoint(SPHERE, path[0], [1.0, 0.0, 0.0]))
 
 
 class TestTorusAngleOracle:

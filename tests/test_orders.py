@@ -1,35 +1,93 @@
-"""Convergence orders: each RK4 residual must shrink at the method's order.
+"""Convergence orders: each discretization error must shrink at its method's order.
 
-A check at one step count shows that the error is small there, not that it
-comes from the claimed method; a wrong stage weight can still pass at 200
-steps.  Here the ``pointwise-oracle`` residual of a suite is measured at
-three step counts and the log-log slope of residual against step count is
-bounded below (classical RK4 is order 4; Hairer, Norsett and Wanner,
-Solving Ordinary Differential Equations I, 2nd ed., 1993, sec. II.4).
+A check at one setting shows that the error is small there, not that it
+comes from the claimed method; a wrong RK4 stage weight or spline end
+condition can still pass at 200 steps.  Here each error is measured at three
+refinements h = 1/r and the least-squares slope p of log(error) against
+log(h) is bounded below:
+
+* RK4 is order 4 (Hairer, Norsett and Wanner, Solving Ordinary Differential
+  Equations I, 2nd ed., 1993, sec. II.4); the geodesic energy drift is
+  measured at order 5 and bounded as RK4;
+* the not-a-knot cubic path spline is O(h^4) in value and O(h^3) in slope
+  (de Boor, A Practical Guide to Splines, rev. ed., 2001, ch. IV);
+* ``covderiv-adjoint`` differentiates along the path grid by central
+  differences, order 2;
+* ``away-from-pole`` is the largest jump of the lifted loop between
+  neighbouring nodes, O(1/N) for a continuous lift.
+
+ORDERS also records the fitted constant C of C * h**p, so that a minimum
+setting can be read off for a tolerance; a fit more than a factor 2 away
+from its recorded C fails, so the table cannot go stale.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
+from loopspace_lab import manifolds
 from loopspace_lab.suites import SUITES, ExperimentConfig
 
-STEPS = (32, 64, 128)
-RK4_MIN_ORDER = 3.5  # measured 3.9-4.0 on sphere2 at N = 32, seed 0
+#: identity: (minimum order, fitted C, fitted p); the suites run on sphere2 at
+#: seed 0, with N = 32 unless N is the refinement.
+ORDERS = {
+    "geodesic-pointwise/pointwise-oracle": (3.5, 0.0299, 3.97),
+    "geodesic-pointwise/energy": (3.5, 0.0183, 4.96),
+    "transport-pointwise/pointwise-oracle": (3.5, 0.109, 3.95),
+    "covderiv-adjoint/connector-vs-transport": (1.8, 0.0991, 2.00),
+    "covderiv-adjoint/metric-compat": (1.8, 0.00229, 2.00),
+    "exp-nonsurjective/away-from-pole": (0.9, 11.9, 1.00),
+    "path-spline/value": (3.5, 2.60, 3.99),
+    "path-spline/derivative": (2.5, 16.6, 2.99),
+}
+REFINEMENTS = (32, 64, 128)  # ode steps = path grid, or N for exp-nonsurjective
+SPLINE_GRIDS = (16, 32, 64)
 
 
-def observed_order(suite: str, check_id: str) -> float:
-    """Least-squares slope of -log(residual) against log(steps)."""
-    residuals = []
-    for steps in STEPS:
-        cfg = ExperimentConfig(suite=suite, manifold="sphere2", resolution=32,
-                               ode_steps=steps, path_grid=steps, seed=0).validated()
-        records = SUITES[suite](cfg, np.random.default_rng(cfg.seed))
-        residuals.append(next(r.residual for r in records if r.check_id == check_id))
-    slope = np.polyfit(np.log(STEPS), np.log(residuals), 1)[0]
-    return -float(slope)
+def assert_order(identity: str, refinements, errors) -> None:
+    min_order, c, _ = ORDERS[identity]
+    p, log_c = np.polyfit(-np.log(refinements), np.log(errors), 1)
+    assert p >= min_order, f"{identity}: observed order {p:.2f}"
+    assert c / 2 <= np.exp(log_c) <= 2 * c, f"{identity}: fitted C {np.exp(log_c):.3g}"
 
 
-@pytest.mark.parametrize("suite", ["geodesic-pointwise", "transport-pointwise"])
-def test_rk4_pointwise_oracle_order(suite):
-    order = observed_order(suite, "pointwise-oracle")
-    assert order >= RK4_MIN_ORDER, f"{suite}: observed order {order:.2f}"
+@functools.lru_cache(maxsize=None)
+def suite_residuals(suite: str, refinement: int) -> dict:
+    if suite == "exp-nonsurjective":
+        settings = dict(resolution=refinement)
+    else:
+        settings = dict(resolution=32, ode_steps=refinement, path_grid=refinement)
+    cfg = ExperimentConfig(suite=suite, manifold="sphere2", seed=0, **settings).validated()
+    return {r.check_id: r.residual for r in SUITES[suite](cfg, np.random.default_rng(cfg.seed))}
+
+
+@pytest.mark.parametrize("identity", [k for k in ORDERS if not k.startswith("path-spline/")])
+def test_suite_order(identity):
+    suite, check_id = identity.split("/")
+    assert_order(identity, REFINEMENTS,
+                 [suite_residuals(suite, r)[check_id] for r in REFINEMENTS])
+
+
+@pytest.mark.parametrize("kind", ["value", "derivative"])
+def test_path_spline_order(kind):
+    """The path spline through a half great circle of S^2, against the circle."""
+    north = np.array([0.0, 0.0, 1.0])
+    east = np.array([1.0, 2.0, 0.0]) / np.sqrt(5.0)
+
+    def circle(s, derivative):
+        th = np.pi * s[:, None]
+        if derivative:
+            return np.pi * (np.cos(th) * east - np.sin(th) * north)
+        return np.cos(th) * north + np.sin(th) * east
+
+    s = np.linspace(0.0, 1.0, 1001)
+    errors = []
+    for grid in SPLINE_GRIDS:
+        knots = np.linspace(0.0, 1.0, grid + 1)
+        spline = manifolds._path_spline(knots, circle(knots, False))
+        if kind == "derivative":
+            spline = spline.derivative()
+        fitted = np.stack([spline(si) for si in s])
+        errors.append(np.max(np.abs(fitted - circle(s, kind == "derivative"))))
+    assert_order(f"path-spline/{kind}", SPLINE_GRIDS, errors)
