@@ -62,11 +62,21 @@ def suite_residuals(suite: str, refinement: int) -> dict:
     return {r.check_id: r.residual for r in SUITES[suite](cfg, np.random.default_rng(cfg.seed))}
 
 
-@pytest.mark.parametrize("identity", [k for k in ORDERS if not k.startswith("path-spline/")])
-def test_suite_order(identity):
+def assert_suite_order(identity: str) -> None:
     suite, check_id = identity.split("/")
     assert_order(identity, REFINEMENTS,
                  [suite_residuals(suite, r)[check_id] for r in REFINEMENTS])
+
+
+@pytest.mark.parametrize("suite", ["geodesic-pointwise", "transport-pointwise"])
+def test_rk4_pointwise_oracle_order(suite):
+    assert_suite_order(f"{suite}/pointwise-oracle")
+
+
+@pytest.mark.parametrize("identity", [k for k in ORDERS if not k.startswith("path-spline/")
+                                      and not k.endswith("/pointwise-oracle")])
+def test_suite_order(identity):
+    assert_suite_order(identity)
 
 
 @pytest.mark.parametrize("kind", ["value", "derivative"])
