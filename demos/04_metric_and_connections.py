@@ -31,13 +31,13 @@ nu = random_section(rng, sphere, alpha, scale=0.5)
 path = loop_geodesic(conn, alpha, nu, time=1.0, steps=200)
 oracle = sphere.exp(alpha.samples, nu.vectors)
 print("geodesic endpoint vs pointwise oracle:",
-      np.max(np.abs(path.loops[-1].samples - oracle)))
+      np.max(np.abs(path.values[-1] - oracle)))
 
 # transport along the path preserves the L^2 metric
 sigma = random_section(rng, sphere, alpha)
 moved = loop_parallel_transport(conn, path, sigma)
 print("L^2 norm before/after transport:",
-      l2_inner(alpha, sigma, sigma), l2_inner(path.loops[-1], moved, moved))
+      l2_inner(alpha, sigma, sigma), l2_inner(moved.base, moved, moved))
 
 # a flat connection with prescribed torsion: the loop of the cross product
 flat = Flat(3)

@@ -21,7 +21,7 @@ from .errors import (
     NotPointwiseLinear,
     SingularFrame,
 )
-from .loops import SampledLoop, rotate
+from .loops import MIN_RESOLUTION, SampledLoop, _is_power_of_two, rotate
 from .manifolds import (
     EmbeddedManifold,
     Flat,
@@ -42,38 +42,32 @@ FRAME_PROBES = 100
 @dataclass(frozen=True)
 class LoopPath:
     """A discretized path [0, 1] -> LM, stored as its adjoint on a
-    (time x circle) grid: one loop per time node."""
+    (time x circle) grid: ``values[i]`` is the loop at time ``s_grid[i]``,
+    a (T+1, N, k) array."""
 
     manifold: EmbeddedManifold
     s_grid: np.ndarray
-    loops: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=np.float64)
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
         object.__setattr__(self, "s_grid", s)
-        object.__setattr__(self, "loops", tuple(self.loops))
-        if len(self.loops) != len(s) or len(s) < 2:
+        object.__setattr__(self, "values", v)
+        if s.ndim != 1 or len(s) < 2 or v.ndim != 3 or len(v) != len(s):
             raise ValueError("need one loop per time node, at least two")
         if np.any(np.diff(s) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        res = {loop.resolution for loop in self.loops}
-        if len(res) != 1:
-            raise ValueError("all loops on a path must share one resolution")
-        for loop in self.loops:
-            self.manifold.require_on_manifold(loop.samples)
+        if not _is_power_of_two(v.shape[1]) or v.shape[1] < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be a power of two >= {MIN_RESOLUTION}")
+        # checked on its own: Flat's constraint residual is 0 on NaN
+        if not np.all(np.isfinite(v)):
+            raise ValueError("path samples must be finite")
+        self.manifold.require_on_manifold(v)
 
     @property
     def grid_size(self) -> int:
         return len(self.s_grid) - 1
-
-    @property
-    def resolution(self) -> int:
-        return self.loops[0].resolution
-
-    @property
-    def values(self) -> np.ndarray:
-        """All samples as a (T+1, N, k) array."""
-        return np.stack([loop.samples for loop in self.loops])
 
 
 @dataclass(frozen=True)
@@ -120,16 +114,21 @@ class ConnectionSpec:
 
 # -- the weak Riemannian L^2 metric ---------------------------------------------
 
-def l2_inner(alpha: SampledLoop, beta: TangentSection, gamma: TangentSection) -> float:
-    """The L^2 inner product of two sections along alpha.
+def l2_pairing(b: np.ndarray, c: np.ndarray):
+    """The L^2 pairing of two (..., N, k) arrays of vectors over N circle
+    nodes, batched over any leading axes.
 
     Uniform-node quadrature of the pointwise inner product; for periodic
     integrands this is spectrally accurate.
     """
+    return np.sum(b * c, axis=(-2, -1)) / b.shape[-2]
+
+
+def l2_inner(alpha: SampledLoop, beta: TangentSection, gamma: TangentSection) -> float:
+    """The L^2 inner product of two sections along alpha."""
     require_based(beta, alpha)
     require_based(gamma, beta.base)
-    n = alpha.resolution
-    return float(np.sum(beta.vectors * gamma.vectors) / n)
+    return float(l2_pairing(beta.vectors, gamma.vectors))
 
 
 # -- covariant differentiation ---------------------------------------------------
@@ -144,26 +143,25 @@ def _time_derivative(values: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def cov_deriv_along_path(conn: ConnectionSpec, path: LoopPath, sections) -> list:
-    """Covariant derivative of a section field along a path of loops.
+def cov_deriv_along_path(conn: ConnectionSpec, path: LoopPath, field) -> np.ndarray:
+    """Covariant derivative of a vector field along a path of loops.
 
-    ``sections[i]`` must be based at ``path.loops[i]``.  At each time node
-    the connector is applied to the time derivative of the adjoint data,
-    which realizes the looped covariant derivative node by node.
+    ``field`` has the shape of ``path.values``, and ``field[i, j]`` is
+    tangent at ``path.values[i, j]``; so is the result.  The connector is
+    applied to the time derivative of the adjoint data over the whole
+    (time x circle) grid, which realizes the looped covariant derivative
+    node by node.
     """
     if path.grid_size < 4:
         raise GridTooCoarse("need a path grid with at least 4 steps")
-    if len(sections) != len(path.loops):
-        raise ValueError("need one section per path time node")
-    for sec, loop in zip(sections, path.loops):
-        require_based(sec, loop)
-    values = np.stack([sec.vectors for sec in sections])
-    dvalues = _time_derivative(values, path.s_grid)
-    xdot = _time_derivative(path.values, path.s_grid)
-    out = []
-    for i, loop in enumerate(path.loops):
-        vec = conn.connector(loop.samples, values[i], xdot[i], dvalues[i])
-        out.append(TangentSection(conn.manifold, loop, vec))
+    field = np.asarray(field, dtype=np.float64)
+    if field.shape != path.values.shape:
+        raise ValueError("need one tangent vector per path sample")
+    conn.manifold.require_tangent(path.values, field)
+    out = conn.connector(path.values, field,
+                         _time_derivative(path.values, path.s_grid),
+                         _time_derivative(field, path.s_grid))
+    conn.manifold.require_tangent(path.values, out)
     return out
 
 
@@ -181,19 +179,18 @@ def loop_geodesic(conn: ConnectionSpec, alpha: SampledLoop, nu: TangentSection,
     require_based(nu, alpha)
     traj = integrate_geodesic(conn.manifold, alpha.samples, nu.vectors,
                               time=time, steps=steps, record=True)
-    loops = tuple(SampledLoop(x) for x in traj)
-    return LoopPath(conn.manifold, np.linspace(0.0, time, steps + 1), loops)
+    return LoopPath(conn.manifold, np.linspace(0.0, time, steps + 1), traj)
 
 
 def loop_parallel_transport(conn: ConnectionSpec, path: LoopPath,
                             sigma: TangentSection,
                             steps: int | None = None) -> TangentSection:
     """Parallel transport in LM along a path: nodewise manifold transport."""
-    require_based(sigma, path.loops[0])
+    require_based(sigma, SampledLoop(path.values[0]))
     out = integrate_transport(conn.manifold, path.s_grid, path.values,
                               sigma.vectors, steps=steps,
                               torsion=conn.torsion)
-    return TangentSection(conn.manifold, path.loops[-1], out)
+    return TangentSection(conn.manifold, SampledLoop(path.values[-1]), out)
 
 
 def torsion(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
@@ -370,15 +367,14 @@ def matrix_loop_from_dict(data: dict) -> MatrixLoop:
 
 
 def path_to_dict(path: LoopPath) -> dict:
-    first = path.loops[0]
-    return {"dim": first.dim, "n": first.resolution,
+    _, n, dim = path.values.shape
+    return {"dim": dim, "n": n,
             "manifold": path.manifold.kind,
             "s_grid": path.s_grid.tolist(),
-            "path": [loop.samples.tolist() for loop in path.loops]}
+            "path": path.values.tolist()}
 
 
 def path_from_dict(data: dict) -> LoopPath:
     from .manifolds import manifold_from_tag
     manifold = manifold_from_tag(data["manifold"])
-    loops = tuple(SampledLoop(np.asarray(x, dtype=np.float64)) for x in data["path"])
-    return LoopPath(manifold, np.asarray(data["s_grid"], dtype=np.float64), loops)
+    return LoopPath(manifold, data["s_grid"], data["path"])

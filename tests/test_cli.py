@@ -52,6 +52,22 @@ class TestConfig:
             load_config(str(cfg_file), {})
 
 
+@pytest.mark.parametrize("bad", [
+    ["--seed", "-1"], ["--tol", "inf"], ["--tol", "nan"],
+    {"resolution": 128.0}, {"seed": "abc"}, {"manifold": 5}, {"samples": "10"},
+    {"ode_steps": "200"}, {"out_dir": 5}, {"suite": ["metric"]}, {"path_grid": 16.5},
+], ids=lambda bad: " ".join(bad) if isinstance(bad, list) else json.dumps(bad))
+def test_malformed_value_exits_3_without_a_report(tmp_path, monkeypatch, bad):
+    flags, values = (bad, {}) if isinstance(bad, list) else ([], bad)
+    # a relative out_dir such as 5 would be written under the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "metric", "resolution": 32, "samples": 2,
+                               "out_dir": "out", **values}))
+    assert main(["run", "--config", str(cfg), *flags, "--quiet"]) == 3
+    assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
 class TestRunSuite:
     def test_report_files_written(self, tmp_path):
         cfg = fast_config("metric", tmp_path)

@@ -10,6 +10,7 @@ from loopspace_lab.errors import (
     BaseMismatch,
     GridTooCoarse,
     NotPointwiseLinear,
+    OffManifold,
     SingularFrame,
 )
 from loopspace_lab.geometry import (
@@ -22,6 +23,7 @@ from loopspace_lab.geometry import (
     exp_nonsurjectivity_witness,
     frame_from_module_map,
     l2_inner,
+    l2_pairing,
     loop_geodesic,
     loop_parallel_transport,
     matrix_loop_from_dict,
@@ -66,6 +68,17 @@ class TestL2Inner:
         c = random_section(np.random.default_rng(2), flat, base)
         assert l2_inner(base, b, c) == l2_inner(base, c, b)
 
+    def test_batched_pairing_is_the_inner_product_per_loop(self):
+        # the stack's pairing must be bit for bit l2_inner, loop by loop
+        rng = np.random.default_rng(4)
+        flat = Flat(3)
+        b, c = rng.normal(size=(2, 9, 64, 3))
+        batched = l2_pairing(b, c)
+        for i in range(9):
+            base = SampledLoop(np.zeros((64, 3)))
+            bi, ci = TangentSection(flat, base, b[i]), TangentSection(flat, base, c[i])
+            assert batched[i] == l2_inner(base, bi, ci)
+
     def test_base_mismatch(self):
         flat = Flat(2)
         a = SampledLoop.constant(np.zeros(2), 64)
@@ -97,6 +110,41 @@ class TestL2Inner:
             assert abs(l2_inner(base, rb, rc) - l2_inner(base, b, c)) < 1e-9
 
 
+class TestLoopPath:
+    S = np.linspace(0, 1, 5)
+
+    def test_accepts_a_path_on_the_manifold(self):
+        values = np.broadcast_to(unit_circle_loop(16).samples, (5, 16, 3))
+        path = LoopPath(SPHERE, self.S, values)
+        assert path.grid_size == 4 and path.values.shape == (5, 16, 3)
+
+    @pytest.mark.parametrize("s_grid", [[0, 0.25, 0.25, 0.75, 1], [0, 0.5, 0.25, 0.75, 1]])
+    def test_rejects_a_non_increasing_grid(self, s_grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LoopPath(Flat(2), s_grid, np.zeros((5, 16, 2)))
+
+    def test_rejects_a_length_mismatch(self):
+        with pytest.raises(ValueError, match="one loop per time node"):
+            LoopPath(Flat(2), self.S, np.zeros((4, 16, 2)))
+
+    def test_rejects_a_resolution_that_is_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            LoopPath(Flat(2), self.S, np.zeros((5, 12, 2)))
+
+    def test_rejects_a_nan_sample_on_flat_space(self):
+        # Flat's constraint residual is 0 on NaN, so finiteness is its own check
+        values = np.zeros((5, 16, 2))
+        values[3, 7, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            LoopPath(Flat(2), self.S, values)
+
+    def test_rejects_an_off_sphere_loop(self):
+        values = np.tile(unit_circle_loop(16).samples, (5, 1, 1))
+        values[2] *= 1.01
+        with pytest.raises(OffManifold):
+            LoopPath(SPHERE, self.S, values)
+
+
 class TestCovDeriv:
     def make_flat_path(self, n=64, grid=32):
         flat = Flat(3)
@@ -104,34 +152,56 @@ class TestCovDeriv:
         a = random_bandlimited_loop(rng, 3, n)
         b = random_section(rng, flat, a)
         s = np.linspace(0, 1, grid + 1)
-        lps = tuple(SampledLoop(a.samples + si * b.vectors) for si in s)
-        return flat, LoopPath(flat, s, lps)
+        return flat, LoopPath(flat, s, a.samples + s[:, None, None] * b.vectors)
 
     def test_constant_field_kills(self):
         flat, path = self.make_flat_path()
-        c = random_section(np.random.default_rng(5), flat, path.loops[0])
-        field = [TangentSection(flat, lp, c.vectors) for lp in path.loops]
+        c = random_section(np.random.default_rng(5), flat, SampledLoop(path.values[0]))
+        field = np.broadcast_to(c.vectors, path.values.shape)
         out = cov_deriv_along_path(ConnectionSpec(flat), path, field)
-        assert max(float(np.max(np.abs(d.vectors))) for d in out) < 1e-10
+        assert out.shape == path.values.shape
+        assert np.max(np.abs(out)) < 1e-10
 
     def test_linear_ramp_product_rule(self):
         flat, path = self.make_flat_path()
-        c = random_section(np.random.default_rng(6), flat, path.loops[0])
-        s = path.s_grid
-        field = [TangentSection(flat, lp, (2.0 + 3.0 * si) * c.vectors)
-                 for si, lp in zip(s, path.loops)]
+        c = random_section(np.random.default_rng(6), flat, SampledLoop(path.values[0]))
+        field = (2.0 + 3.0 * path.s_grid[:, None, None]) * c.vectors
         out = cov_deriv_along_path(ConnectionSpec(flat), path, field)
-        for d in out:  # central differences are exact on linear data
-            assert np.max(np.abs(d.vectors - 3.0 * c.vectors)) < 1e-9
+        # central differences are exact on linear data
+        assert np.max(np.abs(out - 3.0 * c.vectors)) < 1e-9
 
     def test_grid_too_coarse(self):
         flat = Flat(2)
-        a = SampledLoop.constant(np.zeros(2), 64)
-        s = np.linspace(0, 1, 3)
-        path = LoopPath(flat, s, tuple([a] * 3))
-        field = [zero_section(flat, a)] * 3
+        path = LoopPath(flat, np.linspace(0, 1, 3), np.zeros((3, 64, 2)))
         with pytest.raises(GridTooCoarse):
-            cov_deriv_along_path(ConnectionSpec(flat), path, field)
+            cov_deriv_along_path(ConnectionSpec(flat), path, np.zeros((3, 64, 2)))
+
+    def test_field_of_the_wrong_shape(self):
+        flat, path = self.make_flat_path()
+        with pytest.raises(ValueError, match="one tangent vector per path sample"):
+            cov_deriv_along_path(ConnectionSpec(flat), path, path.values[:-1])
+
+    def test_field_not_tangent(self):
+        s = np.linspace(0, 1, 9)
+        alpha = unit_circle_loop(64)
+        path = LoopPath(SPHERE, s, np.broadcast_to(alpha.samples, (9, 64, 3)))
+        # the radial field is normal to the sphere everywhere
+        with pytest.raises(ValueError, match="not tangent"):
+            cov_deriv_along_path(ConnectionSpec(SPHERE), path, path.values)
+
+    def test_result_must_be_tangent(self):
+        class Unprojected(ConnectionSpec):
+            # the ambient derivative: not tangent where a field turns with the sphere
+            def connector(self, p, e, pdot, edot):
+                return np.asarray(edot, dtype=np.float64)
+
+        s = np.linspace(0, 1, 9)
+        ang = np.pi / 2 * s[:, None, None] * np.ones((1, 16, 1))
+        values = np.concatenate([np.sin(ang), 0 * ang, np.cos(ang)], axis=-1)
+        velocity = np.concatenate([np.cos(ang), 0 * ang, -np.sin(ang)], axis=-1)
+        path = LoopPath(SPHERE, s, values)
+        with pytest.raises(ValueError, match="not tangent"):
+            cov_deriv_along_path(Unprojected(SPHERE), path, velocity)
 
     def test_metric_compatibility_on_sphere(self):
         rng = np.random.default_rng(7)
@@ -140,30 +210,30 @@ class TestCovDeriv:
         nu = random_section(rng, SPHERE, alpha, scale=0.2)
         grid = 128
         s = np.linspace(0, 1, grid + 1)
-        lps = tuple(SampledLoop(SPHERE.exp(alpha.samples, si * nu.vectors))
-                    for si in s)
-        path = LoopPath(SPHERE, s, lps)
+        path = LoopPath(SPHERE, s, SPHERE.exp(alpha.samples,
+                                              s[:, None, None] * nu.vectors))
         w1 = random_section(rng, SPHERE, alpha, scale=0.1)
         w2 = random_section(rng, SPHERE, alpha, scale=0.1)
 
         def field(seed):
-            out = []
-            for si, lp in zip(s, path.loops):
-                vec = SPHERE.project_tangent_vector(
-                    lp.samples, (1 + 0.1 * np.sin(np.pi * si)) * seed.vectors)
-                out.append(TangentSection(SPHERE, lp, vec))
-            return out
+            return SPHERE.project_tangent_vector(
+                path.values, (1 + 0.1 * np.sin(np.pi * s[:, None, None])) * seed.vectors)
+
+        def sections(vectors):
+            return [TangentSection(SPHERE, SampledLoop(x), v)
+                    for x, v in zip(path.values, vectors)]
 
         f1, f2 = field(w1), field(w2)
-        d1 = cov_deriv_along_path(conn, path, f1)
-        d2 = cov_deriv_along_path(conn, path, f2)
-        inner = np.array([l2_inner(path.loops[i], f1[i], f2[i])
+        d1 = sections(cov_deriv_along_path(conn, path, f1))
+        d2 = sections(cov_deriv_along_path(conn, path, f2))
+        f1, f2 = sections(f1), sections(f2)
+        inner = np.array([l2_inner(f1[i].base, f1[i], f2[i])
                           for i in range(grid + 1)])
         h = s[1] - s[0]
         for i in range(1, grid):
             lhs = (inner[i + 1] - inner[i - 1]) / (2 * h)
-            rhs = l2_inner(path.loops[i], d1[i], f2[i]) + \
-                l2_inner(path.loops[i], f1[i], d2[i])
+            rhs = l2_inner(f1[i].base, d1[i], f2[i]) + \
+                l2_inner(f1[i].base, f1[i], d2[i])
             assert abs(lhs - rhs) < 1e-5
 
 
@@ -173,15 +243,15 @@ class TestLoopGeodesic:
         a = random_bandlimited_loop(np.random.default_rng(8), 2, 64)
         b = random_section(np.random.default_rng(9), flat, a)
         path = loop_geodesic(ConnectionSpec(flat), a, b, 1.0, 16)
-        for si, lp in zip(path.s_grid, path.loops):
-            assert np.max(np.abs(lp.samples - (a.samples + si * b.vectors))) < 1e-12
+        for si, x in zip(path.s_grid, path.values):
+            assert np.max(np.abs(x - (a.samples + si * b.vectors))) < 1e-12
 
     def test_constant_loops_follow_the_point_geodesic(self):
         alpha = SampledLoop.constant(NORTH, 64)
         nu = TangentSection(SPHERE, alpha,
                             np.tile([np.pi / 2, 0.0, 0.0], (64, 1)))
         path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
-        assert np.max(np.abs(path.loops[-1].samples - [1.0, 0.0, 0.0])) < 1e-8
+        assert np.max(np.abs(path.values[-1] - [1.0, 0.0, 0.0])) < 1e-8
 
     def test_pointwise_oracle(self):
         rng = np.random.default_rng(10)
@@ -191,7 +261,7 @@ class TestLoopGeodesic:
         for idx in (50, 200):
             s = path.s_grid[idx]
             oracle = SPHERE.exp(alpha.samples, s * nu.vectors)
-            assert np.max(np.abs(path.loops[idx].samples - oracle)) < 1e-7
+            assert np.max(np.abs(path.values[idx] - oracle)) < 1e-7
 
     def test_energy_constant(self):
         rng = np.random.default_rng(11)
@@ -230,7 +300,7 @@ class TestLoopTransport:
         path = loop_geodesic(ConnectionSpec(SPHERE), alpha, nu, 1.0, 200)
         sigma = random_section(rng, SPHERE, alpha)
         out = loop_parallel_transport(ConnectionSpec(SPHERE), path, sigma)
-        assert abs(l2_inner(path.loops[-1], out, out)
+        assert abs(l2_inner(out.base, out, out)
                    - l2_inner(alpha, sigma, sigma)) < 1e-7
 
     def test_transport_commutes_with_evaluation(self):
@@ -445,5 +515,4 @@ class TestSerialization:
         path = loop_geodesic(ConnectionSpec(flat), a, b, 1.0, 8)
         again = path_from_dict(path_to_dict(path))
         assert np.array_equal(again.s_grid, path.s_grid)
-        assert all(np.array_equal(x.samples, y.samples)
-                   for x, y in zip(again.loops, path.loops))
+        assert np.array_equal(again.values, path.values)

@@ -24,6 +24,15 @@ def test_track_propagates_nan():
     assert not out.records[0].passed
 
 
+def test_add_reduces_a_difference_and_propagates_nan():
+    out = Checks()
+    out.add("c", "anchor", 3.0, np.array([0.5, -2.0]))
+    out.add("d", "anchor", 1.0, np.array([0.0, np.nan, -0.5]))
+    assert out.records[0].residual == 2.0 and out.records[0].passed
+    assert np.isnan(out.records[1].residual)
+    assert not out.records[1].passed
+
+
 def test_nan_trial_fails_chart_roundtrip(monkeypatch):
     # one NaN node on the 2nd of 5 trials must not drop out of psi-roundtrip
     real_inverse = charts.chart_inverse

@@ -6,9 +6,10 @@ Each argument is a directory that holds the ``loopspace_lab`` package (the
 ``src/`` directory of a checkout).  For every suite and every entry of RUNS,
 ``loopspace-lab run --seed 7`` runs once against each tree, in a fresh
 interpreter with that tree on ``PYTHONPATH``, writing into a temporary
-directory.  RUNS holds the default resolution on each of three manifolds and
+directory.  RUNS holds the default resolution on each of three manifolds,
 then torus2 at N = 1024, the size of the ``battery-n1024-torus2`` benchmark
-workload, where the integrators see large arrays: 64 runs per tree.  Every
+workload, where the integrators see large arrays, and last sphere2 at a
+path grid and a step count away from their defaults: 80 runs per tree.  Every
 ``.json`` and ``.csv`` report that differs, or exists for one tree only, is
 printed, and so is every run that wrote no report.  The exit code is 1 if
 any report differs or any run wrote none, 0 otherwise.
@@ -27,7 +28,9 @@ from pathlib import Path
 RUNS = (("sphere2", ("--manifold", "sphere2")),
         ("torus2", ("--manifold", "torus2")),
         ("flat:3", ("--manifold", "flat:3")),
-        ("torus2-n1024", ("--manifold", "torus2", "--resolution", "1024")))
+        ("torus2-n1024", ("--manifold", "torus2", "--resolution", "1024")),
+        ("sphere2-grid48-steps64", ("--manifold", "sphere2", "--path-grid", "48",
+                                    "--ode-steps", "64")))
 SEED = "7"
 CLI = "import sys; from loopspace_lab.cli import main; sys.exit(main(sys.argv[1:]))"
 
