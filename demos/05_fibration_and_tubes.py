@@ -26,10 +26,9 @@ n = 128
 # a loop near the north pole, split into (based loop, base point)
 seed = random_section(rng, sphere, SampledLoop.constant(north, n), scale=0.25)
 gamma = SampledLoop(sphere.exp(np.tile(north, (n, 1)), seed.vectors))
-chart = sphere.patch_chart(north)
-omega, u = based_trivialize(chart, gamma)
+omega, u = based_trivialize(sphere, north, gamma)
 print("omega(0) is the pole:", np.max(np.abs(omega.samples[0] - north)))
-back = based_detrivialize(chart, omega, u)
+back = based_detrivialize(sphere, north, omega, u)
 print("fibration roundtrip residual:",
       np.max(np.abs(back.samples - gamma.samples)))
 

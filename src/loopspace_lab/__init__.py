@@ -27,7 +27,6 @@ from .manifolds import (
     FlatTorus2,
     LocalAdditionSpec,
     Sphere2,
-    SquaredPartition,
     TangentAtPoint,
     exp_map,
     log_by_shooting,

@@ -58,9 +58,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         if k != "out_dir"}
 
 
-def run_suite(cfg: ExperimentConfig, write: bool = True,
-              verbose: bool = False) -> Report:
-    """Execute one suite and (optionally) write the report pair.
+def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
+    """Execute one suite and write the report pair.
 
     Writes ``<out>/<suite>-<seed>.json`` and ``.csv`` plus a ``.meta.json``
     sidecar carrying the wall time, which is kept out of the main report so
@@ -85,22 +84,21 @@ def run_suite(cfg: ExperimentConfig, write: bool = True,
             status = "pass" if c.passed else "FAIL"
             print(f"[{status}] {cfg.suite}/{c.check_id}: "
                   f"residual {c.residual:.3e} <= {c.tolerance:.3e} ({c.anchor})")
-    if write:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = out / f"{cfg.suite}-{cfg.seed}"
-        with open(f"{stem}.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check_id", "anchor", "residual", "tolerance", "pass"])
-            for c in checks:
-                writer.writerow([c.check_id, c.anchor, repr(c.residual),
-                                 repr(c.tolerance), c.passed])
-        with open(f"{stem}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_s": wall}, fh)
-            fh.write("\n")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = out / f"{cfg.suite}-{cfg.seed}"
+    with open(f"{stem}.json", "w", encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    with open(f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["check_id", "anchor", "residual", "tolerance", "pass"])
+        for c in checks:
+            writer.writerow([c.check_id, c.anchor, repr(c.residual),
+                             repr(c.tolerance), c.passed])
+    with open(f"{stem}.meta.json", "w", encoding="utf-8") as fh:
+        json.dump({"wall_time_s": wall}, fh)
+        fh.write("\n")
     return report
 
 

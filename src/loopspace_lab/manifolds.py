@@ -128,27 +128,40 @@ class EmbeddedManifold:
         """A random smooth loop on the manifold with O(1) geometry."""
         raise NotImplementedError
 
-    # -- patches and frames for the tubular constructions ----------------------
+    # -- the patch chart and frames for the tubular constructions -------------
 
-    def patch_chart(self, center) -> "PatchChart":
-        """A coordinate patch about ``center`` for the based fibration."""
+    def chart_coords(self, center, points) -> np.ndarray:
+        """Coordinates (..., n) of points in the patch chart phi about
+        ``center``, with phi(0) = center."""
         raise NotImplementedError
+
+    def chart_point(self, center, coords) -> np.ndarray:
+        """The point phi(coords) of the patch chart about ``center``."""
+        raise NotImplementedError
+
+    def in_chart(self, center, points) -> np.ndarray:
+        """Mask of the points whose chart coordinates about ``center`` are
+        safely below the flow support; induced diffeomorphisms leave every
+        other point fixed.  The base chart keeps every point."""
+        return np.ones(np.shape(points)[:-1], dtype=bool)
 
     def tangent_frame(self, points) -> np.ndarray:
         """A global orthonormal frame of TM, shape (..., k, n)."""
         raise NotImplementedError
 
-    def tangent_partition(self) -> "SquaredPartition":
-        """A squared partition of unity trivializing TM.
+    def tangent_partition(self) -> tuple:
+        """A squared partition of unity trivializing TM: ``(weight, frame)``
+        pairs whose squared weights sum to one.  A weight maps points
+        (..., k) to (...,), and its frame is a smooth orthonormal frame
+        (..., k, n) where the weight is nonzero.
 
         A parallelizable kind needs a single full-weight patch over its
         global frame.
         """
         def weight(points):
-            points = np.asarray(points)
-            return np.ones(points.shape[:-1])
+            return np.ones(np.shape(points)[:-1])
 
-        return SquaredPartition((BundlePatch(weight, self.tangent_frame),))
+        return ((weight, self.tangent_frame),)
 
     def __repr__(self):
         return f"{self.__class__.__name__}()"
@@ -167,8 +180,9 @@ class Flat(EmbeddedManifold):
         self.intrinsic_dim = n
 
     def constraint_residual(self, p):
+        """Zero, or infinite for points with the wrong number of components."""
         p = np.asarray(p)
-        return np.zeros(p.shape[:-1])
+        return np.full(p.shape[:-1], 0.0 if p.shape[-1:] == (self.ambient_dim,) else np.inf)
 
     def project_tangent_vector(self, p, w):
         return np.array(w, dtype=np.float64)
@@ -200,8 +214,11 @@ class Flat(EmbeddedManifold):
     def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
         return random_bandlimited_loop(rng, self.ambient_dim, n, bandwidth=bandwidth)
 
-    def patch_chart(self, center):
-        return FlatChart(self, center)
+    def chart_coords(self, center, points):
+        return np.asarray(points, dtype=np.float64) - np.asarray(center, dtype=np.float64)
+
+    def chart_point(self, center, coords):
+        return np.asarray(coords, dtype=np.float64) + np.asarray(center, dtype=np.float64)
 
     def tangent_frame(self, points):
         eye = np.eye(self.ambient_dim)
@@ -340,8 +357,39 @@ class Sphere2(RoundSpheres):
         clamp = min(1.0, 0.55 / max(spread, 1e-12))
         return SampledLoop(self.project_point(center + clamp * noise.samples))
 
-    def patch_chart(self, center):
-        return SphereStereoChart(self, center)
+    @staticmethod
+    def _stereo_basis(center) -> np.ndarray:
+        """An orthonormal basis (2, 3) of the tangent plane at ``center``."""
+        seed = np.array([1.0, 0.0, 0.0])
+        if abs(center @ seed) > 0.9:
+            seed = np.array([0.0, 1.0, 0.0])
+        e1 = seed - (seed @ center) * center
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(center, e1)
+        return np.stack([e1, e2], axis=0)
+
+    def chart_coords(self, center, points):
+        """Stereographic coordinates about ``center``, projected from its
+        antipode."""
+        center = np.asarray(center, dtype=np.float64)
+        q = np.asarray(points, dtype=np.float64)
+        denom = 1.0 + q @ center
+        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
+        return (q @ self._stereo_basis(center).T) / denom[..., None]
+
+    def chart_point(self, center, coords):
+        center = np.asarray(center, dtype=np.float64)
+        w = np.asarray(coords, dtype=np.float64)
+        r2 = np.sum(w * w, axis=-1, keepdims=True)
+        planar = 2.0 * (w @ self._stereo_basis(center))
+        return (planar + (1.0 - r2) * center) / (1.0 + r2)
+
+    def in_chart(self, center, points):
+        """The stereographic chart covers all but the antipode; points within
+        distance ~2pi/3 of it are masked out, far beyond the flow support
+        radius sqrt(2)."""
+        q = np.asarray(points, dtype=np.float64)
+        return (q @ np.asarray(center, dtype=np.float64)) > -0.5
 
     def tangent_partition(self):
         """The two polar patches with the half-colatitude sine/cosine
@@ -349,18 +397,16 @@ class Sphere2(RoundSpheres):
         north = np.array([0.0, 0.0, 1.0])
 
         def make_patch(pole):
-            chart = self.patch_chart(pole)
+            basis = self._stereo_basis(pole)
 
-            def weight(points, pole=pole):
+            def weight(points):
                 c = np.clip(np.asarray(points, dtype=np.float64) @ pole, -1.0, 1.0)
                 return np.sqrt((1.0 + c) / 2.0)
 
-            def frame(points, chart=chart):
-                q = np.asarray(points, dtype=np.float64)
-                w = chart.to_coords(q)
+            def frame(points):
+                w = self.chart_coords(pole, points)
                 r2 = np.sum(w * w, axis=-1, keepdims=True)
-                basis = chart._basis  # (2, 3)
-                # d(from_coords)/dw_i, normalized by the conformal factor
+                # d(chart_point)/dw_i, normalized by the conformal factor
                 cols = []
                 for i in range(2):
                     wi = w[..., i:i + 1]
@@ -370,9 +416,9 @@ class Sphere2(RoundSpheres):
                     cols.append(grad / np.linalg.norm(grad, axis=-1, keepdims=True))
                 return np.stack(cols, axis=-1)
 
-            return BundlePatch(weight, frame)
+            return weight, frame
 
-        return SquaredPartition((make_patch(north), make_patch(-north)))
+        return make_patch(north), make_patch(-north)
 
 
 class FlatTorus2(RoundSpheres):
@@ -404,8 +450,13 @@ class FlatTorus2(RoundSpheres):
                                         amplitude=wobble)
         return SampledLoop(self.from_angles(base + noise.samples))
 
-    def patch_chart(self, center):
-        return TorusAngleChart(self, center)
+    def chart_coords(self, center, points):
+        """Angle offsets from ``center``, wrapped into [-pi, pi)."""
+        d = self.angles(points) - self.angles(center)
+        return (d + np.pi) % (2 * np.pi) - np.pi
+
+    def chart_point(self, center, coords):
+        return self.from_angles(self.angles(center) + np.asarray(coords, dtype=np.float64))
 
     def tangent_frame(self, points):
         """The parallel frame: column i is the unit tangent of circle i."""
@@ -429,122 +480,7 @@ def manifold_from_tag(tag: str) -> EmbeddedManifold:
     raise ValueError(f"unknown manifold tag {tag!r}")
 
 
-# -- chart patches and squared partitions -------------------------------------
-
-class PatchChart:
-    """A coordinate patch phi : R^n -> U of the manifold with phi(0) = center.
-
-    ``mask`` marks points whose coordinates are safely below the flow
-    support; everything else is left fixed by induced diffeomorphisms.
-    The base mask keeps every point.
-    """
-
-    manifold: EmbeddedManifold
-    center: np.ndarray
-
-    def to_coords(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-    def from_coords(self, coords) -> np.ndarray:
-        raise NotImplementedError
-
-    def mask(self, points) -> np.ndarray:
-        points = np.asarray(points)
-        return np.ones(points.shape[:-1], dtype=bool)
-
-
-class FlatChart(PatchChart):
-    def __init__(self, manifold: Flat, center):
-        self.manifold = manifold
-        self.center = np.asarray(center, dtype=np.float64)
-
-    def to_coords(self, points):
-        return np.asarray(points, dtype=np.float64) - self.center
-
-    def from_coords(self, coords):
-        return np.asarray(coords, dtype=np.float64) + self.center
-
-
-class SphereStereoChart(PatchChart):
-    """Stereographic coordinates about a center point of S^2.
-
-    Projection is from the antipode, so the chart covers everything except
-    it; points within distance ~2pi/3 of the antipode are masked out, far
-    beyond the flow support radius sqrt(2).
-    """
-
-    def __init__(self, manifold: Sphere2, center):
-        self.manifold = manifold
-        self.center = np.asarray(center, dtype=np.float64)
-        manifold.require_on_manifold(self.center)
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(self.center @ seed) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        e1 = seed - (seed @ self.center) * self.center
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(self.center, e1)
-        self._basis = np.stack([e1, e2], axis=0)  # (2, 3)
-
-    def to_coords(self, points):
-        q = np.asarray(points, dtype=np.float64)
-        c = q @ self.center
-        denom = 1.0 + c
-        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-        return (q @ self._basis.T) / denom[..., None]
-
-    def from_coords(self, coords):
-        w = np.asarray(coords, dtype=np.float64)
-        r2 = np.sum(w * w, axis=-1, keepdims=True)
-        planar = 2.0 * (w @ self._basis)
-        return (planar + (1.0 - r2) * self.center) / (1.0 + r2)
-
-    def mask(self, points):
-        q = np.asarray(points, dtype=np.float64)
-        return (q @ self.center) > -0.5
-
-
-class TorusAngleChart(PatchChart):
-    """Wrapped angle offsets about a center point of the flat torus."""
-
-    def __init__(self, manifold: FlatTorus2, center):
-        self.manifold = manifold
-        self.center = np.asarray(center, dtype=np.float64)
-        manifold.require_on_manifold(self.center)
-        self._a0 = manifold.angles(self.center)
-
-    def to_coords(self, points):
-        d = self.manifold.angles(points) - self._a0
-        return (d + np.pi) % (2 * np.pi) - np.pi
-
-    def from_coords(self, coords):
-        return self.manifold.from_angles(self._a0 + np.asarray(coords, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class BundlePatch:
-    """A trivializing patch of the tangent bundle: a weight function and a
-    smooth orthonormal frame on the region where the weight is nonzero."""
-
-    weight: object  # points (..., k) -> (...,)
-    frame: object   # points (..., k) -> (..., k, n)
-
-
-@dataclass(frozen=True)
-class SquaredPartition:
-    """Patches whose squared weights sum to one."""
-
-    patches: tuple
-
-    def validate(self, manifold: EmbeddedManifold, rng) -> float:
-        """Worst |sum of squared weights - 1| over 25 random probe points; a
-        NaN weight makes it NaN, which fails every tolerance."""
-        worst = 0.0
-        for _ in range(25):
-            p = manifold.random_point(rng)
-            total = sum(float(patch.weight(p[None])[0]) ** 2 for patch in self.patches)
-            worst = np.maximum(worst, abs(total - 1.0))
-        return float(worst)
-
+# -- tangent vectors ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TangentAtPoint:

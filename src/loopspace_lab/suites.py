@@ -8,7 +8,7 @@ fixed, so rerunning a configuration reproduces the report byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,15 +42,21 @@ class ExperimentConfig:
     samples: int = 100
 
     def validated(self) -> "ExperimentConfig":
+        """The checked configuration, with the tolerance as a float, so that
+        ``1`` from a config file and ``--tol 1`` echo the same value."""
         for f in fields(self):
             value = getattr(self, f.name)
             # a bool is an int to isinstance, but never a count or a seed
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigInvalid(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.resolution < loops.MIN_RESOLUTION or \
-                (self.resolution & (self.resolution - 1)) != 0:
+                not loops._is_power_of_two(self.resolution):
             raise ConfigInvalid("resolution must be a power of two >= 8")
-        if not 0 < self.oracle_tol < np.inf:
+        try:
+            tolerance = float(self.oracle_tol)
+        except OverflowError:
+            tolerance = np.inf  # an integer beyond the float range
+        if not 0 < tolerance < np.inf:
             raise ConfigInvalid("tolerance must be finite and positive")
         if self.seed < 0:
             raise ConfigInvalid("seed must be non-negative")
@@ -66,7 +72,7 @@ class ExperimentConfig:
             raise ConfigInvalid(str(exc)) from exc
         if self.suite not in SUITES:
             raise UnknownSuite(f"unknown suite {self.suite!r}")
-        return self
+        return replace(self, oracle_tol=tolerance)
 
 
 @dataclass(frozen=True)
@@ -589,16 +595,16 @@ def suite_fibration(cfg: ExperimentConfig, rng) -> list:
     n = cfg.resolution
     for _ in range(max(1, cfg.samples // 10)):
         x = manifold.random_point(rng)
-        chart = manifold.patch_chart(x)
         seed = charts.random_section(
             rng, manifold, loops.SampledLoop.constant(x, n), scale=0.25)
         # keep the base point inside the trivializing patch radius sqrt(lower)
         clamp = min(1.0, 0.9 / max(float(np.linalg.norm(seed.vectors[0])), 1e-12))
         gamma = loops.SampledLoop(
             manifold.exp(np.tile(x, (n, 1)), clamp * seed.vectors))
-        omega, u = tubes.based_trivialize(chart, gamma, steps=cfg.ode_steps)
+        omega, u = tubes.based_trivialize(manifold, x, gamma, steps=cfg.ode_steps)
         out.track("based", omega.samples[0] - x)
-        back = tubes.based_detrivialize(chart, omega, u, steps=cfg.ode_steps)
+        back = tubes.based_detrivialize(manifold, x, omega, u,
+                                          steps=cfg.ode_steps)
         out.track("roundtrip", back.samples - gamma.samples)
         out.track("evaluation", back.samples[0] - u)
     out.add("roundtrip", "trivialize then detrivialize is the identity", 1e-6)
@@ -676,8 +682,11 @@ def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
 
     # partition-of-unity sections
     partition = manifold.tangent_partition()
-    out.add("partition-squares", "the squared weights sum to one", 1e-10,
-            partition.validate(manifold, rng))
+    for _ in range(25):
+        p = manifold.random_point(rng)
+        out.track("partition-squares",
+                  sum(float(weight(p[None])[0]) ** 2 for weight, _ in partition) - 1.0)
+    out.add("partition-squares", "the squared weights sum to one", 1e-10)
     for _ in range(10):
         p = manifold.random_point(rng)
         v = manifolds.random_tangent(manifold, rng, p, 0.5)

@@ -30,7 +30,6 @@ from .loops import SampledLoop
 from .manifolds import (
     EmbeddedManifold,
     LocalAdditionSpec,
-    PatchChart,
     TangentAtPoint,
     _rk4,
     _same_point,
@@ -125,39 +124,46 @@ class FlowDiffeo:
 
 # -- the based fibration --------------------------------------------------------
 
-def _apply_patch_flow(chart: PatchChart, samples: np.ndarray, v: np.ndarray,
-                      steps: int, sign: float) -> np.ndarray:
+def _apply_patch_flow(manifold: EmbeddedManifold, center, samples: np.ndarray,
+                      v: np.ndarray, steps: int, sign: float) -> np.ndarray:
     out = samples.copy()
-    mask = chart.mask(samples)
+    mask = manifold.in_chart(center, samples)
     if np.any(mask):
-        w = chart.to_coords(samples[mask])
+        w = manifold.chart_coords(center, samples[mask])
         moved = _flow_constant_direction(w, v, steps, sign=sign)
-        out[mask] = chart.from_coords(moved)
+        out[mask] = manifold.chart_point(center, moved)
     return out
 
 
-def based_trivialize(chart: PatchChart, gamma: SampledLoop, steps: int = 100):
-    """Split a loop near the fiber at the chart center: gamma -> (omega, u).
+def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
+                     steps: int = 100):
+    """Split a loop near the fiber at ``center``: gamma -> (omega, u).
 
     u = gamma(0); omega is gamma pushed through the inverse of the
-    compactly supported diffeomorphism phi_u that carries the center to u,
-    so omega(0) is the center.  Inverse: :func:`based_detrivialize`.
+    compactly supported diffeomorphism phi_u that carries the center to u
+    in the patch chart of the manifold about the center, so omega(0) is the
+    center.  Inverse: :func:`based_detrivialize`.
     """
+    center = np.asarray(center, dtype=np.float64)
+    manifold.require_on_manifold(center)
     u = gamma.samples[0]
-    v = chart.to_coords(u)
-    if not np.all(chart.mask(u[None])[0]) or not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
+    v = manifold.chart_coords(center, u)
+    if not np.all(manifold.in_chart(center, u[None])[0]) or \
+            not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
         raise OutsidePatch("loop base point outside the trivializing patch")
-    omega = _apply_patch_flow(chart, gamma.samples, v, steps, -1.0)
+    omega = _apply_patch_flow(manifold, center, gamma.samples, v, steps, -1.0)
     return SampledLoop(omega), u
 
 
-def based_detrivialize(chart: PatchChart, omega: SampledLoop, u,
+def based_detrivialize(manifold: EmbeddedManifold, center, omega: SampledLoop, u,
                        steps: int = 100) -> SampledLoop:
     """Inverse of :func:`based_trivialize`: (omega, u) -> phi_u(omega)."""
-    v = chart.to_coords(np.asarray(u, dtype=np.float64))
+    center = np.asarray(center, dtype=np.float64)
+    manifold.require_on_manifold(center)
+    v = manifold.chart_coords(center, np.asarray(u, dtype=np.float64))
     if not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
         raise OutsidePatch("target base point outside the trivializing patch")
-    moved = _apply_patch_flow(chart, omega.samples, v, steps, 1.0)
+    moved = _apply_patch_flow(manifold, center, omega.samples, v, steps, 1.0)
     return SampledLoop(moved)
 
 
@@ -167,25 +173,25 @@ def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint):
     """The global section s(v) with s(v)(base) = v, linear in v.
 
     Returns the map points (..., k) -> (..., k).  Over the squared partition
-    ``manifold.tangent_partition()``, s(v)(x) is the sum over patches of
-    w(p) w(x) F(x) F(p)^T v, with p the base of v, w the patch weight and F
-    its orthonormal frame.
+    ``manifold.tangent_partition()``, s(v)(x) is the sum over its
+    (weight, frame) pairs (w, F) of w(p) w(x) F(x) F(p)^T v, with p the base
+    of v.
     """
     p = v.base[None]
     terms = []
-    for patch in manifold.tangent_partition().patches:
-        wp = float(patch.weight(p)[0])
+    for weight, frame in manifold.tangent_partition():
+        wp = float(weight(p)[0])
         if wp != 0.0:
-            terms.append((patch, wp, np.einsum("kn,k->n", patch.frame(p)[0], v.vector)))
+            terms.append((weight, frame, wp, np.einsum("kn,k->n", frame(p)[0], v.vector)))
 
     def section(points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         single = points.ndim == 1
         pts = points[None] if single else points
         out = np.zeros_like(pts)
-        for patch, wp, coords in terms:
-            wx = patch.weight(pts)
-            fx = patch.frame(pts)
+        for weight, frame, wp, coords in terms:
+            wx = weight(pts)
+            fx = frame(pts)
             out += wp * wx[..., None] * np.einsum("...kn,n->...k", fx, coords)
         return out[0] if single else out
 

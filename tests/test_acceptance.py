@@ -23,8 +23,14 @@ def _records(report):
     return {c.check_id: c for c in report.checks}
 
 
+@pytest.fixture(autouse=True)
+def _reports_in_tmp_path(tmp_path, monkeypatch):
+    # run_suite writes under the default out_dir, relative to the working directory
+    monkeypatch.chdir(tmp_path)
+
+
 def _run(suite, **kw):
-    return run_suite(ExperimentConfig(suite=suite, **kw), write=False)
+    return run_suite(ExperimentConfig(suite=suite, **kw))
 
 
 def test_criterion_01_chart_roundtrip_and_transition_inverse():

@@ -30,7 +30,8 @@ def test_traced_pass_reads_every_counter(tmp_path):
     tracer.install()
     try:
         tracer.begin_pass(0)
-        for suite in ("fibration", "geodesic-pointwise", "polarization-index"):
+        for suite in ("fibration", "tube-lp", "geodesic-pointwise",
+                      "polarization-index"):
             code = cli.main(["run", "--suite", suite, "--resolution", "32",
                              "--seed", "7", "--out", str(tmp_path), "--quiet"])
             assert code == 0, suite

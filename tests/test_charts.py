@@ -21,7 +21,7 @@ from loopspace_lab.charts import (
     vertical_derivative,
     zero_section,
 )
-from loopspace_lab.errors import BaseMismatch, NotInChartDomain, NotInOverlap
+from loopspace_lab.errors import BaseMismatch, NotInChartDomain, NotInOverlap, OffManifold
 from loopspace_lab.loops import SampledLoop, evaluate, random_bandlimited_loop
 from loopspace_lab.manifolds import (
     Flat,
@@ -311,6 +311,10 @@ class TestSectionArithmetic:
         vectors[5, 0] = np.nan
         with pytest.raises(ValueError):
             TangentSection(SPHERE, center, vectors)
+
+    def test_flat_base_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(OffManifold):
+            TangentSection(Flat(2), SampledLoop(np.zeros((16, 3))), np.zeros((16, 3)))
 
     def test_base_mismatch_rejected(self):
         flat = Flat(2)

@@ -56,6 +56,7 @@ class TestConfig:
     ["--seed", "-1"], ["--tol", "inf"], ["--tol", "nan"],
     {"resolution": 128.0}, {"seed": "abc"}, {"manifold": 5}, {"samples": "10"},
     {"ode_steps": "200"}, {"out_dir": 5}, {"suite": ["metric"]}, {"path_grid": 16.5},
+    pytest.param({"oracle_tol": 10 ** 400}, id="oracle_tol beyond the float range"),
 ], ids=lambda bad: " ".join(bad) if isinstance(bad, list) else json.dumps(bad))
 def test_malformed_value_exits_3_without_a_report(tmp_path, monkeypatch, bad):
     flags, values = (bad, {}) if isinstance(bad, list) else ([], bad)
@@ -66,6 +67,18 @@ def test_malformed_value_exits_3_without_a_report(tmp_path, monkeypatch, bad):
                                "out_dir": "out", **values}))
     assert main(["run", "--config", str(cfg), *flags, "--quiet"]) == 3
     assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+
+def test_integer_tolerance_from_file_and_flag_write_one_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "metric", "resolution": 32, "samples": 2,
+                               "oracle_tol": 1, "out_dir": str(tmp_path / "file")}))
+    assert main(["run", "--config", str(cfg), "--quiet"]) == 0
+    assert main(["run", "--suite", "metric", "--resolution", "32", "--samples", "2",
+                 "--tol", "1", "--out", str(tmp_path / "flag"), "--quiet"]) == 0
+    report = (tmp_path / "file" / "metric-0.json").read_bytes()
+    assert report == (tmp_path / "flag" / "metric-0.json").read_bytes()
+    assert json.loads(report)["config"]["oracle_tol"] == 1.0
 
 
 class TestRunSuite:
@@ -91,7 +104,7 @@ class TestRunSuite:
 
     def test_every_check_has_an_anchor(self, tmp_path):
         for suite in SUITES:
-            report = run_suite(fast_config(suite, tmp_path), write=False)
+            report = run_suite(fast_config(suite, tmp_path))
             assert all(c.anchor for c in report.checks), suite
 
     def test_deterministic_reports(self, tmp_path):

@@ -138,6 +138,10 @@ class TestLoopPath:
         with pytest.raises(ValueError, match="finite"):
             LoopPath(Flat(2), self.S, values)
 
+    def test_rejects_samples_of_the_wrong_dimension_on_flat_space(self):
+        with pytest.raises(OffManifold):
+            LoopPath(Flat(2), self.S, np.zeros((5, 16, 3)))
+
     def test_rejects_an_off_sphere_loop(self):
         values = np.tile(unit_circle_loop(16).samples, (5, 1, 1))
         values[2] *= 1.01

@@ -89,6 +89,10 @@ class TestProjectors:
         with pytest.raises(OffManifold):
             project_tangent(SPHERE, np.array([0.0, 0.0, 1.5]), np.ones(3))
 
+    def test_flat_base_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(OffManifold):
+            TangentAtPoint(Flat(2), np.zeros(3), np.zeros(3))
+
     def test_nan_point_rejected(self):
         # a NaN constraint residual must not compare as within tolerance
         with pytest.raises(OffManifold):
@@ -392,9 +396,8 @@ class TestTorusAngleOracle:
         assert np.max(np.abs(TORUS.dist(p, q) - np.hypot(d[:, 0], d[:, 1]))) < 1e-12
         assert np.max(np.abs(TORUS.geodesic_transport(p, v, w)
                              - self.tangent(a + t, c))) < 1e-12
-        chart = TORUS.patch_chart(p[0])
-        assert np.max(np.abs(chart.to_coords(q) - self.wrap(b - a[0]))) < 1e-12
-        assert np.max(np.abs(chart.from_coords(t) - self.point(a[0] + t))) < 1e-12
+        assert np.max(np.abs(TORUS.chart_coords(p[0], q) - self.wrap(b - a[0]))) < 1e-12
+        assert np.max(np.abs(TORUS.chart_point(p[0], t) - self.point(a[0] + t))) < 1e-12
 
 
 def reduction_maps(factors):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from loopspace_lab import charts
+from loopspace_lab.manifolds import Sphere2
 from loopspace_lab.suites import SUITES, Checks, ExperimentConfig
 
 
@@ -57,3 +58,29 @@ def test_nan_trial_fails_chart_roundtrip(monkeypatch):
     roundtrip = [r for r in records if r.check_id == "psi-roundtrip"][0]
     assert np.isnan(roundtrip.residual)
     assert not roundtrip.passed
+
+
+def test_nan_weight_fails_partition_squares(monkeypatch):
+    # each partition's first weight returns NaN on its 3rd call: in the one
+    # partition-squares draws, at the 3rd of its 25 probes, which must not
+    # drop out of the fold
+    real_partition = Sphere2.tangent_partition
+
+    def partition_with_nan(manifold):
+        (first, frame), *rest = real_partition(manifold)
+        calls = []
+
+        def weight(points):
+            calls.append(None)
+            out = first(points)
+            return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+        return ((weight, frame), *rest)
+
+    monkeypatch.setattr(Sphere2, "tangent_partition", partition_with_nan)
+    cfg = ExperimentConfig(suite="tube-lp", resolution=32, samples=1,
+                           seed=5).validated()
+    records = SUITES[cfg.suite](cfg, np.random.default_rng(cfg.seed))
+    squares = [r for r in records if r.check_id == "partition-squares"][0]
+    assert np.isnan(squares.residual)
+    assert not squares.passed
