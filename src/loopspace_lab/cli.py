@@ -63,9 +63,16 @@ def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
 
     Writes ``<out>/<suite>-<seed>.json`` and ``.csv`` plus a ``.meta.json``
     sidecar carrying the wall time, which is kept out of the main report so
-    that equal configurations produce byte-identical reports.
+    that equal configurations produce byte-identical reports.  The output
+    directory is made before the suite runs; one that cannot be made (a
+    file, or a path under a file) raises ConfigInvalid.
     """
     cfg = cfg.validated()
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot make the output directory: {exc}") from exc
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     try:
@@ -84,8 +91,6 @@ def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
             status = "pass" if c.passed else "FAIL"
             print(f"[{status}] {cfg.suite}/{c.check_id}: "
                   f"residual {c.residual:.3e} <= {c.tolerance:.3e} ({c.anchor})")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = out / f"{cfg.suite}-{cfg.seed}"
     with open(f"{stem}.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)

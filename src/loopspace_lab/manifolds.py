@@ -608,31 +608,6 @@ def log_by_shooting(manifold: EmbeddedManifold, p, q, steps: int = 200,
 
 # -- parallel transport --------------------------------------------------------
 
-class _Piecewise:
-    """A piecewise polynomial: ``coeffs[k, i]`` multiplies
-    ``(s - knots[i]) ** (degree - k)`` on [knots[i], knots[i + 1]).
-
-    Times outside the knots use the end pieces, so a stage time one rounding
-    past the last knot extrapolates the end cubic.
-    """
-
-    def __init__(self, knots, coeffs):
-        self.knots, self.coeffs = knots, coeffs
-
-    def __call__(self, s: float):
-        i = min(max(np.searchsorted(self.knots, s, "right") - 1, 0), len(self.knots) - 2)
-        z = s - self.knots[i]
-        out = self.coeffs[0, i]
-        for c in self.coeffs[1:]:
-            out = out * z + c[i]
-        return out
-
-    def derivative(self):
-        powers = np.arange(len(self.coeffs) - 1, 0, -1)
-        powers = powers.reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        return _Piecewise(self.knots, self.coeffs[:-1] * powers)
-
-
 def _path_spline(s_grid, points):
     """The not-a-knot cubic spline through ``points`` (axis 0) at ``s_grid``.
 
@@ -644,6 +619,11 @@ def _path_spline(s_grid, points):
     the knots, vectorized over the batch axes.  Fewer than 4 samples are
     rejected: with 3 the two not-a-knot conditions coincide, with 2 there is
     no inner knot.
+
+    Returns ``at(s) -> (x(s), x'(s))``: one interval lookup, then the
+    Horner sums ((a z + b) z + c) z + d and (3a z + 2b) z + c in
+    z = s - knot.  Times outside the knots use the end pieces, so a stage
+    time one rounding past the last knot extrapolates the end cubic.
     """
     x = np.asarray(s_grid, dtype=np.float64)
     y = np.asarray(points, dtype=np.float64)
@@ -669,7 +649,15 @@ def _path_spline(s_grid, points):
     for i in range(n - 2, -1, -1):  # back substitution
         m[i] = (m[i] - upper[i] * m[i + 1]) / diag[i]
     t = (m[:-1] + m[1:] - 2 * slope) / dxr
-    return _Piecewise(x, np.stack([t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]]))
+    a, b, c, d = t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]
+    a3, b2 = 3 * a, 2 * b
+
+    def at(s: float):
+        i = min(max(np.searchsorted(x, s, "right") - 1, 0), n - 2)
+        z = s - x[i]
+        return ((a[i] * z + b[i]) * z + c[i]) * z + d[i], (a3[i] * z + b2[i]) * z + c[i]
+
+    return at
 
 
 def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
@@ -683,8 +671,7 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     An optional ``torsion(x, xdot, v)`` term adds -0.5 T(xdot, v), the
     transport law of a connection with prescribed torsion tensor T.
     """
-    spline = _path_spline(s_grid, points)
-    dspline = spline.derivative()
+    at = _path_spline(s_grid, points)
     s0, s1 = float(s_grid[0]), float(s_grid[-1])
     if steps is None:
         steps = max(2 * (len(s_grid) - 1), 8)
@@ -695,12 +682,12 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     # The RK4 stages and after_step visit each stage time twice in a row
     # (t += h gives the float of t + h), so with a one-entry memo the path
     # is read 2 * steps + 1 times.
-    memo = [None, None, None]
+    memo = [None, None]
 
     def path(s):
         if memo[0] != s:
-            memo[:] = s, spline(s), dspline(s)
-        return memo[1], memo[2]
+            memo[:] = s, at(s)
+        return memo[1]
 
     def rhs(s, vec):
         x, xdot = path(s)
@@ -777,13 +764,7 @@ class LocalAdditionSpec:
 
     def forward(self, p, v) -> np.ndarray:
         """eta(p, v); defined for every tangent v, with eta(p, 0) = p exactly."""
-        p = np.asarray(p, dtype=np.float64)
-        c = self.compress(v)
-        out = self.manifold.exp(p, c)
-        at_zero = np.linalg.norm(c, axis=-1) == 0.0
-        if np.any(at_zero):
-            out = np.where(at_zero[..., None], np.broadcast_to(p, out.shape), out)
-        return out
+        return self.manifold.exp(np.asarray(p, dtype=np.float64), self.compress(v))
 
     def inverse(self, p, q) -> np.ndarray:
         """The v with eta(p, v) = q, for q within reach of p."""

@@ -61,12 +61,9 @@ def symbol_coefficients(symbol: MatrixLoop) -> np.ndarray:
     return np.fft.fft(symbol.matrices.astype(np.complex128), axis=0) / symbol.resolution
 
 
-def active_bandwidth(symbol: MatrixLoop) -> int:
-    """The largest |m| whose coefficient has an entry above 1e-12."""
-    return _bandwidth(symbol_coefficients(symbol))
-
-
-def _bandwidth(coeffs: np.ndarray) -> int:
+def active_bandwidth(coeffs: np.ndarray) -> int:
+    """The largest |m| whose coefficient in the FFT-order table ``coeffs``
+    (:func:`symbol_coefficients`) has an entry above 1e-12."""
     index = np.arange(len(coeffs))
     active = np.max(np.abs(coeffs), axis=(1, 2)) > 1e-12
     return int(np.max(np.minimum(index, len(coeffs) - index)[active], initial=0))
@@ -85,11 +82,13 @@ class OperatorBlocks:
     """The four mode-sign blocks of a truncated multiplication operator.
 
     Plus-sector modes are 0..K ascending, minus-sector modes are -K..-1
-    ascending, each inflated by the matrix size n.
+    ascending, each inflated by the matrix size n.  ``coeffs`` is the
+    symbol's coefficient table (:func:`symbol_coefficients`).
     """
 
     symbol: MatrixLoop
     truncation: int
+    coeffs: np.ndarray
     pp: np.ndarray
     pm: np.ndarray
     mp: np.ndarray
@@ -123,14 +122,14 @@ def toeplitz_blocks(symbol: MatrixLoop, truncation: int) -> OperatorBlocks:
     off the ends) and 2K at most the node count (so no aliasing).
     """
     coeffs = symbol_coefficients(symbol)
-    if truncation < _bandwidth(coeffs):
+    if truncation < active_bandwidth(coeffs):
         raise ValueError("truncation below the active bandwidth of the symbol")
     if 2 * truncation > symbol.resolution:
         raise ValueError("truncation beyond the Nyquist range of the symbol")
     plus = np.arange(0, truncation + 1)
     minus = np.arange(-truncation, 0)
     return OperatorBlocks(
-        symbol=symbol, truncation=truncation,
+        symbol=symbol, truncation=truncation, coeffs=coeffs,
         pp=_block(coeffs, plus, plus),
         pm=_block(coeffs, plus, minus),
         mp=_block(coeffs, minus, plus),
@@ -163,10 +162,9 @@ def fredholm_data(blocks: OperatorBlocks):
     disagreement raises IndexUnstable.  The cokernel is counted on the
     adjoint's table: mode m holds the conjugate transpose of mode -m.
     """
-    symbol = blocks.symbol
-    _require_invertible(symbol)
-    pad = max(1, active_bandwidth(symbol))
-    coeffs = symbol_coefficients(symbol)
+    _require_invertible(blocks.symbol)
+    coeffs = blocks.coeffs
+    pad = max(1, active_bandwidth(coeffs))
     adjoint = np.conj(np.swapaxes(coeffs[-np.arange(len(coeffs))], 1, 2))
     results = []
     for k in (blocks.truncation, blocks.truncation + STABILITY_STEP):

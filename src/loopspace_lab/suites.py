@@ -67,9 +67,12 @@ class ExperimentConfig:
         if self.samples < 1:
             raise ConfigInvalid("sample count must be positive")
         try:
-            manifolds.manifold_from_tag(self.manifold)
+            kind = manifolds.manifold_from_tag(self.manifold).kind
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
+        if kind != self.manifold:  # "flat:03" would run and echo as Flat(3)
+            raise ConfigInvalid(f"manifold tag {self.manifold!r} is not canonical; "
+                                f"write {kind!r}")
         if self.suite not in SUITES:
             raise UnknownSuite(f"unknown suite {self.suite!r}")
         return replace(self, oracle_tol=tolerance)
@@ -426,9 +429,8 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
             s = path.s_grid[idx]
             oracle = manifold.exp(alpha.samples, s * nu.vectors)
             out.track("pointwise-oracle", path.values[idx] - oracle)
-        vals = path.values
-        vel = geometry._time_derivative(vals, path.s_grid)
-        energy = np.sum(vel * vel, axis=(1, 2)) / n
+        vel = geometry._time_derivative(path.values, path.s_grid)
+        energy = geometry.l2_pairing(vel, vel)
         interior = energy[1:-1]
         out.track("energy", interior - interior[0])
     # flat geodesics are exact straight lines

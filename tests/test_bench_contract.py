@@ -7,11 +7,12 @@ pass must wrap every counted name and move every counter.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from loopspace_lab import cli, loops
+from loopspace_lab import cli, loops, polarization
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +44,34 @@ def test_traced_pass_reads_every_counter(tmp_path):
     assert set(tracer_module.COUNTERS) <= set(tracer.names)
     for name in tracer_module.COUNTER_METRICS:
         assert metrics[name] > 0, name
+
+
+def test_svd_counters_match_the_svds_polarization_runs(tmp_path, monkeypatch):
+    """The tracer sizes each SVD from call arguments and the nested
+    ``active_bandwidth`` result; hold both counters to the SVDs that
+    ``polarization`` really runs."""
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == polarization.__name__:
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    tracer.install()
+    try:
+        tracer.begin_pass(0)
+        for suite in ("polarization-index", "compactness"):
+            code = cli.main(["run", "--suite", suite, "--seed", "7",
+                             "--out", str(tmp_path), "--quiet"])
+            assert code == 0, suite
+        metrics = tracer.end_pass(1.0)
+    finally:
+        tracer.uninstall()
+    assert shapes
+    assert metrics["polarization.svd_count"] == len(shapes)
+    assert metrics["polarization.svd_flops"] == sum(
+        tracer_module.svd_flops(m, n) for m, n in shapes)

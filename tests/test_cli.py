@@ -57,6 +57,9 @@ class TestConfig:
     {"resolution": 128.0}, {"seed": "abc"}, {"manifold": 5}, {"samples": "10"},
     {"ode_steps": "200"}, {"out_dir": 5}, {"suite": ["metric"]}, {"path_grid": 16.5},
     pytest.param({"oracle_tol": 10 ** 400}, id="oracle_tol beyond the float range"),
+    # tags that parse to a manifold whose own tag differs
+    {"manifold": "flat:03"}, {"manifold": "flat: 3"}, {"manifold": "flat:+3"},
+    {"manifold": "flat:1_0"},
 ], ids=lambda bad: " ".join(bad) if isinstance(bad, list) else json.dumps(bad))
 def test_malformed_value_exits_3_without_a_report(tmp_path, monkeypatch, bad):
     flags, values = (bad, {}) if isinstance(bad, list) else ([], bad)
@@ -132,6 +135,17 @@ class TestMainExitCodes:
         code = main(["run", "--suite", "metric", "--resolution", "24",
                      "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "a path under a file"])
+    def test_unwritable_out_exits_3_before_the_suite(self, tmp_path, monkeypatch, under):
+        calls = []
+        monkeypatch.setitem(SUITES, "metric", lambda cfg, rng: calls.append(cfg) or [])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "reports" if under else blocker
+        assert main(["run", "--suite", "metric", "--out", str(out), "--quiet"]) == 3
+        assert calls == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["blocker"]
 
     def test_failing_check_exits_1_with_report(self, tmp_path):
         # an absurdly small oracle tolerance forces a failing record

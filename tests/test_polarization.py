@@ -219,7 +219,7 @@ class TestFredholmIndex:
         def reference(blocks):
             symbol = blocks.symbol
             _require_invertible(symbol)
-            pad = max(1, active_bandwidth(symbol))
+            pad = max(1, active_bandwidth(symbol_coefficients(symbol)))
             adj = MatrixLoop(np.conj(np.swapaxes(symbol.matrices, 1, 2)))
             results = []
             for k in (blocks.truncation, blocks.truncation + STABILITY_STEP):
@@ -300,7 +300,11 @@ class TestCompactness:
 
 class TestBandwidth:
     def test_monomial_bandwidth(self):
-        assert active_bandwidth(monomial(3)) == 3
+        assert active_bandwidth(symbol_coefficients(monomial(3))) == 3
+
+    def test_blocks_carry_the_coefficient_table(self):
+        sym = monomial(3, n=2)
+        assert np.array_equal(toeplitz_blocks(sym, 8).coeffs, symbol_coefficients(sym))
 
     def test_coefficients_match_fft(self):
         rng = np.random.default_rng(6)
