@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     GridTooCoarse,
     NotPointwiseLinear,
+    OutOfInjectivityDomain,
     SingularFrame,
 )
 from .loops import MIN_RESOLUTION, SampledLoop, _is_power_of_two, rotate
@@ -134,8 +135,11 @@ def l2_inner(alpha: SampledLoop, beta: TangentSection, gamma: TangentSection) ->
 # -- covariant differentiation ---------------------------------------------------
 
 def _time_derivative(values: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """Second-order finite differences on a uniform grid, one-sided at ends."""
+    """Second-order finite differences on a uniform grid (every spacing
+    within 1e-9 h of the first, else ValueError), one-sided at ends."""
     h = s_grid[1] - s_grid[0]
+    if not np.all(np.abs(np.diff(s_grid) - h) <= 1e-9 * h):
+        raise ValueError("finite differences need a uniform time grid")
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
     out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * h)
@@ -177,8 +181,8 @@ def loop_geodesic(conn: ConnectionSpec, alpha: SampledLoop, nu: TangentSection,
     geodesics.
     """
     require_based(nu, alpha)
-    traj = integrate_geodesic(conn.manifold, alpha.samples, nu.vectors,
-                              time=time, steps=steps, record=True)
+    traj, _ = integrate_geodesic(conn.manifold, alpha.samples, nu.vectors,
+                                 time=time, steps=steps)
     return LoopPath(conn.manifold, np.linspace(0.0, time, steps + 1), traj)
 
 
@@ -338,7 +342,7 @@ def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
             samples = pts
             break
     else:
-        raise AssertionError("could not avoid the antipode at any node offset")
+        raise OutOfInjectivityDomain("could not avoid the antipode at any node offset")
     logs = manifold.log(np.broadcast_to(p, samples.shape), samples)
     jumps = np.linalg.norm(np.roll(logs, -1, axis=0) - logs, axis=1)
     return {"jump_magnitude": float(np.max(jumps)), "offset": float(offset)}

@@ -64,6 +64,8 @@ class EmbeddedManifold:
     intrinsic_dim: int = 0
     #: compression scale of the default local addition
     local_addition_epsilon: float = 1.0
+    #: radius of the balls on which exp is injective (every kind sets it)
+    injectivity_radius: float = 0.0
     #: lower bound of the nearest-point projection domain (distance scale)
     projection_floor: float = 0.0
 
@@ -171,6 +173,7 @@ class Flat(EmbeddedManifold):
     """R^n with the Euclidean metric."""
 
     projection_floor = -np.inf
+    injectivity_radius = np.inf
 
     def __init__(self, n: int):
         if n < 1:
@@ -250,6 +253,7 @@ class RoundSpheres(EmbeddedManifold):
 
     factors: int = 1
     projection_floor = 0.1
+    injectivity_radius = np.pi
     #: log precondition: every factor distance is below pi - CUT_MARGIN
     CUT_MARGIN = 1e-6
 
@@ -393,7 +397,8 @@ class Sphere2(RoundSpheres):
 
     def tangent_partition(self):
         """The two polar patches with the half-colatitude sine/cosine
-        weights, whose squares sum to one exactly."""
+        weights, whose squares sum to one exactly.  Each frame is its pole's
+        basis moved by parallel transport along the meridian."""
         north = np.array([0.0, 0.0, 1.0])
 
         def make_patch(pole):
@@ -404,17 +409,12 @@ class Sphere2(RoundSpheres):
                 return np.sqrt((1.0 + c) / 2.0)
 
             def frame(points):
-                w = self.chart_coords(pole, points)
-                r2 = np.sum(w * w, axis=-1, keepdims=True)
-                # d(chart_point)/dw_i, normalized by the conformal factor
-                cols = []
-                for i in range(2):
-                    wi = w[..., i:i + 1]
-                    grad = (2.0 * basis[i] * (1.0 + r2)
-                            - 2.0 * wi * (2.0 * (w @ basis) + (1.0 - r2) * pole)
-                            - 2.0 * wi * pole * (1.0 + r2)) / (1.0 + r2) ** 2
-                    cols.append(grad / np.linalg.norm(grad, axis=-1, keepdims=True))
-                return np.stack(cols, axis=-1)
+                # B - <q,B> s / (|s|^2/2) with s = q + pole: the reflection
+                # across s, orthonormal to rounding up to the floored antipode
+                q = np.asarray(points, dtype=np.float64)
+                s = q + pole
+                denom = np.maximum(0.5 * np.sum(s * s, axis=-1), 1e-12)[..., None, None]
+                return basis.T - (q @ basis.T)[..., None, :] * s[..., :, None] / denom
 
             return weight, frame
 
@@ -538,17 +538,16 @@ def _rk4(rhs, y, t, h, steps, after_step=None):
 
 
 def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
-                       steps: int = 200, record: bool = False):
+                       steps: int = 200):
     """RK4 integration of the geodesic ODE with per-step reprojection.
 
-    ``p`` and ``v`` may carry leading batch axes.  With ``record=True``
-    returns the full trajectory of shape (steps+1,) + p.shape, otherwise the
-    endpoint (and, as second output, the transported velocity).
+    ``p`` and ``v`` may carry leading batch axes.  Returns the trajectory,
+    of shape (steps+1,) + p.shape, and the velocity at the end.
     """
     y = np.stack(np.broadcast_arrays(np.asarray(p, dtype=np.float64),
                                      np.asarray(v, dtype=np.float64)))
     acc = manifold.geodesic_acceleration
-    traj = [y[0]] if record else None
+    traj = [y[0]]
 
     def rhs(t, y):
         return np.stack([y[1], acc(y[0], y[1])])
@@ -558,21 +557,18 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
         if not res <= MIDFLOW_TOL:
             raise IntegrationDiverged(f"constraint residual {res:.3e} mid-flow")
         x = manifold.project_point(y[0])
-        if record:
-            traj.append(x)
+        traj.append(x)
         return np.stack([x, manifold.project_tangent_vector(x, y[1])])
 
-    x, u = _rk4(rhs, y, 0.0, float(time) / steps, steps, after_step)
-    if record:
-        return np.asarray(traj)
-    return x, u
+    _, u = _rk4(rhs, y, 0.0, float(time) / steps, steps, after_step)
+    return np.asarray(traj), u
 
 
 def exp_map(manifold: EmbeddedManifold, tangent: TangentAtPoint,
             steps: int = 200) -> np.ndarray:
     """Endpoint at time 1 of the integrated geodesic with data (p, v)."""
-    x, _ = integrate_geodesic(manifold, tangent.base, tangent.vector, 1.0, steps)
-    return x
+    traj, _ = integrate_geodesic(manifold, tangent.base, tangent.vector, 1.0, steps)
+    return traj[-1]
 
 
 def log_map(manifold: EmbeddedManifold, p, q) -> TangentAtPoint:
@@ -594,8 +590,8 @@ def log_by_shooting(manifold: EmbeddedManifold, p, q, steps: int = 200,
     v = manifold.project_tangent_vector(p, q - p)
     best = np.inf
     for _ in range(max_iter):
-        endpoint, _ = integrate_geodesic(manifold, p, v, 1.0, steps)
-        defect = q - endpoint
+        traj, _ = integrate_geodesic(manifold, p, v, 1.0, steps)
+        defect = q - traj[-1]
         err = float(np.linalg.norm(defect))
         if err < tol:
             return TangentAtPoint(manifold, p, v)
@@ -738,7 +734,7 @@ class LocalAdditionSpec:
     The compression phi(r) = r / sqrt(1 + r^2) maps [0, inf) into [0, 1), so
     every tangent vector is admissible and the reachable ball has radius
     eps(p); eps is constant per manifold kind (pi/2 on the sphere, 1
-    elsewhere) to stay inside the injectivity radius.
+    elsewhere); one beyond ``manifold.injectivity_radius`` raises ValueError.
     """
 
     manifold: EmbeddedManifold
@@ -747,8 +743,9 @@ class LocalAdditionSpec:
     def __post_init__(self):
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", float(self.manifold.local_addition_epsilon))
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon <= self.manifold.injectivity_radius:
+            raise ValueError(f"epsilon {self.epsilon} is not in (0, the injectivity radius "
+                             f"{self.manifold.injectivity_radius}] of {self.manifold!r}")
 
     def compress(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)

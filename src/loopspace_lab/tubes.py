@@ -124,6 +124,18 @@ class FlowDiffeo:
 
 # -- the based fibration --------------------------------------------------------
 
+def _patch_seed(manifold: EmbeddedManifold, center, u):
+    """The center and the chart coordinates of u about it; raises
+    OutsidePatch unless u lies in the patch within the plateau radius."""
+    center = np.asarray(center, dtype=np.float64)
+    manifold.require_on_manifold(center)
+    u = np.asarray(u, dtype=np.float64)
+    v = manifold.chart_coords(center, u)
+    if not manifold.in_chart(center, u) or not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
+        raise OutsidePatch("base point outside the trivializing patch")
+    return center, v
+
+
 def _apply_patch_flow(manifold: EmbeddedManifold, center, samples: np.ndarray,
                       v: np.ndarray, steps: int, sign: float) -> np.ndarray:
     out = samples.copy()
@@ -144,13 +156,8 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
     in the patch chart of the manifold about the center, so omega(0) is the
     center.  Inverse: :func:`based_detrivialize`.
     """
-    center = np.asarray(center, dtype=np.float64)
-    manifold.require_on_manifold(center)
     u = gamma.samples[0]
-    v = manifold.chart_coords(center, u)
-    if not np.all(manifold.in_chart(center, u[None])[0]) or \
-            not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
-        raise OutsidePatch("loop base point outside the trivializing patch")
+    center, v = _patch_seed(manifold, center, u)
     omega = _apply_patch_flow(manifold, center, gamma.samples, v, steps, -1.0)
     return SampledLoop(omega), u
 
@@ -158,11 +165,7 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
 def based_detrivialize(manifold: EmbeddedManifold, center, omega: SampledLoop, u,
                        steps: int = 100) -> SampledLoop:
     """Inverse of :func:`based_trivialize`: (omega, u) -> phi_u(omega)."""
-    center = np.asarray(center, dtype=np.float64)
-    manifold.require_on_manifold(center)
-    v = manifold.chart_coords(center, np.asarray(u, dtype=np.float64))
-    if not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
-        raise OutsidePatch("target base point outside the trivializing patch")
+    center, v = _patch_seed(manifold, center, u)
     moved = _apply_patch_flow(manifold, center, omega.samples, v, steps, 1.0)
     return SampledLoop(moved)
 
@@ -203,31 +206,51 @@ def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint):
 TUBE_RADIUS = 1.0  # fiber-coordinate radius of exactly recoverable seeds
 
 
-def _fiber_flow(manifold, addition: LocalAdditionSpec, anchors, points, drive,
-                steps: int, sign: float):
-    """Flow points of M vertically in the fibers over the anchors.
+def _fiber_flow(manifold: EmbeddedManifold, anchors: SampledLoop, loop: SampledLoop,
+                v: TangentAtPoint, steps: int, sign: float) -> SampledLoop:
+    """Flow the nodes of ``loop`` vertically in the fibers over ``anchors``.
 
     Each point q is pulled back to w = nu^{-1}(q) in the fiber at its
-    anchor, flowed along w' = _bump(|w|^2) * drive, and pushed forward again.
+    anchor a, flowed along w' = _bump(|w|^2) * s(v)(a), and pushed forward.
     Points outside the tube (or beyond the flow support) stay fixed; the
     decompression sends the tube boundary to infinity, so the extension by
     the identity is smooth.
     """
-    anchors = np.asarray(anchors, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    drive = np.asarray(drive, dtype=np.float64)
+    addition = LocalAdditionSpec(manifold)
+    anchors, points = anchors.samples, loop.samples
+    drive = pou_section(manifold, v)(anchors)
     out = points.copy()
-    dist = manifold.dist(anchors, points)
     # a zero field flows as the identity; skip such nodes exactly
-    inside = (dist < addition.epsilon * 0.999999) & \
+    inside = (manifold.dist(anchors, points) < addition.epsilon * 0.999999) & \
         (np.linalg.norm(drive, axis=-1) > 0.0)
-    if not np.any(inside):
-        return out
-    a_in = anchors[inside]
-    w = addition.decompress(manifold.log(a_in, points[inside]))
-    moved = _flow_constant_direction(w, drive[inside], steps, sign=sign)
-    out[inside] = manifold.exp(a_in, addition.compress(moved))
-    return out
+    if np.any(inside):
+        a_in = anchors[inside]
+        w = addition.decompress(manifold.log(a_in, points[inside]))
+        moved = _flow_constant_direction(w, drive[inside], steps, sign=sign)
+        out[inside] = addition.forward(a_in, moved)
+    return SampledLoop(out)
+
+
+def _tube_forward(manifold: EmbeddedManifold, anchors: SampledLoop,
+                  loop: SampledLoop, v: TangentAtPoint, steps: int) -> SampledLoop:
+    """The tube map over ``anchors`` with a seed based at the anchor at 0."""
+    if not _same_point(v.base, anchors.samples[0]) or not v.norm <= TUBE_RADIUS:
+        raise OutsideTube("seed vector outside the tube-radius ball")
+    return _fiber_flow(manifold, anchors, loop, v, steps, 1.0)
+
+
+def _tube_inverse(manifold: EmbeddedManifold, anchors: SampledLoop,
+                  loop: SampledLoop, steps: int):
+    """Inverse of :func:`_tube_forward`; the seed is nu^{-1}(loop(0)) at anchors(0)."""
+    addition = LocalAdditionSpec(manifold)
+    a0, b0 = anchors.samples[0], loop.samples[0]
+    if manifold.dist(a0, b0) >= addition.epsilon:
+        raise OutsideTube("base points outside the tube")
+    vec = addition.decompress(manifold.log(a0, b0))
+    if np.linalg.norm(vec) > TUBE_RADIUS:
+        raise OutsideTube("base points beyond the tube-radius ball")
+    v = TangentAtPoint(manifold, a0, vec)
+    return _fiber_flow(manifold, anchors, loop, v, steps, -1.0), v
 
 
 def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
@@ -235,37 +258,20 @@ def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
     """Tube map for the submanifold of loops through x0.
 
     Carries (alpha, v) with alpha(0) = x0 and v in T_{x0}M to a loop whose
-    value at 0 is nu(v), by flowing every node vertically in the fiber
-    coordinates of the local addition at x0.
+    value at 0 is nu(v): the diagonal tube map over the constant loop at x0.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if not _same_point(alpha.samples[0], x0):
         raise OutsideTube("loop is not based at the submanifold point")
-    if not _same_point(v.base, x0) or not v.norm <= TUBE_RADIUS:
-        raise OutsideTube("seed vector outside the tube-radius ball")
-    addition = LocalAdditionSpec(manifold)
-    anchors = np.broadcast_to(x0, alpha.samples.shape)
-    drive = np.broadcast_to(v.vector, alpha.samples.shape)
-    out = _fiber_flow(manifold, addition, anchors, alpha.samples, drive,
-                      steps, 1.0)
-    return SampledLoop(out)
+    anchors = SampledLoop.constant(x0, alpha.resolution)
+    return _tube_forward(manifold, anchors, alpha, v, steps)
 
 
 def point_tube_inverse(manifold: EmbeddedManifold, x0, beta: SampledLoop,
                        steps: int = 100):
     """Inverse tube map: beta -> (alpha based at x0, v = nu^{-1}(beta(0)))."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    addition = LocalAdditionSpec(manifold)
-    if manifold.dist(x0, beta.samples[0]) >= addition.epsilon:
-        raise OutsideTube("loop base point outside the tube")
-    vec = addition.decompress(manifold.log(x0, beta.samples[0]))
-    if np.linalg.norm(vec) > TUBE_RADIUS:
-        raise OutsideTube("loop base point beyond the tube-radius ball")
-    anchors = np.broadcast_to(x0, beta.samples.shape)
-    drive = np.broadcast_to(vec, beta.samples.shape)
-    out = _fiber_flow(manifold, addition, anchors, beta.samples, drive,
-                      steps, -1.0)
-    return SampledLoop(out), TangentAtPoint(manifold, x0, vec)
+    anchors = SampledLoop.constant(np.asarray(x0, dtype=np.float64), beta.resolution)
+    return _tube_inverse(manifold, anchors, beta, steps)
 
 
 def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
@@ -279,32 +285,15 @@ def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
     a1, a2 = alpha_pair
     if not _same_point(a1.samples[0], a2.samples[0]):
         raise OutsideTube("pair does not coincide at time 0")
-    if not _same_point(v.base, a1.samples[0]) or not v.norm <= TUBE_RADIUS:
-        raise OutsideTube("seed vector outside the tube-radius ball")
-    addition = LocalAdditionSpec(manifold)
-    section = pou_section(manifold, v)
-    drive = section(a1.samples)
-    out = _fiber_flow(manifold, addition, a1.samples, a2.samples, drive,
-                      steps, 1.0)
-    return a1, SampledLoop(out)
+    return a1, _tube_forward(manifold, a1, a2, v, steps)
 
 
 def diagonal_tube_inverse(manifold: EmbeddedManifold, beta_pair,
                           steps: int = 100):
     """Inverse of :func:`diagonal_tube_forward`."""
     b1, b2 = beta_pair
-    addition = LocalAdditionSpec(manifold)
-    if manifold.dist(b1.samples[0], b2.samples[0]) >= addition.epsilon:
-        raise OutsideTube("pair base points outside the diagonal tube")
-    vec = addition.decompress(manifold.log(b1.samples[0], b2.samples[0]))
-    if np.linalg.norm(vec) > TUBE_RADIUS:
-        raise OutsideTube("pair base points beyond the tube-radius ball")
-    v = TangentAtPoint(manifold, b1.samples[0], vec)
-    section = pou_section(manifold, v)
-    drive = section(b1.samples)
-    out = _fiber_flow(manifold, addition, b1.samples, b2.samples, drive,
-                      steps, -1.0)
-    return (b1, SampledLoop(out)), v
+    moved, v = _tube_inverse(manifold, b1, b2, steps)
+    return (b1, moved), v
 
 
 # -- equivariant averaging -----------------------------------------------------
@@ -314,7 +303,8 @@ class FinitePointMap:
     """A map from a compact subgroup of the circle into M.
 
     ``order`` is m >= 1 for the cyclic group C_m; order 0 encodes the whole
-    circle, sampled at the rows of ``values``.
+    circle, sampled at the rows of ``values``.  Axes between the first and
+    the last of ``values`` batch several maps.
     """
 
     manifold: EmbeddedManifold
@@ -340,8 +330,13 @@ def local_average(manifold: EmbeddedManifold, beta: FinitePointMap) -> np.ndarra
     return manifold.project_point(beta.values.mean(axis=0))
 
 
-def _coset_view(samples: np.ndarray, m: int) -> np.ndarray:
+def _cosets(order: int, samples: np.ndarray) -> np.ndarray:
+    """The samples (N, k) as (m, N/m, k), row i the i-th element of every
+    coset of C_m; order 0 or 1 is the circle group, m = N."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     n = samples.shape[0]
+    m = order if order >= 2 else n
     if n % m != 0:
         raise ValueError("resolution must be divisible by the group order")
     return samples.reshape(m, n // m, samples.shape[1])
@@ -358,14 +353,12 @@ def equivariant_decompose(manifold: EmbeddedManifold, order: int,
     gamma about the fixed part; its coset means vanish after linearization
     because the averaging residue is orthogonal to the tangent space.
     """
-    m = order if order >= 2 else gamma.resolution
-    samples = gamma.samples
-    cosets = _coset_view(samples, m)
-    means = cosets.mean(axis=0)
+    cosets = _cosets(order, gamma.samples)
+    m = cosets.shape[0]
     try:
-        anchors = manifold.project_point(means)
+        anchors = local_average(manifold, FinitePointMap(manifold, m, cosets))
         fixed_samples = np.tile(anchors, (m, 1))
-        normals = manifold.log(fixed_samples, samples)
+        normals = manifold.log(fixed_samples, gamma.samples)
     except (OutsideTube, OutOfInjectivityDomain) as exc:
         raise OutsideAveragingDomain(str(exc)) from exc
     fixed = SampledLoop(fixed_samples)
@@ -387,8 +380,7 @@ def coset_mean_residual(manifold: EmbeddedManifold, order: int,
     the tangent spaces at the fixed part; by construction of the average
     its coset means vanish.
     """
-    m = order if order >= 2 else gamma.resolution
     chords = gamma.samples - fixed.samples
     proj = manifold.project_tangent_vector(fixed.samples, chords)
-    means = _coset_view(proj, m).mean(axis=0)
+    means = _cosets(order, proj).mean(axis=0)
     return float(np.max(np.linalg.norm(means, axis=-1)))

@@ -333,6 +333,12 @@ class TestSerialization:
         assert again.addition.epsilon == chart.addition.epsilon
         assert isinstance(again.manifold, Sphere2)
 
+    def test_chart_epsilon_beyond_injectivity_radius_rejected(self):
+        data = chart_to_dict(sphere_chart(unit_circle_loop(32)))
+        data["epsilon"] = 4.0
+        with pytest.raises(ValueError, match="injectivity radius"):
+            chart_from_dict(data)
+
     def test_section_round_trip(self):
         torus = FlatTorus2()
         rng = np.random.default_rng(16)

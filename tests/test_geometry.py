@@ -11,6 +11,7 @@ from loopspace_lab.errors import (
     GridTooCoarse,
     NotPointwiseLinear,
     OffManifold,
+    OutOfInjectivityDomain,
     SingularFrame,
 )
 from loopspace_lab.geometry import (
@@ -173,6 +174,16 @@ class TestCovDeriv:
         out = cov_deriv_along_path(ConnectionSpec(flat), path, field)
         # central differences are exact on linear data
         assert np.max(np.abs(out - 3.0 * c.vectors)) < 1e-9
+
+    def test_non_uniform_grid_rejected(self):
+        # one spacing for every node would give 1.2 at s = 0.2, not 2 s = 0.4
+        flat = Flat(2)
+        s = np.array([0.0, 0.1, 0.2, 0.5, 0.6, 0.8, 1.0])
+        path = LoopPath(flat, s, np.zeros((7, 8, 2)))
+        field = np.zeros((7, 8, 2))
+        field[..., 1] = s[:, None] ** 2
+        with pytest.raises(ValueError, match="uniform time grid"):
+            cov_deriv_along_path(ConnectionSpec(flat), path, field)
 
     def test_grid_too_coarse(self):
         flat = Flat(2)
@@ -491,6 +502,12 @@ class TestWitness:
         const = SampledLoop.constant(np.array([1.0, 0.0, 0.0]), 128)
         report = exp_nonsurjectivity_witness(SPHERE, const)
         assert report["jump_magnitude"] < 1e-12
+
+    def test_target_on_the_antipode_at_every_offset(self):
+        # the constant loop at the north pole sits on the cut locus of the
+        # south pole at every node offset
+        with pytest.raises(OutOfInjectivityDomain):
+            exp_nonsurjectivity_witness(SPHERE, SampledLoop.constant(NORTH, 128))
 
 
 class TestCurveDerivative:

@@ -263,8 +263,7 @@ class TestParallelTransport:
     def test_isometry_of_pairs(self):
         rng = np.random.default_rng(12)
         p = NORTH
-        traj = integrate_geodesic(SPHERE, p, np.array([0.9, 0.4, 0.0]), 1.0, 200,
-                                  record=True)
+        traj, _ = integrate_geodesic(SPHERE, p, np.array([0.9, 0.4, 0.0]), 1.0, 200)
         v = random_tangent(SPHERE, rng, p)
         w = random_tangent(SPHERE, rng, p)
         pv = parallel_transport(SPHERE, traj, v)
@@ -277,7 +276,7 @@ class TestParallelTransport:
             p = manifold.random_point(rng)
             u = random_tangent(manifold, rng, p, 0.9)
             w = random_tangent(manifold, rng, p, 1.1)
-            traj = integrate_geodesic(manifold, p, u.vector, 1.0, 200, record=True)
+            traj, _ = integrate_geodesic(manifold, p, u.vector, 1.0, 200)
             integrated = parallel_transport(manifold, traj, w)
             closed = manifold.geodesic_transport(p, u.vector, w.vector)
             assert np.max(np.abs(integrated.vector - closed)) < 1e-7
@@ -580,6 +579,21 @@ class TestLocalAddition:
                     continue
                 dq = np.linalg.norm(spec.forward(p, v) - spec.forward(p, w))
                 assert dq >= 1e-6
+
+    @pytest.mark.parametrize("manifold", [SPHERE, TORUS])
+    def test_epsilon_beyond_injectivity_radius_rejected(self, manifold):
+        # with eps = 4 the inverse of forward(p, 50 e1) at the north pole
+        # of S^2 would return -0.6955 e1
+        assert manifold.injectivity_radius == np.pi
+        LocalAdditionSpec(manifold, np.pi)
+        with pytest.raises(ValueError, match="injectivity radius"):
+            LocalAdditionSpec(manifold, 4.0)
+        with pytest.raises(ValueError, match="injectivity radius"):
+            LocalAdditionSpec(manifold, np.nan)
+
+    def test_flat_epsilon_is_unbounded(self):
+        assert Flat(2).injectivity_radius == np.inf
+        assert LocalAdditionSpec(Flat(2), 1e6).epsilon == 1e6
 
     def test_out_of_reach_rejected(self):
         spec = LocalAdditionSpec(SPHERE)

@@ -241,6 +241,39 @@ class TestPouSection:
         assert np.max(np.abs(res)) < 1e-12
 
 
+class TestTangentPartition:
+    @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
+    def test_frames_orthonormal_and_tangent_where_weighted(self, manifold):
+        rng = np.random.default_rng(23)
+        pts = np.stack([manifold.random_point(rng) for _ in range(100)])
+        eye = np.eye(manifold.intrinsic_dim)
+        for weight, frame in manifold.tangent_partition():
+            live = pts[weight(pts) != 0.0]
+            cols = np.swapaxes(frame(live), -1, -2)  # (..., n, k)
+            gram = np.einsum("...ik,...jk->...ij", cols, cols)
+            assert np.max(np.abs(gram - eye)) <= 1e-14
+            tangent = manifold.project_tangent_vector(live[:, None, :], cols)
+            assert np.max(np.abs(tangent - cols)) <= 1e-14
+
+    def test_sphere_frames_are_transported_pole_bases(self):
+        rng = np.random.default_rng(24)
+        pts = np.stack([SPHERE.random_point(rng) for _ in range(100)])
+        for pole, (_, frame) in zip((NORTH, -NORTH), SPHERE.tangent_partition()):
+            cols = np.swapaxes(frame(pole[None]), -1, -2)[0]  # the pole basis
+            logs = SPHERE.log(pole, pts)
+            moved = np.stack([SPHERE.geodesic_transport(pole, logs, np.broadcast_to(
+                b, pts.shape)) for b in cols], axis=-1)
+            assert np.max(np.abs(frame(pts) - moved)) <= 1e-14
+
+    def test_sphere_section_finite_at_both_poles(self):
+        poles = np.stack([NORTH, -NORTH])
+        for i, pole in enumerate(poles):
+            v = TangentAtPoint(SPHERE, pole, np.array([0.3, -0.2, 0.0]))
+            vals = pou_section(SPHERE, v)(poles)
+            assert np.all(np.isfinite(vals))
+            assert np.max(np.abs(vals[i] - v.vector)) < 1e-15
+
+
 class TestPointTube:
     def based_loop(self, manifold, x0, rng, scale=0.3, n=64):
         seed = random_section(rng, manifold, SampledLoop.constant(x0, n), scale=scale)
@@ -263,6 +296,23 @@ class TestPointTube:
             alpha2, v2 = point_tube_inverse(manifold, x0, beta)
             assert np.max(np.abs(alpha2.samples - alpha.samples)) < 1e-6
             assert np.max(np.abs(v2.vector - v.vector)) < 1e-6
+
+    @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
+    def test_equals_the_diagonal_tube_over_the_constant_loop(self, manifold):
+        rng = np.random.default_rng(25)
+        for _ in range(3):
+            x0 = manifold.random_point(rng)
+            alpha = self.based_loop(manifold, x0, rng)
+            const = SampledLoop.constant(x0, alpha.resolution)
+            raw = random_tangent(manifold, rng, x0)
+            v = TangentAtPoint(manifold, x0, raw.vector / max(raw.norm, 1e-9) * 0.45)
+            beta = point_tube_forward(manifold, x0, alpha, v)
+            _, beta2 = diagonal_tube_forward(manifold, (const, alpha), v)
+            assert np.array_equal(beta.samples, beta2.samples)
+            alpha_back, v_back = point_tube_inverse(manifold, x0, beta)
+            (_, alpha_back2), v_back2 = diagonal_tube_inverse(manifold, (const, beta))
+            assert np.array_equal(alpha_back.samples, alpha_back2.samples)
+            assert np.array_equal(v_back.vector, v_back2.vector)
 
     def test_zero_seed_is_identity(self):
         rng = np.random.default_rng(7)
@@ -416,6 +466,23 @@ class TestEquivariantDecompose:
         fixed, normal = equivariant_decompose(flat, 2, a)
         means = (normal.vectors[:64] + normal.vectors[64:]) / 2
         assert np.max(np.abs(means)) < 1e-10
+
+    def test_fixed_part_is_the_local_average_of_each_coset(self):
+        rng = np.random.default_rng(26)
+        gamma, _ = self.periodic_plus_wiggle(SPHERE, 4, rng)
+        fixed, _ = equivariant_decompose(SPHERE, 4, gamma)
+        for j in (0, 5, 31):
+            coset = FinitePointMap(SPHERE, 4, gamma.samples[j::32])
+            assert np.max(np.abs(fixed.samples[j] - local_average(SPHERE, coset))) <= 1e-15
+
+    def test_negative_order_rejected(self):
+        rng = np.random.default_rng(27)
+        gamma, _ = self.periodic_plus_wiggle(SPHERE, 2, rng)
+        fixed, _ = equivariant_decompose(SPHERE, 2, gamma)
+        with pytest.raises(ValueError, match="order"):
+            equivariant_decompose(SPHERE, -2, gamma)
+        with pytest.raises(ValueError, match="order"):
+            coset_mean_residual(SPHERE, -2, gamma, fixed)
 
     def test_spread_coset_rejected(self):
         # each coset holds an antipodal pair, whose mean has no projection

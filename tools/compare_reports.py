@@ -11,12 +11,17 @@ then torus2 at N = 1024, the size of the ``battery-n1024-torus2`` benchmark
 workload, where the integrators see large arrays, and last sphere2 at a
 path grid and a step count away from their defaults: 80 runs per tree.  Every
 ``.json`` and ``.csv`` report that differs, or exists for one tree only, is
-printed, and so is every run that wrote no report.  The exit code is 1 if
-any report differs or any run wrote none, 0 otherwise.
+printed, and so is every run that wrote no report.  Under each ``.json``
+report that differs and exists for both trees, one line per check whose
+residual, tolerance or pass differs gives the value of tree a, the value of
+tree b and, for numbers, |b - a|; a check found in one report only is
+printed too.  The exit code is 1 if any report differs or any run wrote
+none, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -63,6 +68,27 @@ def reports(root: Path) -> dict:
             if p.suffix in (".json", ".csv") and not p.name.endswith(".meta.json")}
 
 
+def check_changes(a: bytes, b: bytes) -> list:
+    """One line per check whose residual, tolerance or pass differs
+    between the JSON reports a and b."""
+    before = {c["check_id"]: c for c in json.loads(a).get("checks", [])}
+    after = {c["check_id"]: c for c in json.loads(b).get("checks", [])}
+    lines = []
+    for check_id in sorted(set(before) | set(after)):
+        if check_id not in before or check_id not in after:
+            lines.append(f"  {check_id}: only in {'b' if check_id in after else 'a'}")
+            continue
+        for key in ("residual", "tolerance", "pass"):
+            old, new = before[check_id][key], after[check_id][key]
+            if repr(old) == repr(new):
+                continue
+            line = f"  {check_id} {key}: {old!r} -> {new!r}"
+            if isinstance(old, float) and isinstance(new, float):
+                line += f"  |d| {abs(new - old):.3g}"
+            lines.append(line)
+    return lines
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/compare_reports.py <src-a> <src-b>", file=sys.stderr)
@@ -85,6 +111,9 @@ def main(argv: list) -> int:
         missing = "" if name in a and name in b else \
             f" (missing from {argv[1] if name in a else argv[0]})"
         print(f"differs: {name}{missing}")
+        if name.suffix == ".json" and not missing:
+            for line in check_changes(a[name], b[name]):
+                print(line)
     print(f"{len(set(a) | set(b)) - len(differ)} identical, {len(differ)} differ, "
           f"{failed} runs wrote no report")
     return 1 if differ or failed else 0
