@@ -44,7 +44,8 @@ FRAME_PROBES = 100
 class LoopPath:
     """A discretized path [0, 1] -> LM, stored as its adjoint on a
     (time x circle) grid: ``values[i]`` is the loop at time ``s_grid[i]``,
-    a (T+1, N, k) array."""
+    a (T+1, N, k) array.  A stack of B paths over one time grid is a
+    (T+1, B, N, k) array, with ``values[i, b]`` the loop of trial b."""
 
     manifold: EmbeddedManifold
     s_grid: np.ndarray
@@ -55,11 +56,11 @@ class LoopPath:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         object.__setattr__(self, "s_grid", s)
         object.__setattr__(self, "values", v)
-        if s.ndim != 1 or len(s) < 2 or v.ndim != 3 or len(v) != len(s):
+        if s.ndim != 1 or len(s) < 2 or v.ndim < 3 or len(v) != len(s):
             raise ValueError("need one loop per time node, at least two")
         if np.any(np.diff(s) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if not _is_power_of_two(v.shape[1]) or v.shape[1] < MIN_RESOLUTION:
+        if not _is_power_of_two(v.shape[-2]) or v.shape[-2] < MIN_RESOLUTION:
             raise ValueError(f"resolution must be a power of two >= {MIN_RESOLUTION}")
         # checked on its own: Flat's constraint residual is 0 on NaN
         if not np.all(np.isfinite(v)):
@@ -171,30 +172,63 @@ def cov_deriv_along_path(conn: ConnectionSpec, path: LoopPath, field) -> np.ndar
 
 # -- geodesics and transport in LM ----------------------------------------------
 
-def loop_geodesic(conn: ConnectionSpec, alpha: SampledLoop, nu: TangentSection,
-                  time: float = 1.0, steps: int = 200) -> LoopPath:
+def _trial_loops(samples: np.ndarray):
+    """The loop of an (N, k) array, or one loop per trial of a (B, N, k)
+    array."""
+    return SampledLoop(samples) if samples.ndim == 2 else [SampledLoop(a) for a in samples]
+
+
+def _trial_stack(loops, sections):
+    """The samples and vectors of a section based at a loop, each (N, k),
+    or of equal-length sequences of loops and sections based there, each
+    stacked to (B, N, k)."""
+    if isinstance(loops, SampledLoop) and isinstance(sections, TangentSection):
+        require_based(sections, loops)
+        return loops.samples, sections.vectors
+    if isinstance(loops, SampledLoop) or isinstance(sections, TangentSection):
+        raise ValueError("need one loop per trial and one section per loop")
+    loops, sections = list(loops), list(sections)
+    if not loops or len(loops) != len(sections):
+        raise ValueError("need one section per loop, at least one trial")
+    for alpha, sigma in zip(loops, sections):
+        require_based(sigma, alpha)
+    return (np.stack([alpha.samples for alpha in loops]),
+            np.stack([sigma.vectors for sigma in sections]))
+
+
+def loop_geodesic(conn: ConnectionSpec, alpha, nu, time: float = 1.0,
+                  steps: int = 200) -> LoopPath:
     """The loop-space geodesic with initial data (alpha, nu).
 
     Evaluation at each circle node is the manifold geodesic with the
     nodewise initial data, so the whole path is one batched integration.
+    ``alpha`` and ``nu`` are a loop and a section based there, giving a
+    (T+1, N, k) path, or equal-length sequences of B of them, giving the
+    B trials as one (T+1, B, N, k) path from the same integration.
     The half-torsion correction is antisymmetric and does not affect
     geodesics.
     """
-    require_based(nu, alpha)
-    traj, _ = integrate_geodesic(conn.manifold, alpha.samples, nu.vectors,
+    samples, vectors = _trial_stack(alpha, nu)
+    traj, _ = integrate_geodesic(conn.manifold, samples, vectors,
                                  time=time, steps=steps)
     return LoopPath(conn.manifold, np.linspace(0.0, time, steps + 1), traj)
 
 
-def loop_parallel_transport(conn: ConnectionSpec, path: LoopPath,
-                            sigma: TangentSection,
-                            steps: int | None = None) -> TangentSection:
-    """Parallel transport in LM along a path: nodewise manifold transport."""
-    require_based(sigma, SampledLoop(path.values[0]))
+def loop_parallel_transport(conn: ConnectionSpec, path: LoopPath, sigma,
+                            steps: int | None = None):
+    """Parallel transport in LM along a path: nodewise manifold transport.
+
+    ``sigma`` is a section over the path's first loop, or, along a
+    (T+1, B, N, k) path, one section per trial; the result is the
+    transported section, or the list of them, one per trial.
+    """
+    _, vectors = _trial_stack(_trial_loops(path.values[0]), sigma)
     out = integrate_transport(conn.manifold, path.s_grid, path.values,
-                              sigma.vectors, steps=steps,
-                              torsion=conn.torsion)
-    return TangentSection(conn.manifold, SampledLoop(path.values[-1]), out)
+                              vectors, steps=steps, torsion=conn.torsion)
+    ends = _trial_loops(path.values[-1])
+    if isinstance(ends, SampledLoop):
+        return TangentSection(conn.manifold, ends, out)
+    return [TangentSection(conn.manifold, end, vec) for end, vec in zip(ends, out)]
 
 
 def torsion(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
@@ -371,7 +405,7 @@ def matrix_loop_from_dict(data: dict) -> MatrixLoop:
 
 
 def path_to_dict(path: LoopPath) -> dict:
-    _, n, dim = path.values.shape
+    n, dim = path.values.shape[-2:]
     return {"dim": dim, "n": n,
             "manifold": path.manifold.kind,
             "s_grid": path.s_grid.tolist(),

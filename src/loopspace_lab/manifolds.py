@@ -25,6 +25,7 @@ squared partition of unity trivializing TM, and random loops.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,6 +518,27 @@ def random_tangent(manifold: EmbeddedManifold, rng, p, scale: float = 1.0) -> Ta
 
 # -- geodesic integration ------------------------------------------------------
 
+def _step_size(span: float, steps: int) -> float:
+    """The fixed RK4 step span / steps of every integrator in the lab; a
+    step count below 1 raises ValueError."""
+    if not steps >= 1:
+        raise ValueError(f"need at least one integration step, got {steps}")
+    return span / steps
+
+
+def _diverged(what: str, res, step: int, steps: int) -> IntegrationDiverged:
+    """IntegrationDiverged for a residual array over the batch axes, naming
+    the step and where the worst (or first NaN) residual sits: the last
+    batch axis is the circle node, any axes before it the trial."""
+    where = np.unravel_index(np.argmax(res), np.shape(res))
+    place = [f"step {step}/{steps}"]
+    if len(where) > 1:
+        place.append("trial " + ",".join(str(int(i)) for i in where[:-1]))
+    if where:
+        place.append(f"node {int(where[-1])}")
+    return IntegrationDiverged(f"{what} {np.max(res):.3e} mid-flow at {', '.join(place)}")
+
+
 def _rk4(rhs, y, t, h, steps, after_step=None):
     """Fixed-step classical RK4 for y' = rhs(t, y), starting at time t.
 
@@ -542,26 +564,32 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
     """RK4 integration of the geodesic ODE with per-step reprojection.
 
     ``p`` and ``v`` may carry leading batch axes.  Returns the trajectory,
-    of shape (steps+1,) + p.shape, and the velocity at the end.
+    of shape (steps+1,) + p.shape, and the velocity at the end.  Each
+    reprojected point is written into the preallocated trajectory, so the
+    trajectory is the only array of its size.
     """
+    h = _step_size(float(time), steps)
     y = np.stack(np.broadcast_arrays(np.asarray(p, dtype=np.float64),
                                      np.asarray(v, dtype=np.float64)))
     acc = manifold.geodesic_acceleration
-    traj = [y[0]]
+    traj = np.empty((steps + 1,) + y.shape[1:])
+    traj[0] = y[0]
+    count = itertools.count(1)
 
     def rhs(t, y):
         return np.stack([y[1], acc(y[0], y[1])])
 
     def after_step(t, y):
-        res = np.max(np.atleast_1d(manifold.constraint_residual(y[0])))
-        if not res <= MIDFLOW_TOL:
-            raise IntegrationDiverged(f"constraint residual {res:.3e} mid-flow")
-        x = manifold.project_point(y[0])
-        traj.append(x)
+        step = next(count)
+        res = manifold.constraint_residual(y[0])
+        if not np.max(res) <= MIDFLOW_TOL:
+            raise _diverged("constraint residual", res, step, steps)
+        x = traj[step]
+        x[...] = manifold.project_point(y[0])
         return np.stack([x, manifold.project_tangent_vector(x, y[1])])
 
-    _, u = _rk4(rhs, y, 0.0, float(time) / steps, steps, after_step)
-    return np.asarray(traj), u
+    _, u = _rk4(rhs, y, 0.0, h, steps, after_step)
+    return traj, u
 
 
 def exp_map(manifold: EmbeddedManifold, tangent: TangentAtPoint,
@@ -612,14 +640,18 @@ def _path_spline(s_grid, points):
     knots (de Boor, A Practical Guide to Splines, rev. ed. 2001, ch. IV).
     The rows are those of the common banded layout, so the tests can hold
     the result to a library spline as the oracle.  A Thomas sweep runs over
-    the knots, vectorized over the batch axes.  Fewer than 4 samples are
-    rejected: with 3 the two not-a-knot conditions coincide, with 2 there is
-    no inner knot.
+    the knots, vectorized over the batch axes; it builds each inner row of
+    the right-hand side from the interval slopes (y[i+1] - y[i]) / dx[i]
+    just before eliminating it.  Fewer than 4 samples are rejected: with 3 the
+    two not-a-knot conditions coincide, with 2 there is no inner knot.
 
     Returns ``at(s) -> (x(s), x'(s))``: one interval lookup, then the
     Horner sums ((a z + b) z + c) z + d and (3a z + 2b) z + c in
-    z = s - knot.  Times outside the knots use the end pieces, so a stage
-    time one rounding past the last knot extrapolates the end cubic.
+    z = s - knot.  Only the slopes m are kept beside the points: the
+    interval's coefficients are formed from y and m at its two knots, and
+    kept for the next call on the same interval.  Times outside the knots
+    use the end pieces, so a stage time one rounding past the last knot
+    extrapolates the end cubic.
     """
     x = np.asarray(s_grid, dtype=np.float64)
     y = np.asarray(points, dtype=np.float64)
@@ -627,31 +659,38 @@ def _path_spline(s_grid, points):
     if n < 4:
         raise ValueError(f"a not-a-knot path spline needs at least 4 samples, got {n}")
     dx = np.diff(x)
-    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     lower = np.concatenate(([0.0], dx[1:], [d1]))
     diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
     upper = np.concatenate(([d0], dx[:-1], [0.0]))
+
+    def slope(i):
+        return (y[i + 1] - y[i]) / dx[i]
+
     m = np.empty_like(y)
-    m[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    m[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    m[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    for i in range(1, n):  # forward elimination
+    m[0] = ((dx[0] + 2 * d0) * dx[1] * slope(0) + dx[0] ** 2 * slope(1)) / d0
+    m[-1] = (dx[-1] ** 2 * slope(n - 3) + (2 * d1 + dx[-1]) * dx[-2] * slope(n - 2)) / d1
+    for i in range(1, n):  # forward elimination, each inner row built first
+        if i < n - 1:
+            m[i] = 3 * (dx[i] * slope(i - 1) + dx[i - 1] * slope(i))
         w = lower[i] / diag[i - 1]
         diag[i] -= w * upper[i - 1]
         m[i] -= w * m[i - 1]
     m[-1] /= diag[-1]
     for i in range(n - 2, -1, -1):  # back substitution
         m[i] = (m[i] - upper[i] * m[i + 1]) / diag[i]
-    t = (m[:-1] + m[1:] - 2 * slope) / dxr
-    a, b, c, d = t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]
-    a3, b2 = 3 * a, 2 * b
+    piece = [None, None]
 
     def at(s: float):
         i = min(max(np.searchsorted(x, s, "right") - 1, 0), n - 2)
+        if piece[0] != i:
+            sl = slope(i)
+            t = (m[i] + m[i + 1] - 2 * sl) / dx[i]
+            a, b = t / dx[i], (sl - m[i]) / dx[i] - t
+            piece[:] = i, (a, b, 3 * a, 2 * b)
+        a, b, a3, b2 = piece[1]
         z = s - x[i]
-        return ((a[i] * z + b[i]) * z + c[i]) * z + d[i], (a3[i] * z + b2[i]) * z + c[i]
+        return ((a * z + b) * z + m[i]) * z + y[i], (a3 * z + b2) * z + m[i]
 
     return at
 
@@ -667,13 +706,14 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     An optional ``torsion(x, xdot, v)`` term adds -0.5 T(xdot, v), the
     transport law of a connection with prescribed torsion tensor T.
     """
-    at = _path_spline(s_grid, points)
     s0, s1 = float(s_grid[0]), float(s_grid[-1])
     if steps is None:
         steps = max(2 * (len(s_grid) - 1), 8)
-    h = (s1 - s0) / steps
+    h = _step_size(s1 - s0, steps)
+    at = _path_spline(s_grid, points)
     v = np.asarray(v, dtype=np.float64)
     norms0 = np.linalg.norm(v, axis=-1, keepdims=True)
+    count = itertools.count(1)
 
     # The RK4 stages and after_step visit each stage time twice in a row
     # (t += h gives the float of t + h), so with a one-entry memo the path
@@ -693,10 +733,11 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
         return out
 
     def after_step(s, vec):
+        step = next(count)
         x, _ = path(s)
-        res = np.max(np.atleast_1d(manifold.constraint_residual(x)))
-        if not res <= MIDFLOW_TOL:
-            raise IntegrationDiverged(f"path off manifold (residual {res:.3e})")
+        res = manifold.constraint_residual(x)
+        if not np.max(res) <= MIDFLOW_TOL:
+            raise _diverged("path off manifold: residual", res, step, steps)
         if torsion is not None:
             return vec
         vec = manifold.project_tangent_vector(x, vec)

@@ -421,15 +421,18 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
     conn = geometry.ConnectionSpec(manifold)
     out = Checks()
     n = cfg.resolution
+    alphas, nus = [], []
     for _ in range(3):
-        alpha = manifold.random_loop(rng, n)
-        nu = charts.random_section(rng, manifold, alpha, scale=0.5)
-        path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
+        alphas.append(manifold.random_loop(rng, n))
+        nus.append(charts.random_section(rng, manifold, alphas[-1], scale=0.5))
+    path = geometry.loop_geodesic(conn, alphas, nus, 1.0, cfg.ode_steps)
+    for trial, (alpha, nu) in enumerate(zip(alphas, nus)):
         for idx in (cfg.ode_steps // 2, cfg.ode_steps):
             s = path.s_grid[idx]
             oracle = manifold.exp(alpha.samples, s * nu.vectors)
-            out.track("pointwise-oracle", path.values[idx] - oracle)
-        vel = geometry._time_derivative(path.values, path.s_grid)
+            out.track("pointwise-oracle", path.values[idx, trial] - oracle)
+        # per trial: a velocity of the whole stack would double its memory
+        vel = geometry._time_derivative(path.values[:, trial], path.s_grid)
         energy = geometry.l2_pairing(vel, vel)
         interior = energy[1:-1]
         out.track("energy", interior - interior[0])
@@ -454,12 +457,16 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
     conn = geometry.ConnectionSpec(manifold)
     out = Checks()
     n = cfg.resolution
+    trials = []
     for _ in range(3):
         alpha = manifold.random_loop(rng, n)
         nu = charts.random_section(rng, manifold, alpha, scale=0.5)
-        path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
         sigma = charts.random_section(rng, manifold, alpha, scale=0.8)
-        moved = geometry.loop_parallel_transport(conn, path, sigma)
+        trials.append((alpha, nu, sigma))
+    alphas, nus, sigmas = zip(*trials)
+    path = geometry.loop_geodesic(conn, alphas, nus, 1.0, cfg.ode_steps)
+    transported = geometry.loop_parallel_transport(conn, path, sigmas)
+    for (alpha, nu, sigma), moved in zip(trials, transported):
         oracle = manifold.geodesic_transport(alpha.samples, nu.vectors, sigma.vectors)
         out.track("pointwise-oracle", moved.vectors - oracle)
         out.track("l2-isometry", geometry.l2_inner(moved.base, moved, moved)

@@ -33,6 +33,7 @@ from .manifolds import (
     TangentAtPoint,
     _rk4,
     _same_point,
+    _step_size,
 )
 from .charts import TangentSection
 
@@ -76,6 +77,7 @@ def _flow_constant_direction(w, c, steps: int, sign: float = 1.0) -> np.ndarray:
     q(0) >= BUMP_UPPER (or c = 0) never moves.  Only the rows left in the
     transition band integrate sigma, by fixed-step RK4.
     """
+    h = _step_size(1.0, steps)
     w = np.asarray(w, dtype=np.float64)
     c = sign * np.asarray(c, dtype=np.float64)
     shape = np.broadcast_shapes(w.shape, c.shape)
@@ -93,7 +95,7 @@ def _flow_constant_direction(w, c, steps: int, sign: float = 1.0) -> np.ndarray:
         def rate(t, s):
             return _bump(q0 + s * (b + a * s))
 
-        s = _rk4(rate, np.zeros_like(q0), 0.0, 1.0 / steps, steps)
+        s = _rk4(rate, np.zeros_like(q0), 0.0, h, steps)
         out[band] = w[band] + s[:, None] * c[band]
     return out.reshape(shape)
 

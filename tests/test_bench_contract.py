@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from loopspace_lab import cli, loops, polarization
+from loopspace_lab import cli, loops, manifolds, polarization
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -75,3 +75,32 @@ def test_svd_counters_match_the_svds_polarization_runs(tmp_path, monkeypatch):
     assert metrics["polarization.svd_count"] == len(shapes)
     assert metrics["polarization.svd_flops"] == sum(
         tracer_module.svd_flops(m, n) for m, n in shapes)
+
+
+def test_rk4_steps_match_the_integrations_manifolds_runs(tmp_path, monkeypatch):
+    """The tracer counts RK4 steps from the integrators' arguments; hold the
+    count to the steps that ``manifolds._rk4`` really takes.  Each pointwise
+    suite integrates its three trials at once: one geodesic of 200 steps,
+    one transport of 400, and the flat run of 32 and 64."""
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    steps = []
+    rk4 = manifolds._rk4
+
+    def recording(rhs, y, t, h, count, after_step=None):
+        steps.append(count)
+        return rk4(rhs, y, t, h, count, after_step)
+
+    monkeypatch.setattr(manifolds, "_rk4", recording)
+    tracer.install()
+    try:
+        tracer.begin_pass(0)
+        for suite in ("geodesic-pointwise", "transport-pointwise"):
+            code = cli.main(["run", "--suite", suite, "--resolution", "32",
+                             "--seed", "7", "--out", str(tmp_path), "--quiet"])
+            assert code == 0, suite
+        metrics = tracer.end_pass(1.0)
+    finally:
+        tracer.uninstall()
+    assert steps == [200, 32, 200, 400, 32, 64]
+    assert metrics["manifolds.rk4_steps"] == sum(steps) == 928

@@ -35,7 +35,7 @@ from loopspace_lab.geometry import (
     torsion,
 )
 from loopspace_lab.loops import SampledLoop, random_bandlimited_loop
-from loopspace_lab.manifolds import Flat, LocalAdditionSpec, Sphere2
+from loopspace_lab.manifolds import Flat, FlatTorus2, LocalAdditionSpec, Sphere2
 
 SPHERE = Sphere2()
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -148,6 +148,39 @@ class TestLoopPath:
         values[2] *= 1.01
         with pytest.raises(OffManifold):
             LoopPath(SPHERE, self.S, values)
+
+    def test_accepts_a_stack_of_paths(self):
+        values = np.broadcast_to(unit_circle_loop(16).samples, (5, 3, 16, 3))
+        path = LoopPath(SPHERE, self.S, values)
+        assert path.grid_size == 4 and path.values.shape == (5, 3, 16, 3)
+
+    def test_rejects_values_without_a_circle_axis(self):
+        with pytest.raises(ValueError, match="one loop per time node"):
+            LoopPath(Flat(2), self.S, np.zeros((5, 16)))
+
+    @pytest.mark.parametrize("case", ["grid", "length", "resolution", "nan",
+                                      "dimension", "off-sphere"])
+    def test_rejects_each_bad_input_on_a_stack_of_paths(self, case):
+        # the tests above hold the same rejections for a single path
+        manifold, s_grid, values = Flat(2), self.S, np.zeros((5, 3, 16, 2))
+        error, match = ValueError, None
+        if case == "grid":
+            s_grid, match = [0, 0.5, 0.25, 0.75, 1], "strictly increasing"
+        elif case == "length":
+            values, match = np.zeros((4, 3, 16, 2)), "one loop per time node"
+        elif case == "resolution":
+            values, match = np.zeros((5, 3, 12, 2)), "power of two"
+        elif case == "nan":
+            values[3, 1, 7, 1] = np.nan
+            match = "finite"
+        elif case == "dimension":
+            values, error = np.zeros((5, 3, 16, 3)), OffManifold
+        else:
+            manifold, error = SPHERE, OffManifold
+            values = np.tile(unit_circle_loop(16).samples, (5, 3, 1, 1))
+            values[2, 1] *= 1.01
+        with pytest.raises(error, match=match):
+            LoopPath(manifold, s_grid, values)
 
 
 class TestCovDeriv:
@@ -331,6 +364,60 @@ class TestLoopTransport:
             single = parallel_transport(
                 SPHERE, trace, project_tangent(SPHERE, trace[0], sigma.vectors[j]))
             assert np.max(np.abs(single.vector - out.vectors[j])) < 1e-7
+
+
+class TestTrialAxis:
+    """Loop geodesics and transports over a stack of trials are the
+    per-trial calls, bit for bit: the integration acts node by node."""
+
+    @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, FlatTorus2()],
+                             ids=lambda m: m.kind)
+    def test_batched_equals_per_trial_bit_for_bit(self, manifold):
+        rng = np.random.default_rng(21)
+        conn = ConnectionSpec(manifold)
+        alphas = [manifold.random_loop(rng, 64) for _ in range(3)]
+        nus = [random_section(rng, manifold, a, scale=0.5) for a in alphas]
+        sigmas = [random_section(rng, manifold, a, scale=0.8) for a in alphas]
+        path = loop_geodesic(conn, alphas, nus, 1.0, 40)
+        moved = loop_parallel_transport(conn, path, sigmas)
+        assert path.values.shape == (41, 3, 64, manifold.ambient_dim)
+        assert len(moved) == 3
+        for trial in range(3):
+            single = loop_geodesic(conn, alphas[trial], nus[trial], 1.0, 40)
+            assert np.array_equal(path.values[:, trial], single.values)
+            out = loop_parallel_transport(conn, single, sigmas[trial])
+            assert np.array_equal(moved[trial].base.samples, out.base.samples)
+            assert np.array_equal(moved[trial].base.samples, single.values[-1])
+            assert np.array_equal(moved[trial].vectors, out.vectors)
+
+    def test_each_trial_must_be_based(self):
+        rng = np.random.default_rng(22)
+        conn = ConnectionSpec(SPHERE)
+        alphas = [SPHERE.random_loop(rng, 32) for _ in range(2)]
+        nus = [random_section(rng, SPHERE, a, scale=0.3) for a in alphas]
+        with pytest.raises(BaseMismatch):
+            loop_geodesic(conn, alphas, nus[::-1])
+        path = loop_geodesic(conn, alphas, nus, 1.0, 16)
+        with pytest.raises(BaseMismatch):
+            loop_parallel_transport(conn, path, nus[::-1])
+
+    def test_rejects_unpaired_trials(self):
+        rng = np.random.default_rng(23)
+        conn = ConnectionSpec(SPHERE)
+        alphas = [SPHERE.random_loop(rng, 32) for _ in range(2)]
+        nus = [random_section(rng, SPHERE, a, scale=0.3) for a in alphas]
+        with pytest.raises(ValueError, match="one section per loop"):
+            loop_geodesic(conn, alphas, nus[:1])
+        with pytest.raises(ValueError, match="one section per loop"):
+            loop_geodesic(conn, [], [])
+        with pytest.raises(ValueError, match="one section per loop"):
+            loop_geodesic(conn, alphas, nus[0])
+        path = loop_geodesic(conn, alphas, nus, 1.0, 16)
+        with pytest.raises(ValueError, match="one section per loop"):
+            loop_parallel_transport(conn, path, nus[0])
+        single = loop_geodesic(conn, alphas[0], nus[0], 1.0, 16)
+        with pytest.raises(ValueError, match="one section per loop"):
+            loop_parallel_transport(conn, single, nus[:1])
 
 
 class TestTorsion:

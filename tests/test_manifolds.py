@@ -5,6 +5,8 @@ closed-form maps, and the closed forms against independently coded oracles
 (great-circle formulas, rotation matrices, angle arithmetic).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -27,6 +29,7 @@ from loopspace_lab.manifolds import (
     TangentAtPoint,
     exp_map,
     integrate_geodesic,
+    integrate_transport,
     log_by_shooting,
     log_map,
     manifold_from_tag,
@@ -324,6 +327,86 @@ class TestParallelTransport:
             parallel_transport(SPHERE, path, v)
 
 
+class TestIntegratorArguments:
+    """Step counts below 1 are rejected before any integration, and a
+    divergence names the step, the trial and the node of its worst
+    residual."""
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_geodesic_rejects_steps_below_one(self, steps):
+        with pytest.raises(ValueError, match="at least one integration step"):
+            integrate_geodesic(SPHERE, NORTH, np.array([0.5, 0.0, 0.0]), steps=steps)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_transport_rejects_steps_below_one(self, steps):
+        path = np.tile(NORTH, (5, 1))
+        with pytest.raises(ValueError, match="at least one integration step"):
+            integrate_transport(SPHERE, np.linspace(0.0, 1.0, 5), path,
+                                np.array([0.0, 1.0, 0.0]), steps=steps)
+
+    def test_geodesic_divergence_names_step_trial_and_node(self):
+        p = np.broadcast_to(NORTH, (2, 8, 3))
+        v = np.zeros((2, 8, 3))
+        v[1, 5] = [3.0, 0.0, 0.0]
+        with pytest.raises(IntegrationDiverged,
+                           match=r"mid-flow at step 1/2, trial 1, node 5$"):
+            integrate_geodesic(SPHERE, p, v, steps=2)
+
+    def test_transport_divergence_names_step_trial_and_node(self):
+        s_grid = np.linspace(0.0, 1.0, 5)
+        path = np.broadcast_to(NORTH, (5, 2, 8, 3)).copy()
+        angle = np.pi * s_grid  # four knots a quarter turn apart
+        path[:, 1, 5] = np.stack([np.sin(angle), 0.0 * angle, np.cos(angle)], -1)
+        with pytest.raises(IntegrationDiverged,
+                           match=r"^path off manifold: .* at step 1/8, trial 1, node 5$"):
+            integrate_transport(SPHERE, s_grid, path, np.zeros((2, 8, 3)))
+
+    def test_a_single_loop_names_the_node_only(self):
+        v = np.zeros((8, 3))
+        v[6] = [3.0, 0.0, 0.0]
+        with pytest.raises(IntegrationDiverged, match=r"at step 1/2, node 6$"):
+            integrate_geodesic(SPHERE, np.broadcast_to(NORTH, (8, 3)), v, steps=2)
+
+
+class TestIntegratorMemory:
+    """On a (201, 3, 1024, 4) torus path, the size of three trials of the
+    battery at N = 1024, each integrator holds one array of the path's size:
+    the geodesic its preallocated trajectory, the transport the spline's
+    knot slopes.  tracemalloc sees numpy's data buffers."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def start(self):
+        rng = np.random.default_rng(40)
+        p = TORUS.from_angles(rng.uniform(0.0, 2 * np.pi, size=(3, 1024, 2)))
+        v = 0.5 * TORUS.project_tangent_vector(p, rng.normal(size=p.shape))
+        w = TORUS.project_tangent_vector(p, rng.normal(size=p.shape))
+        return p, v, w
+
+    def test_geodesic_peak_is_its_trajectory(self, start):
+        p, v, _ = start
+        (traj, _), peak = self.traced_peak(integrate_geodesic, TORUS, p, v, 1.0, 200)
+        assert traj.shape == (201, 3, 1024, 4)
+        assert peak <= 1.25 * traj.nbytes
+
+    def test_transport_peak_above_its_path_is_one_path(self, start):
+        p, v, w = start
+        traj, _ = integrate_geodesic(TORUS, p, v, 1.0, 200)
+        _, peak = self.traced_peak(integrate_transport, TORUS,
+                                   np.linspace(0.0, 1.0, 201), traj, w)
+        assert peak <= 1.25 * traj.nbytes
+
+
 class TestPathSpline:
     """The in-repo not-a-knot path spline against scipy's ``CubicSpline``,
     whose default end condition is not-a-knot, on random batched data."""
@@ -345,6 +428,51 @@ class TestPathSpline:
         oracle = CubicSpline(s_grid, points, axis=0)
         for part, ref, tol in ((0, oracle, 1e-13), (1, oracle.derivative(), 1e-10)):
             assert np.max(np.abs(np.stack([fit[part] for fit in fits]) - ref(s))) <= tol
+
+    @staticmethod
+    def whole_array_spline(x, y):
+        """The same sweep on whole (T, ...) arrays of interval slopes and
+        coefficients: the reference for the row-by-row spline's bits."""
+        n, dx = len(x), np.diff(x)
+        dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        lower = np.concatenate(([0.0], dx[1:], [d1]))
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([d0], dx[:-1], [0.0]))
+        m = np.empty_like(y)
+        m[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        m[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        m[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        for i in range(1, n):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            m[i] -= w * m[i - 1]
+        m[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            m[i] = (m[i] - upper[i] * m[i + 1]) / diag[i]
+        t = (m[:-1] + m[1:] - 2 * slope) / dxr
+        a, b, c, d = t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]
+
+        def at(s):
+            i = min(max(np.searchsorted(x, s, "right") - 1, 0), n - 2)
+            z = s - x[i]
+            return (((a[i] * z + b[i]) * z + c[i]) * z + d[i],
+                    (3 * a[i] * z + 2 * b[i]) * z + c[i])
+
+        return at
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 201])
+    def test_matches_the_whole_array_formulas_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        s_grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+        points = rng.standard_normal((n, 3, 16, 4))
+        at = manifolds._path_spline(s_grid, points)
+        ref = self.whole_array_spline(s_grid, points)
+        times = np.concatenate([rng.uniform(-0.5, s_grid[-1] + 0.5, 40), s_grid])
+        for s in np.concatenate([times, times[::-1]]):  # enter intervals both ways
+            for got, want in zip(at(s), ref(s)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_short_grids_rejected(self, n):

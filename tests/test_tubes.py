@@ -91,6 +91,13 @@ class TestFlowDiffeo:
             worst = max(worst, float(np.max(np.abs(fd.inverse(fd.forward(u)) - u))))
         assert worst < 1e-7
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_rejects_steps_below_one(self, steps):
+        fd = FlowDiffeo(np.array([0.5, 0.0, 0.0]), steps=steps)
+        band = np.array([[1.2, 0.0, 0.0]])  # |u|^2 in the transition band
+        with pytest.raises(ValueError, match="at least one integration step"):
+            fd.forward(band)
+
 
 def _rows_with_norms(rng, count, lo, hi):
     w = rng.normal(size=(count, 3))
