@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, LoopspaceError, UnknownSuite
-from .suites import SUITES, Checks, ExperimentConfig
+from .suites import FLAG, SUITES, CheckRecord, ExperimentConfig
 
 REPORT_SCHEMA = "loopspace-lab/report-v1"
 
@@ -80,9 +80,7 @@ def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
     except (LoopspaceError, ValueError) as exc:
         # a numerical failure inside an accepted configuration is a failed
         # check with a report, not an invalid configuration
-        error = Checks()
-        error.add_flag("suite-error", f"{type(exc).__name__}: {exc}", False)
-        checks = error.records
+        checks = [CheckRecord("suite-error", f"{type(exc).__name__}: {exc}", 1.0, FLAG)]
     wall = time.perf_counter() - t0
     report = Report(cfg.suite, _config_echo(cfg), tuple(checks),
                     all(c.passed for c in checks))
@@ -115,7 +113,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
             raise ConfigInvalid(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigInvalid("config file must hold a JSON object")

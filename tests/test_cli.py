@@ -11,7 +11,7 @@ import pytest
 import loopspace_lab
 from loopspace_lab.cli import load_config, main, run_suite
 from loopspace_lab.errors import ConfigInvalid, UnknownSuite
-from loopspace_lab.suites import SUITES, ExperimentConfig
+from loopspace_lab.suites import CHECKS, ORACLE, SUITES, ExperimentConfig
 
 
 def fast_config(suite, tmp_path, **kw):
@@ -106,9 +106,15 @@ class TestRunSuite:
         assert "wall_time_s" not in data
 
     def test_every_check_has_an_anchor(self, tmp_path):
+        assert list(dict.fromkeys(key.split("/")[0] for key in CHECKS)) == list(SUITES)
         for suite in SUITES:
-            report = run_suite(fast_config(suite, tmp_path))
+            cfg = fast_config(suite, tmp_path)
+            report = run_suite(cfg)
             assert all(c.anchor for c in report.checks), suite
+            declared = [(key.split("/")[1], identity, cfg.oracle_tol if tol is ORACLE else tol)
+                        for key, (identity, tol, *_) in CHECKS.items()
+                        if key.startswith(f"{suite}/")]
+            assert [(c.check_id, c.anchor, c.tolerance) for c in report.checks] == declared
 
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -162,6 +168,12 @@ class TestMainExitCodes:
         out = capsys.readouterr().out.split()
         assert set(out) == set(SUITES)
         assert len(out) == 16
+
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 3
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_config_file_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,12 +13,14 @@ log(h) is bounded below:
   (de Boor, A Practical Guide to Splines, rev. ed., 2001, ch. IV);
 * ``covderiv-adjoint`` differentiates along the path grid by central
   differences, order 2;
-* ``away-from-pole`` is the largest jump of the lifted loop between
-  neighbouring nodes, O(1/N) for a continuous lift.
+* ``exp-nonsurjective`` bounds the largest jump of a continuous lift
+  between neighbouring nodes, which is O(1/N).
 
-ORDERS also records the fitted constant C of C * h**p, so that a minimum
-setting can be read off for a tolerance; a fit more than a factor 2 away
-from its recorded C fails, so the table cannot go stale.
+``suites.CHECKS`` records the method order p and the fitted constant C of
+C * h**p for each discretization check of the suites, and ORDERS those of
+the path spline, so that a minimum setting can be read off for a tolerance;
+a fit more than a factor 2 away from its recorded C fails, so the tables
+cannot go stale.
 """
 
 import functools
@@ -27,28 +29,28 @@ import numpy as np
 import pytest
 
 from loopspace_lab import manifolds
-from loopspace_lab.suites import SUITES, ExperimentConfig
+from loopspace_lab.suites import CHECKS, ORACLE, SUITES, ExperimentConfig
 
-#: identity: (minimum order, fitted C, fitted p); the suites run on sphere2 at
-#: seed 0, with N = 32 unless N is the refinement.
+#: identity: (method order p, fitted C) of the path spline
 ORDERS = {
-    "geodesic-pointwise/pointwise-oracle": (3.5, 0.0299, 3.97),
-    "geodesic-pointwise/energy": (3.5, 0.0183, 4.96),
-    "transport-pointwise/pointwise-oracle": (3.5, 0.109, 3.95),
-    "covderiv-adjoint/connector-vs-transport": (1.8, 0.0991, 2.00),
-    "covderiv-adjoint/metric-compat": (1.8, 0.00229, 2.00),
-    "exp-nonsurjective/away-from-pole": (0.9, 11.9, 1.00),
-    "path-spline/value": (3.5, 2.60, 3.99),
-    "path-spline/derivative": (2.5, 16.6, 2.99),
+    "path-spline/value": (4, 2.60),
+    "path-spline/derivative": (3, 16.6),
 }
+#: "suite/check-id": (p, C) of each suite check that declares an order; the
+#: suites run on sphere2 at seed 0, with N = 32 unless N is the refinement.
+SUITE_ORDERS = {key: tuple(order) for key, (_, _, *order) in CHECKS.items() if order}
+#: suite: its RK4 check against the oracle, the one at the config's tolerance
+ORACLE_CHECKS = {key.split("/")[0]: key for key in SUITE_ORDERS if CHECKS[key][1] is ORACLE}
+#: method order: the least observed order that passes
+MIN_ORDER = {4: 3.5, 3: 2.5, 2: 1.8, 1: 0.9}
 REFINEMENTS = (32, 64, 128)  # ode steps = path grid, or N for exp-nonsurjective
 SPLINE_GRIDS = (16, 32, 64)
 
 
 def assert_order(identity: str, refinements, errors) -> None:
-    min_order, c, _ = ORDERS[identity]
+    order, c = ORDERS[identity] if identity in ORDERS else SUITE_ORDERS[identity]
     p, log_c = np.polyfit(-np.log(refinements), np.log(errors), 1)
-    assert p >= min_order, f"{identity}: observed order {p:.2f}"
+    assert p >= MIN_ORDER[order], f"{identity}: observed order {p:.2f}"
     assert c / 2 <= np.exp(log_c) <= 2 * c, f"{identity}: fitted C {np.exp(log_c):.3g}"
 
 
@@ -68,13 +70,13 @@ def assert_suite_order(identity: str) -> None:
                  [suite_residuals(suite, r)[check_id] for r in REFINEMENTS])
 
 
-@pytest.mark.parametrize("suite", ["geodesic-pointwise", "transport-pointwise"])
+@pytest.mark.parametrize("suite", list(ORACLE_CHECKS))
 def test_rk4_pointwise_oracle_order(suite):
-    assert_suite_order(f"{suite}/pointwise-oracle")
+    assert_suite_order(ORACLE_CHECKS[suite])
 
 
-@pytest.mark.parametrize("identity", [k for k in ORDERS if not k.startswith("path-spline/")
-                                      and not k.endswith("/pointwise-oracle")])
+@pytest.mark.parametrize("identity", [k for k in SUITE_ORDERS
+                                      if k not in ORACLE_CHECKS.values()])
 def test_suite_order(identity):
     assert_suite_order(identity)
 

@@ -1,37 +1,79 @@
-"""The suites' residual bookkeeping: a non-finite residual must fail its check."""
+"""The suites' residual bookkeeping: a non-finite residual must fail its check,
+and every check is declared in the catalogue."""
 
 import numpy as np
+import pytest
 
-from loopspace_lab import charts
+from loopspace_lab import charts, geometry, suites
 from loopspace_lab.manifolds import Sphere2
-from loopspace_lab.suites import SUITES, Checks, ExperimentConfig
+from loopspace_lab.suites import FLAG, ORACLE, SUITES, Checks, ExperimentConfig
 
 
-def test_track_keeps_the_running_max():
-    out = Checks()
+@pytest.fixture
+def out(monkeypatch):
+    """Checks for suite "s", whose catalogue declares c, d and a flag f."""
+    monkeypatch.setattr(suites, "CHECKS", {
+        "s/c": ("anchor c", 3.0), "s/d": ("anchor d", ORACLE),
+        "s/f": ("a flag", FLAG), "t/c": ("another suite's c", 9.0)})
+    return Checks(ExperimentConfig(suite="s", oracle_tol=1.0))
+
+
+def track_rest(out, *check_ids):
+    for check_id in check_ids:
+        out.track(check_id, 0.0)
+
+
+def test_track_keeps_the_running_max(out):
     out.track("c", np.array([0.5, -2.0]))
     out.track("c", 1.0)
-    out.add("c", "anchor", 3.0)
+    track_rest(out, "d", "f")
     assert out.records[0].residual == 2.0 and out.records[0].passed
 
 
-def test_track_propagates_nan():
-    out = Checks()
+def test_track_propagates_nan(out):
     out.track("c", 1e-3)
     out.track("c", np.array([0.0, np.nan]))
     out.track("c", 1e-4)
-    out.add("c", "anchor", 1.0)
+    track_rest(out, "d", "f")
     assert np.isnan(out.records[0].residual)
     assert not out.records[0].passed
 
 
-def test_add_reduces_a_difference_and_propagates_nan():
-    out = Checks()
-    out.add("c", "anchor", 3.0, np.array([0.5, -2.0]))
-    out.add("d", "anchor", 1.0, np.array([0.0, np.nan, -0.5]))
+def test_track_reduces_a_difference_and_propagates_nan(out):
+    out.track("c", np.array([0.5, -2.0]))
+    out.track("d", np.array([0.0, np.nan, -0.5]))
+    track_rest(out, "f")
     assert out.records[0].residual == 2.0 and out.records[0].passed
     assert np.isnan(out.records[1].residual)
     assert not out.records[1].passed
+
+
+def test_records_follow_the_catalogue(out):
+    out.track("f", False)
+    out.track("d", 0.5)
+    out.track("c", 4.0)
+    assert [(r.check_id, r.anchor, r.residual, r.tolerance) for r in out.records] == [
+        ("c", "anchor c", 4.0, 3.0), ("d", "anchor d", 0.5, 1.0), ("f", "a flag", 0.0, 0.5)]
+
+
+def test_undeclared_id_raises(out):
+    with pytest.raises(KeyError, match="'e' is not declared"):
+        out.track("e", 0.0)
+
+
+def test_untracked_declared_id_raises(out):
+    out.track("c", 0.0)
+    out.track("f", True)
+    with pytest.raises(KeyError, match=r"never tracked: \['d'\]"):
+        out.records
+
+
+@pytest.mark.parametrize("ok,residual", [(True, 0.0), (False, 1.0)])
+def test_flag_residual_is_0_or_1(out, ok, residual):
+    out.track("f", not ok)
+    track_rest(out, "c", "d")
+    flag = out.records[2]
+    assert (flag.residual, flag.tolerance, flag.passed) == (residual, 0.5, ok)
 
 
 def test_nan_trial_fails_chart_roundtrip(monkeypatch):
@@ -84,3 +126,14 @@ def test_nan_weight_fails_partition_squares(monkeypatch):
     squares = [r for r in records if r.check_id == "partition-squares"][0]
     assert np.isnan(squares.residual)
     assert not squares.passed
+
+
+def test_nan_norm_fails_metric_positive(monkeypatch):
+    # a NaN squared norm must fail the positivity flag, not drop out of it
+    real_inner = geometry.l2_inner
+    monkeypatch.setattr(geometry, "l2_inner",
+                        lambda base, b, c: np.nan if b is c else real_inner(base, b, c))
+    cfg = ExperimentConfig(suite="metric", resolution=32, samples=5, seed=1).validated()
+    records = SUITES[cfg.suite](cfg, np.random.default_rng(cfg.seed))
+    positive = [r for r in records if r.check_id == "positive"][0]
+    assert positive.residual == 1.0 and not positive.passed

@@ -11,8 +11,11 @@ run, as ``loopspace-lab run`` does, but writing no report.  Each suite runs
 R times untraced, for the minimum wall time, then once under
 ``tracemalloc`` for the peak of the memory allocated during the run (numpy
 reports its data buffers to ``tracemalloc``).  One line per
-suite, slowest first, gives both and whether every check passed; a last
-line gives the sums of the times and the largest peak.  The exit code is 1
+suite, slowest first, gives both, whether every check passed, and the
+suite's tightest check: the one with the largest residual / tolerance,
+with that ratio (0/0 reads as 0, x/0 and a NaN residual as inf), e.g.
+``pass (away-from-pole 0.938)``.  A last line gives the sums of the times
+and the largest peak.  The exit code is 1
 if a suite failed a check or raised.
 
 The peaks show each suite's share of the benchmark's ``peak_rss_mb`` before
@@ -44,6 +47,13 @@ def main(argv: list) -> int:
     from loopspace_lab.errors import LoopspaceError
     from loopspace_lab.suites import SUITES, ExperimentConfig
 
+    def ratio(record) -> float:
+        if record.residual == 0:
+            return 0.0
+        if record.tolerance == 0 or np.isnan(record.residual):
+            return np.inf
+        return record.residual / record.tolerance
+
     def run(name: str):
         cfg = ExperimentConfig(suite=name, manifold=args.manifold,
                                resolution=args.resolution, seed=args.seed).validated()
@@ -51,7 +61,9 @@ def main(argv: list) -> int:
             records = SUITES[name](cfg, np.random.default_rng(cfg.seed))
         except (LoopspaceError, ValueError) as exc:
             return f"{type(exc).__name__}: {exc}"
-        return "pass" if all(r.passed for r in records) else "FAIL"
+        tightest = max(records, key=ratio)
+        return (f"{'pass' if all(r.passed for r in records) else 'FAIL'} "
+                f"({tightest.check_id} {ratio(tightest):.3f})")
 
     rows = []
     for name in SUITES:
@@ -74,7 +86,7 @@ def main(argv: list) -> int:
         print(f"{name:<24} {best:8.4f} {peak / 2**20:8.2f}  {outcome}")
     print(f"{'total':<24} {sum(r[0] for r in rows):8.4f} "
           f"{max(r[1] for r in rows) / 2**20:8.2f}  (sum of times, largest peak)")
-    return 0 if all(r[3] == "pass" for r in rows) else 1
+    return 0 if all(r[3].startswith("pass ") for r in rows) else 1
 
 
 if __name__ == "__main__":
