@@ -65,7 +65,9 @@ class LoopPath:
         # checked on its own: Flat's constraint residual is 0 on NaN
         if not np.all(np.isfinite(v)):
             raise ValueError("path samples must be finite")
-        self.manifold.require_on_manifold(v)
+        # one trial at a time: the residual's temporaries scale with a trial
+        for trial in v.reshape(len(v), -1, *v.shape[-2:]).swapaxes(0, 1):
+            self.manifold.require_on_manifold(trial)
 
     @property
     def grid_size(self) -> int:

@@ -4,7 +4,8 @@ flat torus in R^4.
 The sphere S^2 and the torus S^1 x S^1 are products of round unit spheres,
 so both are one class, :class:`RoundSpheres`, which applies the unit-sphere
 formulas factor by factor; each kind adds only its random draws and its
-patch chart (and the torus its parallel frame and circle angles).
+frames of TM (two polar patches on the sphere, a parallel frame on the
+torus).
 
 Each kind carries two routes to its geometry:
 
@@ -19,8 +20,10 @@ The two routes are independent, so one can serve as the oracle for the other.
 Tangent vectors use the linear convention: v in T_pM is an ambient vector
 fixed by the orthogonal projector at p.  Projectors and their derivatives
 are applied to vectors, never built as matrices.  Each kind also builds what
-the tubular constructions need from it: a patch chart about a point, a
-squared partition of unity trivializing TM, and random loops.
+the tubular constructions need from it: a squared partition of unity
+trivializing TM, and random loops.  No kind carries a second chart: the
+based fibration flows in the exponential chart that ``exp`` and ``log``
+give about its center.
 """
 
 from __future__ import annotations
@@ -131,22 +134,7 @@ class EmbeddedManifold:
         """A random smooth loop on the manifold with O(1) geometry."""
         raise NotImplementedError
 
-    # -- the patch chart and frames for the tubular constructions -------------
-
-    def chart_coords(self, center, points) -> np.ndarray:
-        """Coordinates (..., n) of points in the patch chart phi about
-        ``center``, with phi(0) = center."""
-        raise NotImplementedError
-
-    def chart_point(self, center, coords) -> np.ndarray:
-        """The point phi(coords) of the patch chart about ``center``."""
-        raise NotImplementedError
-
-    def in_chart(self, center, points) -> np.ndarray:
-        """Mask of the points whose chart coordinates about ``center`` are
-        safely below the flow support; induced diffeomorphisms leave every
-        other point fixed.  The base chart keeps every point."""
-        return np.ones(np.shape(points)[:-1], dtype=bool)
+    # -- frames for the tubular constructions ---------------------------------
 
     def tangent_frame(self, points) -> np.ndarray:
         """A global orthonormal frame of TM, shape (..., k, n)."""
@@ -217,12 +205,6 @@ class Flat(EmbeddedManifold):
 
     def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
         return random_bandlimited_loop(rng, self.ambient_dim, n, bandwidth=bandwidth)
-
-    def chart_coords(self, center, points):
-        return np.asarray(points, dtype=np.float64) - np.asarray(center, dtype=np.float64)
-
-    def chart_point(self, center, coords):
-        return np.asarray(coords, dtype=np.float64) + np.asarray(center, dtype=np.float64)
 
     def tangent_frame(self, points):
         eye = np.eye(self.ambient_dim)
@@ -362,48 +344,15 @@ class Sphere2(RoundSpheres):
         clamp = min(1.0, 0.55 / max(spread, 1e-12))
         return SampledLoop(self.project_point(center + clamp * noise.samples))
 
-    @staticmethod
-    def _stereo_basis(center) -> np.ndarray:
-        """An orthonormal basis (2, 3) of the tangent plane at ``center``."""
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(center @ seed) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        e1 = seed - (seed @ center) * center
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(center, e1)
-        return np.stack([e1, e2], axis=0)
-
-    def chart_coords(self, center, points):
-        """Stereographic coordinates about ``center``, projected from its
-        antipode."""
-        center = np.asarray(center, dtype=np.float64)
-        q = np.asarray(points, dtype=np.float64)
-        denom = 1.0 + q @ center
-        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-        return (q @ self._stereo_basis(center).T) / denom[..., None]
-
-    def chart_point(self, center, coords):
-        center = np.asarray(center, dtype=np.float64)
-        w = np.asarray(coords, dtype=np.float64)
-        r2 = np.sum(w * w, axis=-1, keepdims=True)
-        planar = 2.0 * (w @ self._stereo_basis(center))
-        return (planar + (1.0 - r2) * center) / (1.0 + r2)
-
-    def in_chart(self, center, points):
-        """The stereographic chart covers all but the antipode; points within
-        distance ~2pi/3 of it are masked out, far beyond the flow support
-        radius sqrt(2)."""
-        q = np.asarray(points, dtype=np.float64)
-        return (q @ np.asarray(center, dtype=np.float64)) > -0.5
-
     def tangent_partition(self):
         """The two polar patches with the half-colatitude sine/cosine
         weights, whose squares sum to one exactly.  Each frame is its pole's
-        basis moved by parallel transport along the meridian."""
+        basis moved by parallel transport along the meridian.  A pole's basis
+        is the rows (e1, pole x e1), with e1 the first axis."""
         north = np.array([0.0, 0.0, 1.0])
 
-        def make_patch(pole):
-            basis = self._stereo_basis(pole)
+        def make_patch(pole, basis):
+            basis = np.array(basis)
 
             def weight(points):
                 c = np.clip(np.asarray(points, dtype=np.float64) @ pole, -1.0, 1.0)
@@ -419,7 +368,8 @@ class Sphere2(RoundSpheres):
 
             return weight, frame
 
-        return make_patch(north), make_patch(-north)
+        return (make_patch(north, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                make_patch(-north, [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]))
 
 
 class FlatTorus2(RoundSpheres):
@@ -430,11 +380,6 @@ class FlatTorus2(RoundSpheres):
     intrinsic_dim = 2
     factors = 2
     local_addition_epsilon = 1.0
-
-    def angles(self, p) -> np.ndarray:
-        """The angle of each circle, shape (..., 2)."""
-        p = self._view(p)
-        return np.arctan2(p[..., 1], p[..., 0])
 
     @staticmethod
     def from_angles(angles) -> np.ndarray:
@@ -450,14 +395,6 @@ class FlatTorus2(RoundSpheres):
         noise = random_bandlimited_loop(rng, 2, n, bandwidth=bandwidth,
                                         amplitude=wobble)
         return SampledLoop(self.from_angles(base + noise.samples))
-
-    def chart_coords(self, center, points):
-        """Angle offsets from ``center``, wrapped into [-pi, pi)."""
-        d = self.angles(points) - self.angles(center)
-        return (d + np.pi) % (2 * np.pi) - np.pi
-
-    def chart_point(self, center, coords):
-        return self.from_angles(self.angles(center) + np.asarray(coords, dtype=np.float64))
 
     def tangent_frame(self, points):
         """The parallel frame: column i is the unit tangent of circle i."""

@@ -3,7 +3,7 @@
 Four constructions, all driven by compactly supported flows:
 
 * the splitting of the based-loop fibration through flows of bump fields in
-  a chart patch,
+  the exponential chart about the fiber's base point,
 * partition-of-unity sections of the tangent bundle, linear in the seed
   vector and reproducing it at its base point,
 * tubes around coincidence submanifolds (loops through a fixed point, and
@@ -127,25 +127,26 @@ class FlowDiffeo:
 # -- the based fibration --------------------------------------------------------
 
 def _patch_seed(manifold: EmbeddedManifold, center, u):
-    """The center and the chart coordinates of u about it; raises
-    OutsidePatch unless u lies in the patch within the plateau radius."""
+    """The center and v = log_center(u); raises OutsidePatch unless u lies
+    within the plateau radius of the center."""
     center = np.asarray(center, dtype=np.float64)
     manifold.require_on_manifold(center)
-    u = np.asarray(u, dtype=np.float64)
-    v = manifold.chart_coords(center, u)
-    if not manifold.in_chart(center, u) or not np.linalg.norm(v) <= np.sqrt(BUMP_LOWER):
+    # a NaN distance fails this test, so it must run before log
+    if not manifold.dist(center, u) <= np.sqrt(BUMP_LOWER):
         raise OutsidePatch("base point outside the trivializing patch")
-    return center, v
+    # off the manifold, log has a normal part that exp would carry along
+    manifold.require_on_manifold(u)
+    return center, manifold.log(center, u)
 
 
 def _apply_patch_flow(manifold: EmbeddedManifold, center, samples: np.ndarray,
                       v: np.ndarray, steps: int, sign: float) -> np.ndarray:
     out = samples.copy()
-    mask = manifold.in_chart(center, samples)
-    if np.any(mask):
-        w = manifold.chart_coords(center, samples[mask])
+    inside = manifold.dist(center, samples) < np.sqrt(BUMP_UPPER)
+    if np.any(inside):
+        w = manifold.log(center, samples[inside])
         moved = _flow_constant_direction(w, v, steps, sign=sign)
-        out[mask] = manifold.chart_point(center, moved)
+        out[inside] = manifold.exp(center, moved)
     return out
 
 
@@ -154,9 +155,11 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
     """Split a loop near the fiber at ``center``: gamma -> (omega, u).
 
     u = gamma(0); omega is gamma pushed through the inverse of the
-    compactly supported diffeomorphism phi_u that carries the center to u
-    in the patch chart of the manifold about the center, so omega(0) is the
-    center.  Inverse: :func:`based_detrivialize`.
+    compactly supported diffeomorphism phi_u that carries the center to u,
+    the flow of a bump field in the exponential chart about the center, so
+    omega(0) is the center.  The patch of base points u is the closed ball
+    of radius sqrt(BUMP_LOWER) = 1 about the center; nodes at distance
+    sqrt(BUMP_UPPER) or more never move.  Inverse: :func:`based_detrivialize`.
     """
     u = gamma.samples[0]
     center, v = _patch_seed(manifold, center, u)
@@ -191,14 +194,11 @@ def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint):
 
     def section(points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        single = points.ndim == 1
-        pts = points[None] if single else points
-        out = np.zeros_like(pts)
+        out = np.zeros_like(points)
         for weight, frame, wp, coords in terms:
-            wx = weight(pts)
-            fx = frame(pts)
-            out += wp * wx[..., None] * np.einsum("...kn,n->...k", fx, coords)
-        return out[0] if single else out
+            out += wp * weight(points)[..., None] * np.einsum(
+                "...kn,n->...k", frame(points), coords)
+        return out
 
     return section
 

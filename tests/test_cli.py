@@ -190,7 +190,8 @@ class TestMainExitCodes:
     def test_fibration_seed_section_stays_in_patch(self, tmp_path, manifold,
                                                    seed, resolution):
         # unclamped, these seeds draw a seed section whose base point leaves
-        # the trivializing patch, and the suite raises OutsidePatch (exit 3)
+        # the trivializing patch: the suite raises OutsidePatch, which exits 1
+        # with a suite-error report
         code = main(["run", "--suite", "fibration", "--manifold", manifold,
                      "--seed", str(seed), "--resolution", str(resolution),
                      "--out", str(tmp_path), "--quiet"])

@@ -519,8 +519,6 @@ class TestTorusAngleOracle:
         assert np.max(np.abs(TORUS.dist(p, q) - np.hypot(d[:, 0], d[:, 1]))) < 1e-12
         assert np.max(np.abs(TORUS.geodesic_transport(p, v, w)
                              - self.tangent(a + t, c))) < 1e-12
-        assert np.max(np.abs(TORUS.chart_coords(p[0], q) - self.wrap(b - a[0]))) < 1e-12
-        assert np.max(np.abs(TORUS.chart_point(p[0], t) - self.point(a[0] + t))) < 1e-12
 
 
 def reduction_maps(factors):

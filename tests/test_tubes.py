@@ -174,6 +174,51 @@ class TestBasedTrivialize:
             assert np.max(np.abs(back.samples - gamma.samples)) < 1e-7
             assert np.max(np.abs(back.samples[0] - u)) < 1e-8
 
+    @staticmethod
+    def at_distance(manifold, x, radii, rng):
+        """Points exp_x(r e) for unit tangents e at x, one per radius."""
+        e = np.stack([random_tangent(manifold, rng, x).vector for _ in radii])
+        e /= np.linalg.norm(e, axis=-1, keepdims=True)
+        return manifold.exp(np.tile(x, (len(radii), 1)),
+                            np.asarray(radii)[:, None] * e)
+
+    @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
+    def test_nodes_beyond_support_stay_bit_for_bit(self, manifold):
+        rng = np.random.default_rng(6)
+        x = manifold.random_point(rng)
+        radii = np.concatenate([[0.5], rng.uniform(0.0, 1.3, 31),
+                                rng.uniform(1.5, 3.0, 32)])
+        samples = self.at_distance(manifold, x, radii, rng)
+        if manifold is SPHERE:
+            # the antipode, where log about x raises, and a node next to it
+            samples[-2] = -x
+            samples[-1] = SPHERE.project_point(-x + 1e-6 * rng.normal(size=3))
+        if manifold is TORUS:
+            samples[-1] = -x
+        far = manifold.dist(x, samples) > np.sqrt(2.0)
+        assert np.sum(far) == 32
+        gamma = SampledLoop(samples)
+        omega, u = based_trivialize(manifold, x, gamma)
+        back = based_detrivialize(manifold, x, gamma, u)
+        for moved in (omega, back):
+            assert np.array_equal(moved.samples[far], samples[far])
+            assert not np.array_equal(moved.samples[~far], samples[~far])
+
+    @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS])
+    def test_patch_radius_is_one(self, manifold):
+        rng = np.random.default_rng(7)
+        x = manifold.random_point(rng)
+        inside, outside = self.at_distance(manifold, x, [0.99, 1.01], rng)
+        omega = SampledLoop.constant(x, 64)
+        gamma = based_detrivialize(manifold, x, omega, inside)
+        assert np.max(np.abs(gamma.samples[0] - inside)) < 1e-12
+        based, _ = based_trivialize(manifold, x, gamma)
+        assert np.max(np.abs(based.samples - x)) < 1e-12
+        with pytest.raises(OutsidePatch):
+            based_detrivialize(manifold, x, omega, outside)
+        with pytest.raises(OutsidePatch):
+            based_trivialize(manifold, x, SampledLoop.constant(outside, 64))
+
     def test_already_based_loop(self):
         x = NORTH
         seed = random_section(np.random.default_rng(2), SPHERE,
@@ -205,6 +250,14 @@ class TestBasedTrivialize:
             based_trivialize(manifold, center, gamma)
         with pytest.raises(OffManifold):
             based_detrivialize(manifold, center, gamma, gamma.samples[0])
+
+    @pytest.mark.parametrize("manifold,u", [
+        (SPHERE, [0.0, 0.0, 1.5]), (TORUS, [1.0, 0.0, 1.2, 0.0])])
+    def test_off_manifold_base_point_rejected(self, manifold, u):
+        x = manifold.project_point(np.asarray(u))
+        omega = SampledLoop.constant(x, 64)
+        with pytest.raises(OffManifold):
+            based_detrivialize(manifold, x, omega, u)
 
 
 class TestPouSection:
