@@ -638,8 +638,8 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
 
     ``points`` has shape (len(s_grid),) + batch + (k,) and the path between
     samples is the not-a-knot cubic spline through them (:func:`_path_spline`).
-    After every step the vector is reprojected to the tangent space and
-    rescaled to its initial norm.
+    After every step the vector is reprojected to the tangent space; norms and
+    inner products are not imposed and hold to integration accuracy.
     An optional ``torsion(x, xdot, v)`` term adds -0.5 T(xdot, v), the
     transport law of a connection with prescribed torsion tensor T.
     """
@@ -649,7 +649,6 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     h = _step_size(s1 - s0, steps)
     at = _path_spline(s_grid, points)
     v = np.asarray(v, dtype=np.float64)
-    norms0 = np.linalg.norm(v, axis=-1, keepdims=True)
     count = itertools.count(1)
 
     # The RK4 stages and after_step visit each stage time twice in a row
@@ -675,12 +674,7 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
         res = manifold.constraint_residual(x)
         if not np.max(res) <= MIDFLOW_TOL:
             raise _diverged("path off manifold: residual", res, step, steps)
-        if torsion is not None:
-            return vec
-        vec = manifold.project_tangent_vector(x, vec)
-        norms = np.linalg.norm(vec, axis=-1, keepdims=True)
-        return np.where(norms > 1e-300,
-                        vec * (norms0 / np.where(norms > 1e-300, norms, 1.0)), vec)
+        return manifold.project_tangent_vector(x, vec)
 
     return _rk4(rhs, v, s0, h, steps, after_step)
 
@@ -691,8 +685,8 @@ def parallel_transport(manifold: EmbeddedManifold, path, v: TangentAtPoint,
 
     ``path`` is an (m, k) array of on-manifold points with m >= 4 (the
     not-a-knot path spline needs four samples; fewer raise ValueError); v
-    must be tangent at path[0].  The transport preserves the norm exactly
-    (renormalized) and inner products to integration accuracy.
+    must be tangent at path[0].  The vector is reprojected after every step;
+    its norm and inner products hold to integration accuracy.
     """
     path = np.asarray(path, dtype=np.float64)
     manifold.require_on_manifold(path[0])

@@ -144,32 +144,26 @@ def _numerical_kernel_dim(matrix: np.ndarray) -> int:
     return int(np.sum(svals <= RANK_THRESHOLD))
 
 
-def _plus_kernel_dim(coeffs: np.ndarray, truncation: int, pad: int) -> int:
-    """Kernel dimension of the plus-sector compression on a rectangular
-    window: columns are modes 0..K, rows all plus modes they can reach."""
-    if 2 * (truncation + pad) > len(coeffs):
-        raise ValueError("stabilized truncation beyond the symbol's Nyquist range")
-    rows = np.arange(0, truncation + pad + 1)
-    cols = np.arange(0, truncation + 1)
-    return _numerical_kernel_dim(_block(coeffs, rows, cols))
-
-
 def fredholm_data(blocks: OperatorBlocks):
     """(index, dim kernel, dim cokernel) of the plus-plus compression.
 
     A kernel dimension counts the singular values at most RANK_THRESHOLD.
     Counts are taken at the block's truncation and again four modes higher;
-    disagreement raises IndexUnstable.  The cokernel is counted on the
-    adjoint's table: mode m holds the conjugate transpose of mode -m.
+    disagreement raises IndexUnstable.  The kernel is counted on a tall
+    window (columns modes 0..K, rows every plus mode they reach) and the
+    cokernel on its transpose: that wide window's conjugate transpose is the
+    adjoint's tall window, with the same singular values.
     """
     _require_invertible(blocks.symbol)
     coeffs = blocks.coeffs
     pad = max(1, active_bandwidth(coeffs))
-    adjoint = np.conj(np.swapaxes(coeffs[-np.arange(len(coeffs))], 1, 2))
     results = []
     for k in (blocks.truncation, blocks.truncation + STABILITY_STEP):
-        ker = _plus_kernel_dim(coeffs, k, pad)
-        coker = _plus_kernel_dim(adjoint, k, pad)
+        if 2 * (k + pad) > len(coeffs):
+            raise ValueError("stabilized truncation beyond the symbol's Nyquist range")
+        tall, wide = np.arange(k + pad + 1), np.arange(k + 1)
+        ker = _numerical_kernel_dim(_block(coeffs, tall, wide))
+        coker = _numerical_kernel_dim(_block(coeffs, wide, tall))
         results.append((ker - coker, ker, coker))
     if results[0] != results[1]:
         raise IndexUnstable(

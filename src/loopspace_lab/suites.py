@@ -135,7 +135,8 @@ CHECKS = {
     "transport-pointwise/pointwise-oracle": (
         "loop transport corresponds to manifold transport under evaluation",
         ORACLE, 4, 0.109),
-    "transport-pointwise/l2-isometry": ("transport preserves the L^2 inner product", 1e-7),
+    "transport-pointwise/l2-isometry": (
+        "transport preserves the L^2 inner product", 1e-7, 4, 0.00282),
     "transport-pointwise/flat-invariance": (
         "flat transport leaves sections unchanged", 1e-9),
     "torsion-loop/cross-product": ("looped torsion equals the pointwise tensor", 0.0),
@@ -912,7 +913,7 @@ def suite_polarization_index(cfg: ExperimentConfig, rng) -> list:
         polarization.toeplitz_blocks(diag, 8))
     out.track("diag-kernels", (idx, ker, coker) != (0, 1, 1))
 
-    symbol = symbol_battery(rng)[0]
+    symbol = symbol_battery(rng, count=1)[0]
     base_idx = polarization.fredholm_index(polarization.toeplitz_blocks(symbol, 16))
     for shift_nodes in (7, 19):
         rolled = geometry.MatrixLoop(np.roll(symbol.matrices, -shift_nodes, axis=0))
