@@ -89,7 +89,9 @@ def section_from_ambient(manifold: EmbeddedManifold, base: SampledLoop, w) -> Ta
 def random_section(rng, manifold: EmbeddedManifold, base: SampledLoop,
                    scale: float = 1.0) -> TangentSection:
     """A random smooth section: the ambient noise of random_bandlimited_loop
-    at bandwidth 4 and amplitude ``scale``, projected into the tangent spaces."""
+    at bandwidth 4 and amplitude ``scale``, projected into the tangent spaces.
+    The one (N, k) noise draw is broadcast over a stack of base loops, so
+    independent trials draw one section per loop."""
     w = _fourier_noise(rng, base.resolution, manifold.ambient_dim, 4, scale)
     return section_from_ambient(manifold, base, w)
 

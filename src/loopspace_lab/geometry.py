@@ -128,11 +128,12 @@ def l2_pairing(b: np.ndarray, c: np.ndarray):
     return np.sum(b * c, axis=(-2, -1)) / b.shape[-2]
 
 
-def l2_inner(alpha: SampledLoop, beta: TangentSection, gamma: TangentSection) -> float:
-    """The L^2 inner product of two sections along alpha."""
+def l2_inner(alpha: SampledLoop, beta: TangentSection, gamma: TangentSection):
+    """The L^2 inner product of two sections along alpha: a scalar for one
+    loop, one value per trial for a stack of loops."""
     require_based(beta, alpha)
     require_based(gamma, beta.base)
-    return float(l2_pairing(beta.vectors, gamma.vectors))
+    return l2_pairing(beta.vectors, gamma.vectors)
 
 
 # -- covariant differentiation ---------------------------------------------------
@@ -174,75 +175,47 @@ def cov_deriv_along_path(conn: ConnectionSpec, path: LoopPath, field) -> np.ndar
 
 # -- geodesics and transport in LM ----------------------------------------------
 
-def _trial_loops(samples: np.ndarray):
-    """The loop of an (N, k) array, or one loop per trial of a (B, N, k)
-    array."""
-    return SampledLoop(samples) if samples.ndim == 2 else [SampledLoop(a) for a in samples]
-
-
-def _trial_stack(loops, sections):
-    """The samples and vectors of a section based at a loop, each (N, k),
-    or of equal-length sequences of loops and sections based there, each
-    stacked to (B, N, k)."""
-    if isinstance(loops, SampledLoop) and isinstance(sections, TangentSection):
-        require_based(sections, loops)
-        return loops.samples, sections.vectors
-    if isinstance(loops, SampledLoop) or isinstance(sections, TangentSection):
-        raise ValueError("need one loop per trial and one section per loop")
-    loops, sections = list(loops), list(sections)
-    if not loops or len(loops) != len(sections):
-        raise ValueError("need one section per loop, at least one trial")
-    for alpha, sigma in zip(loops, sections):
-        require_based(sigma, alpha)
-    return (np.stack([alpha.samples for alpha in loops]),
-            np.stack([sigma.vectors for sigma in sections]))
-
-
-def loop_geodesic(conn: ConnectionSpec, alpha, nu, time: float = 1.0,
-                  steps: int = 200) -> LoopPath:
+def loop_geodesic(conn: ConnectionSpec, alpha: SampledLoop, nu: TangentSection,
+                  time: float = 1.0, steps: int = 200) -> LoopPath:
     """The loop-space geodesic with initial data (alpha, nu).
 
     Evaluation at each circle node is the manifold geodesic with the
     nodewise initial data, so the whole path is one batched integration.
-    ``alpha`` and ``nu`` are a loop and a section based there, giving a
-    (T+1, N, k) path, or equal-length sequences of B of them, giving the
-    B trials as one (T+1, B, N, k) path from the same integration.
+    A loop with its section gives a (T+1, N, k) path; a (B, N, k) stack of
+    trials with its stacked section gives one (T+1, B, N, k) path.
     The half-torsion correction is antisymmetric and does not affect
     geodesics.
     """
-    samples, vectors = _trial_stack(alpha, nu)
-    traj, _ = integrate_geodesic(conn.manifold, samples, vectors,
+    require_based(nu, alpha)
+    traj, _ = integrate_geodesic(conn.manifold, alpha.samples, nu.vectors,
                                  time=time, steps=steps)
     return LoopPath(conn.manifold, np.linspace(0.0, time, steps + 1), traj)
 
 
-def loop_parallel_transport(conn: ConnectionSpec, path: LoopPath, sigma,
-                            steps: int | None = None):
+def loop_parallel_transport(conn: ConnectionSpec, path: LoopPath, sigma: TangentSection,
+                            steps: int | None = None) -> TangentSection:
     """Parallel transport in LM along a path: nodewise manifold transport.
 
-    ``sigma`` is a section over the path's first loop, or, along a
-    (T+1, B, N, k) path, one section per trial; the result is the
-    transported section, or the list of them, one per trial.
+    ``sigma`` is a section over the path's first loop, stacked like it
+    along a (T+1, B, N, k) path; the result is the transported section over
+    the path's last loop.
     """
-    _, vectors = _trial_stack(_trial_loops(path.values[0]), sigma)
+    require_based(sigma, SampledLoop(path.values[0]))
     out = integrate_transport(conn.manifold, path.s_grid, path.values,
-                              vectors, steps=steps, torsion=conn.torsion)
-    ends = _trial_loops(path.values[-1])
-    if isinstance(ends, SampledLoop):
-        return TangentSection(conn.manifold, ends, out)
-    return [TangentSection(conn.manifold, end, vec) for end, vec in zip(ends, out)]
+                              sigma.vectors, steps=steps, torsion=conn.torsion)
+    return TangentSection(conn.manifold, SampledLoop(path.values[-1]), out)
 
 
 def torsion(conn: ConnectionSpec, alpha: SampledLoop, beta: TangentSection,
             gamma: TangentSection) -> TangentSection:
-    """The torsion of the looped connection: the pointwise tensor, nodewise."""
+    """The torsion of the looped connection, read off its connector node by
+    node: nabla_beta gamma - nabla_gamma beta for fields through beta and
+    gamma whose derivatives project to zero, so that their bracket vanishes."""
     require_based(beta, alpha)
     require_based(gamma, beta.base)
-    if conn.torsion is None:
-        vec = np.zeros_like(beta.vectors)
-    else:
-        vec = np.asarray(conn.torsion(alpha.samples, beta.vectors, gamma.vectors),
-                         dtype=np.float64)
+    zero = np.zeros_like(beta.vectors)
+    vec = (conn.connector(alpha.samples, gamma.vectors, beta.vectors, zero)
+           - conn.connector(alpha.samples, beta.vectors, gamma.vectors, zero))
     return TangentSection(conn.manifold, alpha, vec)
 
 
@@ -380,7 +353,7 @@ def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
     else:
         raise OutOfInjectivityDomain("could not avoid the antipode at any node offset")
     logs = manifold.log(np.broadcast_to(p, samples.shape), samples)
-    jumps = np.linalg.norm(np.roll(logs, -1, axis=0) - logs, axis=1)
+    jumps = np.linalg.norm(np.roll(logs, -1, axis=-2) - logs, axis=-1)
     return {"jump_magnitude": float(np.max(jumps)), "offset": float(offset)}
 
 

@@ -29,24 +29,25 @@ class SampledLoop:
 
     Parameters
     ----------
-    samples : ndarray, shape (N, d)
+    samples : ndarray, shape (..., N, d)
         Sample j is the value at t_j = j/N.  N must be a power of two,
-        N >= 8.  Real and complex loops are both supported.
+        N >= 8.  Real and complex loops are both supported.  A (B, N, d)
+        stack of B loops in R^d is one loop in (R^d)^B.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.samples)
-        if arr.ndim != 2:
-            raise ValueError("samples must be a 2-d array of shape (N, d)")
+        if arr.ndim < 2:
+            raise ValueError("samples must be an array of shape (..., N, d)")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.ascontiguousarray(arr, dtype=dtype)
-        if not _is_power_of_two(arr.shape[0]) or arr.shape[0] < MIN_RESOLUTION:
+        if not _is_power_of_two(arr.shape[-2]) or arr.shape[-2] < MIN_RESOLUTION:
             raise ValueError(
-                f"resolution must be a power of two >= {MIN_RESOLUTION}, got {arr.shape[0]}"
+                f"resolution must be a power of two >= {MIN_RESOLUTION}, got {arr.shape[-2]}"
             )
-        if arr.shape[1] < 1:
+        if arr.shape[-1] < 1:
             raise ValueError("dimension must be positive")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("samples must be finite")
@@ -54,11 +55,11 @@ class SampledLoop:
 
     @property
     def resolution(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     @property
     def is_real(self) -> bool:
@@ -85,11 +86,11 @@ class FourierRep:
     """
 
     dim: int
-    coefficients: np.ndarray  # (N, d) complex, ordered by `modes`
+    coefficients: np.ndarray  # (..., N, d) complex, ordered by `modes`
 
     @property
     def resolution(self) -> int:
-        return self.coefficients.shape[0]
+        return self.coefficients.shape[-2]
 
     @property
     def modes(self) -> np.ndarray:
@@ -100,17 +101,17 @@ class FourierRep:
 def to_fourier(loop: SampledLoop) -> FourierRep:
     """Fourier coefficients of the interpolant, modes -N/2 < k <= N/2."""
     n = loop.resolution
-    c = np.fft.fft(loop.samples, axis=0) / n
+    c = np.fft.fft(loop.samples, axis=-2) / n
     modes = np.arange(-n // 2 + 1, n // 2 + 1)
-    return FourierRep(loop.dim, c[modes % n])
+    return FourierRep(loop.dim, c[..., modes % n, :])
 
 
 def to_samples(rep: FourierRep) -> SampledLoop:
     """Inverse of :func:`to_fourier`."""
     n = rep.resolution
-    c = np.zeros((n, rep.dim), dtype=np.complex128)
-    c[rep.modes % n] = rep.coefficients
-    vals = np.fft.ifft(c * n, axis=0)
+    c = np.zeros(rep.coefficients.shape, dtype=np.complex128)
+    c[..., rep.modes % n, :] = rep.coefficients
+    vals = np.fft.ifft(c * n, axis=-2)
     if np.max(np.abs(vals.imag)) < 1e-9 * max(1.0, np.max(np.abs(vals.real))):
         vals = vals.real
     return SampledLoop(vals)
@@ -125,9 +126,9 @@ def _split_spectrum(loop: SampledLoop):
     """
     n = loop.resolution
     c = to_fourier(loop).coefficients
-    coeffs = np.concatenate([c[-1:], c])  # mode -N/2 repeats mode N/2
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5
+    coeffs = np.concatenate([c[..., -1:, :], c], axis=-2)  # mode -N/2 repeats mode N/2
+    coeffs[..., 0, :] *= 0.5
+    coeffs[..., -1, :] *= 0.5
     return np.arange(-n // 2, n // 2 + 1), coeffs
 
 
@@ -135,7 +136,8 @@ def evaluate(loop: SampledLoop, t) -> np.ndarray:
     """Evaluate the trigonometric interpolant at circle parameter ``t``.
 
     ``t`` is reduced mod 1 and may be a scalar or an array; the result has
-    shape ``t.shape + (d,)``.  Evaluation is exact at sample nodes.
+    shape ``lead + t.shape + (d,)`` for a loop of shape ``lead + (N, d)``.
+    Evaluation is exact at sample nodes.
     """
     modes, coeffs = _split_spectrum(loop)
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64)) % 1.0
@@ -143,9 +145,7 @@ def evaluate(loop: SampledLoop, t) -> np.ndarray:
     out = phases @ coeffs
     if loop.is_real:
         out = out.real
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out.reshape(np.asarray(t).shape + (loop.dim,))
+    return out.reshape(out.shape[:-2] + np.shape(t) + (loop.dim,))
 
 
 def derivative(loop: SampledLoop, order: int = 1) -> SampledLoop:
@@ -163,8 +163,8 @@ def derivative(loop: SampledLoop, order: int = 1) -> SampledLoop:
     if order % 2 == 1:
         k[n // 2] = 0.0  # symmetric interpolant: odd derivatives kill Nyquist
     factor = (2j * np.pi * k) ** order
-    c = np.fft.fft(loop.samples, axis=0)
-    vals = np.fft.ifft(c * factor[:, None], axis=0)
+    c = np.fft.fft(loop.samples, axis=-2)
+    vals = np.fft.ifft(c * factor[:, None], axis=-2)
     if loop.is_real:
         vals = vals.real
     return SampledLoop(vals)
@@ -173,14 +173,15 @@ def derivative(loop: SampledLoop, order: int = 1) -> SampledLoop:
 def ck_seminorm(loop: SampledLoop, k: int = 0) -> float:
     """Sup over nodes of the Euclidean norm of the k-th derivative.
 
-    k = 0 is the sup-norm of the loop itself.
+    k = 0 is the sup-norm of the loop itself; a stack gives the sup over
+    its loops.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"seminorm order capped at {MAX_DERIVATIVE_ORDER}")
     vals = loop.samples if k == 0 else derivative(loop, k).samples
-    return float(np.max(np.linalg.norm(vals, axis=1)))
+    return float(np.max(np.linalg.norm(vals, axis=-1)))
 
 
 def rotate(loop: SampledLoop, s: float) -> SampledLoop:
@@ -196,10 +197,10 @@ def rotate(loop: SampledLoop, s: float) -> SampledLoop:
     shift = (float(s) % 1.0) * n
     nearest = round(shift)
     if abs(shift - nearest) < 1e-12:
-        return SampledLoop(np.roll(loop.samples, -int(nearest) % n, axis=0))
+        return SampledLoop(np.roll(loop.samples, -int(nearest) % n, axis=-2))
     phase = np.exp(2j * np.pi * np.fft.fftfreq(n) * shift)
     phase[n // 2] = np.cos(np.pi * shift)
-    vals = np.fft.ifft(np.fft.fft(loop.samples, axis=0) * phase[:, None], axis=0)
+    vals = np.fft.ifft(np.fft.fft(loop.samples, axis=-2) * phase[:, None], axis=-2)
     if loop.is_real:
         vals = vals.real
     return SampledLoop(vals)
@@ -254,7 +255,9 @@ def load_loop(path) -> SampledLoop:
 
 
 def loop_to_csv(loop: SampledLoop, path) -> None:
-    """One row per node: t, x_1, ..., x_d."""
+    """One row per node: t, x_1, ..., x_d.  A stack of loops raises ValueError."""
+    if loop.samples.ndim != 2:
+        raise ValueError("a loop CSV file holds one loop, not a stack")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x_{i + 1}" for i in range(loop.dim)])

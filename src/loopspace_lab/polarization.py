@@ -46,8 +46,8 @@ def fourier_split(loop: SampledLoop) -> FourierSplit:
     modes = rep.modes
     pos = modes >= 0
     return FourierSplit(loop.dim,
-                        modes[pos], rep.coefficients[pos],
-                        modes[~pos], rep.coefficients[~pos])
+                        modes[pos], rep.coefficients[..., pos, :],
+                        modes[~pos], rep.coefficients[..., ~pos, :])
 
 
 # -- symbols and their coefficients ---------------------------------------------

@@ -236,6 +236,19 @@ def clamped_tangent(rng, manifold, point, norm: float) -> manifolds.TangentAtPoi
     return manifolds.TangentAtPoint(manifold, point, raw.vector * scale)
 
 
+def _stacked_trials(rng, manifold, n: int, trials: int, *scales):
+    """``trials`` random loops, each drawn with one random section per scale
+    right after it, stacked: one (trials, n, k) loop, one section per scale."""
+    draws = []
+    for _ in range(trials):
+        alpha = manifold.random_loop(rng, n)
+        draws.append([alpha.samples] + [charts.random_section(rng, manifold, alpha, s).vectors
+                                        for s in scales])
+    samples, *vectors = (np.stack(arrays) for arrays in zip(*draws))
+    alpha = loops.SampledLoop(samples)
+    return alpha, [charts.TangentSection(manifold, alpha, vec) for vec in vectors]
+
+
 # -- suite implementations ---------------------------------------------------------
 
 def suite_chart_roundtrip(cfg: ExperimentConfig, rng) -> list:
@@ -496,16 +509,12 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
     conn = geometry.ConnectionSpec(manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    alphas, nus = [], []
-    for _ in range(3):
-        alphas.append(manifold.random_loop(rng, n))
-        nus.append(charts.random_section(rng, manifold, alphas[-1], scale=0.5))
-    path = geometry.loop_geodesic(conn, alphas, nus, 1.0, cfg.ode_steps)
-    for trial, (alpha, nu) in enumerate(zip(alphas, nus)):
-        for idx in (cfg.ode_steps // 2, cfg.ode_steps):
-            s = path.s_grid[idx]
-            oracle = manifold.exp(alpha.samples, s * nu.vectors)
-            out.track("pointwise-oracle", path.values[idx, trial] - oracle)
+    alpha, (nu,) = _stacked_trials(rng, manifold, n, 3, 0.5)
+    path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
+    for idx in (cfg.ode_steps // 2, cfg.ode_steps):
+        oracle = manifold.exp(alpha.samples, path.s_grid[idx] * nu.vectors)
+        out.track("pointwise-oracle", path.values[idx] - oracle)
+    for trial in range(len(alpha.samples)):
         # per trial: a velocity of the whole stack would double its memory
         vel = geometry._time_derivative(path.values[:, trial], path.s_grid)
         energy = geometry.l2_pairing(vel, vel)
@@ -527,20 +536,13 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
     conn = geometry.ConnectionSpec(manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    trials = []
-    for _ in range(3):
-        alpha = manifold.random_loop(rng, n)
-        nu = charts.random_section(rng, manifold, alpha, scale=0.5)
-        sigma = charts.random_section(rng, manifold, alpha, scale=0.8)
-        trials.append((alpha, nu, sigma))
-    alphas, nus, sigmas = zip(*trials)
-    path = geometry.loop_geodesic(conn, alphas, nus, 1.0, cfg.ode_steps)
-    transported = geometry.loop_parallel_transport(conn, path, sigmas)
-    for (alpha, nu, sigma), moved in zip(trials, transported):
-        oracle = manifold.geodesic_transport(alpha.samples, nu.vectors, sigma.vectors)
-        out.track("pointwise-oracle", moved.vectors - oracle)
-        out.track("l2-isometry", geometry.l2_inner(moved.base, moved, moved)
-                  - geometry.l2_inner(alpha, sigma, sigma))
+    alpha, (nu, sigma) = _stacked_trials(rng, manifold, n, 3, 0.5, 0.8)
+    path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
+    moved = geometry.loop_parallel_transport(conn, path, sigma)
+    oracle = manifold.geodesic_transport(alpha.samples, nu.vectors, sigma.vectors)
+    out.track("pointwise-oracle", moved.vectors - oracle)
+    out.track("l2-isometry", geometry.l2_inner(moved.base, moved, moved)
+              - geometry.l2_inner(alpha, sigma, sigma))
     flat = manifolds.Flat(3)
     fconn = geometry.ConnectionSpec(flat)
     a = loops.random_bandlimited_loop(rng, 3, n)
@@ -590,11 +592,8 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng) -> list:
         dYX = ambient_jacobian_apply(Y, X(p))
         dXY = ambient_jacobian_apply(X, Y(p))
         bracket = dYX - dXY
-        covXY = manifold_.project_tangent_vector(p, dYX)
-        covYX = manifold_.project_tangent_vector(p, dXY)
-        if conn_.torsion is not None:
-            covXY = covXY + 0.5 * conn_.torsion(p, X(p), Y(p))
-            covYX = covYX + 0.5 * conn_.torsion(p, Y(p), X(p))
+        covXY = conn_.connector(p, Y(p), X(p), dYX)
+        covYX = conn_.connector(p, X(p), Y(p), dXY)
         return covXY - covYX - bracket
 
     for _ in range(5):

@@ -12,6 +12,8 @@ Four constructions, all driven by compactly supported flows:
 * equivariant averaging: local averages of finite point clouds, and the
   decomposition of a loop near the fixed set of a cyclic or circle action
   into a periodic part plus normal data.
+
+Each construction takes one loop, not a stack of trials.
 """
 
 from __future__ import annotations

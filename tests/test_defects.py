@@ -14,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-from loopspace_lab import manifolds
+from loopspace_lab import geometry, manifolds
 from loopspace_lab.suites import SUITES, ExperimentConfig
 
 
@@ -24,12 +24,59 @@ def zero_projector_derivative(mp):
                lambda self, p, w, v: np.zeros_like(v, dtype=np.float64))
 
 
+def flip_half_torsion(mp):
+    """The connector subtracts the half-torsion term instead of adding it."""
+    def connector(self, p, e, pdot, edot):
+        out = self.manifold.project_tangent_vector(p, np.asarray(edot, dtype=np.float64))
+        if self.torsion is not None:
+            out = out - 0.5 * self.torsion(p, pdot, e)
+        return out
+
+    mp.setattr(geometry.ConnectionSpec, "connector", connector)
+
+
+def skew_rk4_weights(mp):
+    """RK4 combines its stages with weights (1, 3, 1, 1)/6, not (1, 2, 2, 1)/6."""
+    def rk4(rhs, y, t, h, steps, after_step=None):
+        for _ in range(steps):
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 3 * k2 + k3 + k4)
+            t += h
+            if after_step is not None:
+                y = after_step(t, y)
+        return y
+
+    mp.setattr(manifolds, "_rk4", rk4)
+
+
+def forward_time_derivative(mp):
+    """Time derivatives along paths are first-order forward differences."""
+    def forward(values, s_grid):
+        h = s_grid[1] - s_grid[0]
+        out = np.empty_like(values)
+        out[:-1] = (values[1:] - values[:-1]) / h
+        out[-1] = (values[-1] - values[-2]) / h
+        return out
+
+    mp.setattr(geometry, "_time_derivative", forward)
+
+
 #: (suite/check-id, manifold, defect) rows; the defect must fail the check
 DEFECTS = [
     ("transport-pointwise/pointwise-oracle", "sphere2", zero_projector_derivative),
     ("transport-pointwise/pointwise-oracle", "torus2", zero_projector_derivative),
     ("transport-pointwise/l2-isometry", "sphere2", zero_projector_derivative),
     ("transport-pointwise/l2-isometry", "torus2", zero_projector_derivative),
+    ("torsion-loop/cross-product", "sphere2", flip_half_torsion),
+    ("torsion-loop/fd-estimate", "sphere2", flip_half_torsion),
+    ("geodesic-pointwise/pointwise-oracle", "sphere2", skew_rk4_weights),
+    ("geodesic-pointwise/pointwise-oracle", "torus2", skew_rk4_weights),
+    ("transport-pointwise/pointwise-oracle", "sphere2", skew_rk4_weights),
+    ("covderiv-adjoint/connector-vs-transport", "sphere2", forward_time_derivative),
+    ("covderiv-adjoint/metric-compat", "sphere2", forward_time_derivative),
 ]
 
 

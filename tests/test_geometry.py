@@ -367,7 +367,7 @@ class TestLoopTransport:
 
 
 class TestTrialAxis:
-    """Loop geodesics and transports over a stack of trials are the
+    """Loop geodesics and transports of a (B, N, k) stack of trials are the
     per-trial calls, bit for bit: the integration acts node by node."""
 
     @pytest.mark.parametrize("manifold", [Flat(3), SPHERE, FlatTorus2()],
@@ -378,46 +378,37 @@ class TestTrialAxis:
         alphas = [manifold.random_loop(rng, 64) for _ in range(3)]
         nus = [random_section(rng, manifold, a, scale=0.5) for a in alphas]
         sigmas = [random_section(rng, manifold, a, scale=0.8) for a in alphas]
-        path = loop_geodesic(conn, alphas, nus, 1.0, 40)
-        moved = loop_parallel_transport(conn, path, sigmas)
+        alpha = SampledLoop(np.stack([a.samples for a in alphas]))
+        nu = TangentSection(manifold, alpha, np.stack([v.vectors for v in nus]))
+        sigma = TangentSection(manifold, alpha, np.stack([v.vectors for v in sigmas]))
+        path = loop_geodesic(conn, alpha, nu, 1.0, 40)
+        moved = loop_parallel_transport(conn, path, sigma)
         assert path.values.shape == (41, 3, 64, manifold.ambient_dim)
-        assert len(moved) == 3
+        assert moved.vectors.shape == (3, 64, manifold.ambient_dim)
+        assert np.array_equal(moved.base.samples, path.values[-1])
+        norms = l2_inner(alpha, sigma, sigma)
+        assert norms.shape == (3,)
         for trial in range(3):
+            assert norms[trial] == l2_inner(alphas[trial], sigmas[trial], sigmas[trial])
             single = loop_geodesic(conn, alphas[trial], nus[trial], 1.0, 40)
             assert np.array_equal(path.values[:, trial], single.values)
             out = loop_parallel_transport(conn, single, sigmas[trial])
-            assert np.array_equal(moved[trial].base.samples, out.base.samples)
-            assert np.array_equal(moved[trial].base.samples, single.values[-1])
-            assert np.array_equal(moved[trial].vectors, out.vectors)
+            assert np.array_equal(moved.base.samples[trial], out.base.samples)
+            assert np.array_equal(moved.vectors[trial], out.vectors)
 
     def test_each_trial_must_be_based(self):
         rng = np.random.default_rng(22)
         conn = ConnectionSpec(SPHERE)
-        alphas = [SPHERE.random_loop(rng, 32) for _ in range(2)]
-        nus = [random_section(rng, SPHERE, a, scale=0.3) for a in alphas]
+        alpha = SampledLoop(np.stack([SPHERE.random_loop(rng, 32).samples
+                                      for _ in range(2)]))
+        nu = random_section(rng, SPHERE, alpha, scale=0.3)
+        swapped = SampledLoop(alpha.samples[::-1])
+        other = TangentSection(SPHERE, swapped, nu.vectors[::-1])
         with pytest.raises(BaseMismatch):
-            loop_geodesic(conn, alphas, nus[::-1])
-        path = loop_geodesic(conn, alphas, nus, 1.0, 16)
+            loop_geodesic(conn, alpha, other)
+        path = loop_geodesic(conn, alpha, nu, 1.0, 16)
         with pytest.raises(BaseMismatch):
-            loop_parallel_transport(conn, path, nus[::-1])
-
-    def test_rejects_unpaired_trials(self):
-        rng = np.random.default_rng(23)
-        conn = ConnectionSpec(SPHERE)
-        alphas = [SPHERE.random_loop(rng, 32) for _ in range(2)]
-        nus = [random_section(rng, SPHERE, a, scale=0.3) for a in alphas]
-        with pytest.raises(ValueError, match="one section per loop"):
-            loop_geodesic(conn, alphas, nus[:1])
-        with pytest.raises(ValueError, match="one section per loop"):
-            loop_geodesic(conn, [], [])
-        with pytest.raises(ValueError, match="one section per loop"):
-            loop_geodesic(conn, alphas, nus[0])
-        path = loop_geodesic(conn, alphas, nus, 1.0, 16)
-        with pytest.raises(ValueError, match="one section per loop"):
-            loop_parallel_transport(conn, path, nus[0])
-        single = loop_geodesic(conn, alphas[0], nus[0], 1.0, 16)
-        with pytest.raises(ValueError, match="one section per loop"):
-            loop_parallel_transport(conn, single, nus[:1])
+            loop_parallel_transport(conn, path, other)
 
 
 class TestTorsion:

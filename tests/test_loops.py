@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from loopspace_lab.geometry import exp_nonsurjectivity_witness
 from loopspace_lab.loops import (
     FourierRep,
     SampledLoop,
@@ -22,6 +23,8 @@ from loopspace_lab.loops import (
     to_fourier,
     to_samples,
 )
+from loopspace_lab.manifolds import Sphere2
+from loopspace_lab.polarization import fourier_split
 
 
 def circle_loop(n=64):
@@ -234,6 +237,45 @@ class TestInvariants:
         bad[3, 1] = np.nan
         with pytest.raises(ValueError):
             SampledLoop(bad)
+
+
+class TestStack:
+    """A (B, N, d) stack of B loops in R^d is one loop in (R^d)^B: each
+    function acts on it as on every one of its loops."""
+
+    def test_stack_equals_the_per_loop_calls(self, tmp_path):
+        rng = np.random.default_rng(26)
+        sphere = Sphere2()
+        singles = [sphere.random_loop(rng, 64) for _ in range(4)]
+        stack = SampledLoop(np.stack([a.samples for a in singles]))
+        assert (stack.resolution, stack.dim) == (64, 3)
+
+        def per_loop(f):
+            return np.stack([f(a) for a in singles])
+
+        for s in (3 / 64, 0.137):  # on and off the node grid
+            assert np.array_equal(rotate(stack, s).samples,
+                                  per_loop(lambda a: rotate(a, s).samples))
+        for order in (1, 2):
+            assert np.array_equal(derivative(stack, order).samples,
+                                  per_loop(lambda a: derivative(a, order).samples))
+        rep = to_fourier(stack)
+        assert np.array_equal(rep.coefficients,
+                              per_loop(lambda a: to_fourier(a).coefficients))
+        assert np.array_equal(to_samples(rep).samples,
+                              per_loop(lambda a: to_samples(to_fourier(a)).samples))
+        assert np.array_equal(fourier_split(stack).minus,
+                              per_loop(lambda a: fourier_split(a).minus))
+        for t in (0.3, np.array([[0.1, 0.7], [0.25, 0.9]])):
+            assert np.array_equal(evaluate(stack, t), per_loop(lambda a: evaluate(a, t)))
+        for k in (0, 1):
+            assert ck_seminorm(stack, k) == max(ck_seminorm(a, k) for a in singles)
+        witness = exp_nonsurjectivity_witness(sphere, stack)
+        reports = [exp_nonsurjectivity_witness(sphere, a) for a in singles]
+        assert all(r["offset"] == witness["offset"] for r in reports)
+        assert witness["jump_magnitude"] == max(r["jump_magnitude"] for r in reports)
+        with pytest.raises(ValueError, match="one loop"):
+            loop_to_csv(stack, tmp_path / "stack.csv")
 
 
 class TestSerialization:
