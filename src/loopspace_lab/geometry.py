@@ -261,8 +261,8 @@ class MatrixLoop:
         return self.matrices.shape[1]
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Pointwise action on an (N, n) array of loop samples."""
-        return np.einsum("tij,tj->ti", self.matrices, samples)
+        """Pointwise action on an (..., N, n) array of loop samples."""
+        return np.einsum("tij,...tj->...ti", self.matrices, samples)
 
 
 def rotation_matrix_loop(n_nodes: int, turns: float = 1.0) -> MatrixLoop:

@@ -236,17 +236,34 @@ def clamped_tangent(rng, manifold, point, norm: float) -> manifolds.TangentAtPoi
     return manifolds.TangentAtPoint(manifold, point, raw.vector * scale)
 
 
-def _stacked_trials(rng, manifold, n: int, trials: int, *scales):
-    """``trials`` random loops, each drawn with one random section per scale
-    right after it, stacked: one (trials, n, k) loop, one section per scale."""
-    draws = []
-    for _ in range(trials):
+def _trials(rng, count: int, draw) -> list:
+    """``count`` calls of ``draw(rng)`` in order, each slot stacked on a new axis 0:
+    loops as one loop, sections as one section over the stacked base, else arrays."""
+    stacked = {}  # one stack per tuple of loops, shared by the sections over them
+    return [_stack(slot, stacked) for slot in zip(*[draw(rng) for _ in range(count)])]
+
+
+def _stack(items: list, stacked: dict):
+    """One slot of :func:`_trials`; module level, as a nested function that
+    calls itself is a reference cycle, which would hold the stacks until the
+    next garbage collection."""
+    if isinstance(items[0], charts.TangentSection):
+        return charts.TangentSection(items[0].manifold, _stack([s.base for s in items], stacked),
+                                     np.stack([s.vectors for s in items]))
+    if isinstance(items[0], loops.SampledLoop):
+        if (key := tuple(map(id, items))) not in stacked:
+            stacked[key] = loops.SampledLoop(np.stack([a.samples for a in items]))
+        return stacked[key]
+    return np.stack(items)
+
+
+def _loop_and_sections(manifold, n: int, *scales):
+    """A draw: a random loop, then one random section along it per scale."""
+    def draw(rng):
         alpha = manifold.random_loop(rng, n)
-        draws.append([alpha.samples] + [charts.random_section(rng, manifold, alpha, s).vectors
-                                        for s in scales])
-    samples, *vectors = (np.stack(arrays) for arrays in zip(*draws))
-    alpha = loops.SampledLoop(samples)
-    return alpha, [charts.TangentSection(manifold, alpha, vec) for vec in vectors]
+        return alpha, *[charts.random_section(rng, manifold, alpha, s) for s in scales]
+
+    return draw
 
 
 # -- suite implementations ---------------------------------------------------------
@@ -255,19 +272,20 @@ def suite_chart_roundtrip(cfg: ExperimentConfig, rng) -> list:
     """Psi_alpha is a bijection onto U_alpha, inverted exactly by the
     nodewise inversion of the local addition."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    spec = manifolds.LocalAdditionSpec(manifold)
     out = Checks(cfg)
-    for _ in range(cfg.samples):
+
+    def draw(rng):
         center = manifold.random_loop(rng, cfg.resolution)
-        chart = charts.Chart(center, spec)
-        beta = charts.random_section(rng, manifold, center,
-                                     scale=rng.uniform(0.2, 2.0))
-        image = charts.chart_forward(chart, beta)
-        out.track("membership", not charts.chart_membership(chart, image))
-        back = charts.chart_inverse(chart, image)
-        out.track("psi-roundtrip", back.vectors - beta.vectors)
-        zero_img = charts.chart_forward(chart, charts.zero_section(manifold, center))
-        out.track("zero-section", zero_img.samples - center.samples)
+        return center, charts.random_section(rng, manifold, center, rng.uniform(0.2, 2.0))
+
+    center, beta = _trials(rng, cfg.samples, draw)
+    chart = charts.Chart(center, manifolds.LocalAdditionSpec(manifold))
+    image = charts.chart_forward(chart, beta)
+    out.track("membership", not charts.chart_membership(chart, image))
+    back = charts.chart_inverse(chart, image)
+    out.track("psi-roundtrip", back.vectors - beta.vectors)
+    zero_img = charts.chart_forward(chart, charts.zero_section(manifold, center))
+    out.track("zero-section", zero_img.samples - center.samples)
     return out.records
 
 
@@ -277,68 +295,63 @@ def suite_transition_cocycle(cfg: ExperimentConfig, rng) -> list:
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    reps = max(1, cfg.samples // 10)
-    for _ in range(reps):
+
+    def draw(rng):
         center1 = manifold.random_loop(rng, n, wobble=0.3)
-        eps1 = manifold.local_addition_epsilon
-        spec1 = manifolds.LocalAdditionSpec(manifold, eps1)
-        spec2 = manifolds.LocalAdditionSpec(manifold, eps1 * 0.8)
-        spec3 = manifolds.LocalAdditionSpec(manifold, eps1 * 0.9)
-        shift = charts.random_section(rng, manifold, center1, scale=0.05)
-        center2 = loops.SampledLoop(manifold.exp(center1.samples, shift.vectors))
-        shift3 = charts.random_section(rng, manifold, center1, scale=0.05)
-        center3 = loops.SampledLoop(manifold.exp(center1.samples, shift3.vectors))
-        chart1 = charts.Chart(center1, spec1)
-        chart2 = charts.Chart(center2, spec2)
-        chart3 = charts.Chart(center3, spec3)
-        beta = charts.random_section(rng, manifold, center1, scale=0.1)
-
-        t12 = charts.transition(chart1, chart2, beta)
-        t21 = charts.transition(chart2, chart1, t12)
-        out.track("inverse", t21.vectors - beta.vectors)
-
-        t13 = charts.transition(chart1, chart3, beta)
-        t23 = charts.transition(chart2, chart3, t12)
-        out.track("cocycle", t23.vectors - t13.vectors)
-
+        shift, shift3, beta = (charts.random_section(rng, manifold, center1, scale=scale)
+                               for scale in (0.05, 0.05, 0.1))
         j = int(rng.integers(0, n))
         bumped = beta.vectors.copy()
         bumped[j] += manifold.project_tangent_vector(center1.samples[j],
                                                      0.01 * rng.normal(size=manifold.ambient_dim))
-        t12b = charts.transition(chart1, chart2,
-                                 charts.TangentSection(manifold, center1, bumped))
-        others = np.delete(np.arange(n), j)
-        out.track("pointwise",
-                  not np.array_equal(t12b.vectors[others], t12.vectors[others]))
-
         delta = charts.random_section(rng, manifold, center1, scale=0.05)
-        nu = 0.5 + 0.3 * np.sin(2 * np.pi * center1.nodes)
-        h = 1e-5
+        return (center1, shift, shift3, beta, j,
+                charts.TangentSection(manifold, center1, bumped), delta)
 
-        def dphi(direction):
-            step = direction.scaled(h)
-            plus = charts.transition(chart1, chart2, beta + step)
-            minus = charts.transition(chart1, chart2, beta - step)
-            return (plus.vectors - minus.vectors) / (2 * h)
+    center1, shift, shift3, beta, j, bumped, delta = _trials(
+        rng, max(1, cfg.samples // 10), draw)
+    eps1 = manifold.local_addition_epsilon
+    shifted = lambda section: loops.SampledLoop(manifold.exp(center1.samples, section.vectors))
+    chart1 = charts.Chart(center1, manifolds.LocalAdditionSpec(manifold, eps1))
+    chart2 = charts.Chart(shifted(shift), manifolds.LocalAdditionSpec(manifold, eps1 * 0.8))
+    chart3 = charts.Chart(shifted(shift3), manifolds.LocalAdditionSpec(manifold, eps1 * 0.9))
 
-        lhs = dphi(delta.scaled(nu))
-        rhs = nu[:, None] * dphi(delta)
-        out.track("dphi-linear", lhs - rhs)
+    t12 = charts.transition(chart1, chart2, beta)
+    t21 = charts.transition(chart2, chart1, t12)
+    out.track("inverse", t21.vectors - beta.vectors)
+
+    t13 = charts.transition(chart1, chart3, beta)
+    t23 = charts.transition(chart2, chart3, t12)
+    out.track("cocycle", t23.vectors - t13.vectors)
+
+    changed = charts.transition(chart1, chart2, bumped).vectors != t12.vectors
+    changed[np.arange(len(j)), j] = False
+    out.track("pointwise", np.any(changed))
+
+    nu = 0.5 + 0.3 * np.sin(2 * np.pi * center1.nodes)
+    h = 1e-5
+
+    def dphi(direction):
+        step = direction.scaled(h)
+        plus = charts.transition(chart1, chart2, beta + step)
+        minus = charts.transition(chart1, chart2, beta - step)
+        return (plus.vectors - minus.vectors) / (2 * h)
+
+    lhs = dphi(delta.scaled(nu))
+    rhs = nu[:, None] * dphi(delta)
+    out.track("dphi-linear", lhs - rhs)
     return out.records
 
 
-def _random_fiber_map(rng, d: int):
-    """A random smooth nonlinear fiberwise map psi(t, v) on R^d fibers."""
-    lin = rng.normal(size=(d, d)) * 0.8
-    quad = rng.normal(size=(d, d)) * 0.4
-    cubic = rng.normal(size=d) * 0.3
-    wave = rng.normal(size=d)
-    freq = int(rng.integers(1, 4))
+def _fiber_map(lin, quad, cubic, wave, freq):
+    """The smooth nonlinear fiberwise maps psi(t, v) on R^d fibers with
+    these stacked parameters, map b acting on the loop v[b]."""
+    freq, cubic, wave = freq[:, None, None], cubic[:, None], wave[:, None]
 
     def psi(t, v):
         tv = np.asarray(t)[:, None]
-        out = v @ lin.T
-        out = out + (v @ quad.T) * np.cos(2 * np.pi * freq * tv)
+        out = v @ lin.swapaxes(-1, -2)
+        out = out + (v @ quad.swapaxes(-1, -2)) * np.cos(2 * np.pi * freq * tv)
         out = out + cubic * np.sin(v)
         out = out + 0.2 * wave * np.sin(2 * np.pi * tv)
         return out
@@ -353,24 +366,28 @@ def suite_vertical_derivative(cfg: ExperimentConfig, rng) -> list:
     manifold = manifolds.Flat(d)
     out = Checks(cfg)
     n = cfg.resolution
-    maps = max(10, cfg.samples // 2)
     t = np.arange(n) / n
-    for _ in range(maps):
-        psi = _random_fiber_map(rng, d)
+
+    def draw(rng):
+        params = (rng.normal(size=(d, d)) * 0.8, rng.normal(size=(d, d)) * 0.4,
+                  rng.normal(size=d) * 0.3, rng.normal(size=d), int(rng.integers(1, 4)))
         alpha = loops.random_bandlimited_loop(rng, d, n, amplitude=0.8)
-        beta = charts.random_section(rng, manifold, alpha, scale=0.8)
-        vd = charts.vertical_derivative(psi, alpha, beta, h=1e-5)
+        return *params, alpha, charts.random_section(rng, manifold, alpha, scale=0.8)
 
-        # independent route: difference quotient of the looped map itself
-        s = 2e-5
-        looped = (np.asarray(psi(t, alpha.samples + s * beta.vectors))
-                  - np.asarray(psi(t, alpha.samples - s * beta.vectors))) / (2 * s)
-        out.track("fd-agreement", vd.vectors - looped)
+    *params, alpha, beta = _trials(rng, max(10, cfg.samples // 2), draw)
+    psi = _fiber_map(*params)
+    vd = charts.vertical_derivative(psi, alpha, beta, h=1e-5)
 
-        nu = 0.7 + 0.25 * np.sin(2 * np.pi * t) + 0.1 * np.cos(4 * np.pi * t)
-        lhs = charts.vertical_derivative(psi, alpha, beta.scaled(nu), h=1e-5)
-        rhs = vd.scaled(nu)
-        out.track("lr-linear", lhs.vectors - rhs.vectors)
+    # independent route: difference quotient of the looped map itself
+    s = 2e-5
+    looped = (np.asarray(psi(t, alpha.samples + s * beta.vectors))
+              - np.asarray(psi(t, alpha.samples - s * beta.vectors))) / (2 * s)
+    out.track("fd-agreement", vd.vectors - looped)
+
+    nu = 0.7 + 0.25 * np.sin(2 * np.pi * t) + 0.1 * np.cos(4 * np.pi * t)
+    lhs = charts.vertical_derivative(psi, alpha, beta.scaled(nu), h=1e-5)
+    rhs = vd.scaled(nu)
+    out.track("lr-linear", lhs.vectors - rhs.vectors)
     lin = rng.normal(size=(d, d))
     psi_lin = lambda t_, v: v @ lin.T
     alpha = loops.random_bandlimited_loop(rng, d, n)
@@ -386,22 +403,21 @@ def suite_tangent_identification(cfg: ExperimentConfig, rng) -> list:
     out = Checks(cfg)
     n = cfg.resolution
     reps = max(1, cfg.samples // 10)
-    for _ in range(reps):
-        alpha = manifold.random_loop(rng, n)
-        u = charts.random_section(rng, manifold, alpha, scale=0.5)
-        curve = lambda s: loops.SampledLoop(manifold.exp(alpha.samples, s * u.vectors))
-        vel = geometry.curve_of_loops_derivative(curve, 0.0)
-        out.track("exp-family", vel - u.vectors)
+    alpha, u = _trials(rng, reps, _loop_and_sections(manifold, n, 0.5))
+    curve = lambda s: loops.SampledLoop(manifold.exp(alpha.samples, s * u.vectors))
+    vel = geometry.curve_of_loops_derivative(curve, 0.0)
+    out.track("exp-family", vel - u.vectors)
     flat = manifolds.Flat(3)
-    for _ in range(reps):
+
+    def draw(rng):
         a = loops.random_bandlimited_loop(rng, 3, n)
-        b = charts.random_section(rng, flat, a, scale=1.0)
-        c = charts.random_section(rng, flat, a, scale=1.0)
-        s0 = float(rng.uniform(-0.5, 0.5))
-        curve = lambda s: loops.SampledLoop(a.samples + s * b.vectors + s * s * c.vectors)
-        vel = geometry.curve_of_loops_derivative(curve, s0)
-        exact = b.vectors + 2 * s0 * c.vectors
-        out.track("flat-quadratic", vel - exact)
+        b, c = (charts.random_section(rng, flat, a, scale=1.0) for _ in range(2))
+        return a, b, c, rng.uniform(-0.5, 0.5, size=(1, 1))
+
+    a, b, c, s0 = _trials(rng, reps, draw)
+    curve = lambda s: loops.SampledLoop(a.samples + s * b.vectors + s * s * c.vectors)
+    vel = geometry.curve_of_loops_derivative(curve, s0)
+    out.track("flat-quadratic", vel - (b.vectors + 2 * s0 * c.vectors))
     return out.records
 
 
@@ -421,23 +437,25 @@ def suite_metric(cfg: ExperimentConfig, rng) -> list:
                                            np.sin(2 * np.pi * t)], axis=-1))
     out.track("circle-energy", geometry.l2_inner(const, wave, wave) - 1.0)
     rot = geometry.rotation_matrix_loop(n, 1.0)
-    for _ in range(max(1, cfg.samples // 5)):
-        b = charts.random_section(rng, flat2, const)
-        c = charts.random_section(rng, flat2, const)
-        d = charts.random_section(rng, flat2, const)
-        x, y = rng.normal(size=2)
-        out.track("symmetry", geometry.l2_inner(const, b, c)
-                  - geometry.l2_inner(const, c, b))
-        lhs = geometry.l2_inner(const, b.scaled(x) + c.scaled(y), d)
-        rhs = x * geometry.l2_inner(const, b, d) + y * geometry.l2_inner(const, c, d)
-        out.track("bilinearity", lhs - rhs)
-        nb = geometry.l2_inner(const, b, b)
-        out.track("positive",
-                  not nb / max(1e-300, float(np.max(np.abs(b.vectors))) ** 2) > 1e-6)
-        rb = charts.TangentSection(flat2, const, rot.apply(b.vectors))
-        rc = charts.TangentSection(flat2, const, rot.apply(c.vectors))
-        out.track("frame-invariance", geometry.l2_inner(const, rb, rc)
-                  - geometry.l2_inner(const, b, c))
+
+    def draw(rng):
+        sections = [charts.random_section(rng, flat2, const) for _ in range(3)]
+        return *sections, *rng.normal(size=2)
+
+    b, c, d, x, y = _trials(rng, max(1, cfg.samples // 5), draw)
+    base = b.base
+    out.track("symmetry", geometry.l2_inner(base, b, c) - geometry.l2_inner(base, c, b))
+    combo = charts.TangentSection(flat2, base, x[:, None, None] * b.vectors
+                                  + y[:, None, None] * c.vectors)
+    lhs = geometry.l2_inner(base, combo, d)
+    rhs = x * geometry.l2_inner(base, b, d) + y * geometry.l2_inner(base, c, d)
+    out.track("bilinearity", lhs - rhs)
+    nb = geometry.l2_inner(base, b, b)
+    scale = np.maximum(1e-300, np.max(np.abs(b.vectors), axis=(-2, -1)) ** 2)
+    out.track("positive", ~(nb / scale > 1e-6))
+    rb, rc = (charts.TangentSection(flat2, base, rot.apply(s.vectors)) for s in (b, c))
+    out.track("frame-invariance", geometry.l2_inner(base, rb, rc)
+              - geometry.l2_inner(base, b, c))
     return out.records
 
 
@@ -509,7 +527,7 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
     conn = geometry.ConnectionSpec(manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    alpha, (nu,) = _stacked_trials(rng, manifold, n, 3, 0.5)
+    alpha, nu = _trials(rng, 3, _loop_and_sections(manifold, n, 0.5))
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
     for idx in (cfg.ode_steps // 2, cfg.ode_steps):
         oracle = manifold.exp(alpha.samples, path.s_grid[idx] * nu.vectors)
@@ -536,7 +554,7 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
     conn = geometry.ConnectionSpec(manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    alpha, (nu, sigma) = _stacked_trials(rng, manifold, n, 3, 0.5, 0.8)
+    alpha, nu, sigma = _trials(rng, 3, _loop_and_sections(manifold, n, 0.5, 0.8))
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
     moved = geometry.loop_parallel_transport(conn, path, sigma)
     oracle = manifold.geodesic_transport(alpha.samples, nu.vectors, sigma.vectors)

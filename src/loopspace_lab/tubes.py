@@ -13,7 +13,7 @@ Four constructions, all driven by compactly supported flows:
   decomposition of a loop near the fixed set of a cyclic or circle action
   into a periodic part plus normal data.
 
-Each construction takes one loop, not a stack of trials.
+Each construction takes one loop and raises ValueError for a stack of trials.
 """
 
 from __future__ import annotations
@@ -126,6 +126,14 @@ class FlowDiffeo:
         return _flow_constant_direction(u, self.vector, self.steps, sign=-1.0)
 
 
+def _require_one_loop(*loops: SampledLoop) -> None:
+    """Raise ValueError for a stack of loops: each construction takes one."""
+    for loop in loops:
+        if loop.samples.ndim != 2:
+            raise ValueError(f"a stack of loops of shape {loop.samples.shape} was "
+                             "given; this construction takes one loop")
+
+
 # -- the based fibration --------------------------------------------------------
 
 def _patch_seed(manifold: EmbeddedManifold, center, u):
@@ -163,6 +171,7 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
     of radius sqrt(BUMP_LOWER) = 1 about the center; nodes at distance
     sqrt(BUMP_UPPER) or more never move.  Inverse: :func:`based_detrivialize`.
     """
+    _require_one_loop(gamma)
     u = gamma.samples[0]
     center, v = _patch_seed(manifold, center, u)
     omega = _apply_patch_flow(manifold, center, gamma.samples, v, steps, -1.0)
@@ -172,6 +181,7 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
 def based_detrivialize(manifold: EmbeddedManifold, center, omega: SampledLoop, u,
                        steps: int = 100) -> SampledLoop:
     """Inverse of :func:`based_trivialize`: (omega, u) -> phi_u(omega)."""
+    _require_one_loop(omega)
     center, v = _patch_seed(manifold, center, u)
     moved = _apply_patch_flow(manifold, center, omega.samples, v, steps, 1.0)
     return SampledLoop(moved)
@@ -264,6 +274,7 @@ def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
     Carries (alpha, v) with alpha(0) = x0 and v in T_{x0}M to a loop whose
     value at 0 is nu(v): the diagonal tube map over the constant loop at x0.
     """
+    _require_one_loop(alpha)
     x0 = np.asarray(x0, dtype=np.float64)
     if not _same_point(alpha.samples[0], x0):
         raise OutsideTube("loop is not based at the submanifold point")
@@ -274,6 +285,7 @@ def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
 def point_tube_inverse(manifold: EmbeddedManifold, x0, beta: SampledLoop,
                        steps: int = 100):
     """Inverse tube map: beta -> (alpha based at x0, v = nu^{-1}(beta(0)))."""
+    _require_one_loop(beta)
     anchors = SampledLoop.constant(np.asarray(x0, dtype=np.float64), beta.resolution)
     return _tube_inverse(manifold, anchors, beta, steps)
 
@@ -287,6 +299,7 @@ def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
     partition-of-unity section seeded with v at the common base point.
     """
     a1, a2 = alpha_pair
+    _require_one_loop(a1, a2)
     if not _same_point(a1.samples[0], a2.samples[0]):
         raise OutsideTube("pair does not coincide at time 0")
     return a1, _tube_forward(manifold, a1, a2, v, steps)
@@ -296,6 +309,7 @@ def diagonal_tube_inverse(manifold: EmbeddedManifold, beta_pair,
                           steps: int = 100):
     """Inverse of :func:`diagonal_tube_forward`."""
     b1, b2 = beta_pair
+    _require_one_loop(b1, b2)
     moved, v = _tube_inverse(manifold, b1, b2, steps)
     return (b1, moved), v
 
@@ -357,6 +371,7 @@ def equivariant_decompose(manifold: EmbeddedManifold, order: int,
     gamma about the fixed part; its coset means vanish after linearization
     because the averaging residue is orthogonal to the tangent space.
     """
+    _require_one_loop(gamma)
     cosets = _cosets(order, gamma.samples)
     m = cosets.shape[0]
     try:

@@ -64,6 +64,17 @@ def forward_time_derivative(mp):
     mp.setattr(geometry, "_time_derivative", forward)
 
 
+def mix_compress_rows(mp):
+    """The local addition compresses with the max of |v|^2 and that of the
+    neighbouring row on axis 0, which mixes the trials of a stack."""
+    def compress(self, v):
+        v = np.asarray(v, dtype=np.float64)
+        r2 = np.sum(v * v, axis=-1, keepdims=True)
+        return self.epsilon * v / np.sqrt(1.0 + np.maximum(r2, np.roll(r2, 1, axis=0)))
+
+    mp.setattr(manifolds.LocalAdditionSpec, "compress", compress)
+
+
 #: (suite/check-id, manifold, defect) rows; the defect must fail the check
 DEFECTS = [
     ("transport-pointwise/pointwise-oracle", "sphere2", zero_projector_derivative),
@@ -77,6 +88,14 @@ DEFECTS = [
     ("transport-pointwise/pointwise-oracle", "sphere2", skew_rk4_weights),
     ("covderiv-adjoint/connector-vs-transport", "sphere2", forward_time_derivative),
     ("covderiv-adjoint/metric-compat", "sphere2", forward_time_derivative),
+    # transition-cocycle/dphi-linear passes this defect (1.8e-11 on sphere2):
+    # the max mixes trials at one node, where the scalar loop nu scales every
+    # trial alike, so the derivative stays L R-linear.  On one loop, whose
+    # rows are nodes, it fails (7.7e-4).
+    ("transition-cocycle/pointwise", "sphere2", mix_compress_rows),
+    ("transition-cocycle/pointwise", "torus2", mix_compress_rows),
+    ("chart-roundtrip/psi-roundtrip", "sphere2", mix_compress_rows),
+    ("chart-roundtrip/psi-roundtrip", "torus2", mix_compress_rows),
 ]
 
 

@@ -605,3 +605,30 @@ class TestHundredRoundtrips:
             rec = equivariant_recompose(SPHERE, fixed, normal)
             worst = max(worst, float(np.max(np.abs(rec.samples - gamma.samples))))
         assert worst < 1e-6
+
+
+#: each one-loop construction, called on a loop (or a pair of it) near NORTH
+ONE_LOOP_CALLS = {
+    "based_trivialize": lambda g: based_trivialize(SPHERE, NORTH, g),
+    "based_detrivialize": lambda g: based_detrivialize(SPHERE, NORTH, g, NORTH),
+    "point_tube_forward": lambda g: point_tube_forward(
+        SPHERE, NORTH, g, TangentAtPoint(SPHERE, NORTH, np.array([0.3, 0.0, 0.0]))),
+    "point_tube_inverse": lambda g: point_tube_inverse(SPHERE, NORTH, g),
+    "diagonal_tube_forward": lambda g: diagonal_tube_forward(
+        SPHERE, (g, g), TangentAtPoint(SPHERE, NORTH, np.array([0.3, 0.0, 0.0]))),
+    "diagonal_tube_inverse": lambda g: diagonal_tube_inverse(SPHERE, (g, g)),
+    "equivariant_decompose": lambda g: equivariant_decompose(SPHERE, 2, g),
+}
+
+
+@pytest.mark.parametrize("call", ONE_LOOP_CALLS.values(), ids=ONE_LOOP_CALLS.keys())
+def test_a_stack_of_loops_is_rejected_by_name(call):
+    rng = np.random.default_rng(23)
+    n = 32
+    bump = np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
+    loops = [SampledLoop(SPHERE.exp(np.tile(NORTH, (n, 1)), bump * random_section(
+        rng, SPHERE, SampledLoop.constant(NORTH, n), scale=0.2).vectors))
+        for _ in range(2)]
+    call(loops[0])  # each loop on its own is in the domain
+    with pytest.raises(ValueError, match=r"stack of loops of shape \(2, 32, 3\)"):
+        call(SampledLoop(np.stack([loop.samples for loop in loops])))
