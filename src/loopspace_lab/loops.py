@@ -10,6 +10,7 @@ for smooth loops holds here to spectral accuracy.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -112,9 +113,13 @@ def to_samples(rep: FourierRep) -> SampledLoop:
     c = np.zeros(rep.coefficients.shape, dtype=np.complex128)
     c[..., rep.modes % n, :] = rep.coefficients
     vals = np.fft.ifft(c * n, axis=-2)
-    if np.max(np.abs(vals.imag)) < 1e-9 * max(1.0, np.max(np.abs(vals.real))):
-        vals = vals.real
-    return SampledLoop(vals)
+    # real or complex is decided per loop of a stack; a real loop in a
+    # complex stack keeps a zero imaginary part
+    scale = np.maximum(1.0, np.max(np.abs(vals.real), axis=(-2, -1)))
+    real = (np.max(np.abs(vals.imag), axis=(-2, -1)) < 1e-9 * scale)[..., None, None]
+    if np.all(real):
+        return SampledLoop(vals.real)
+    return SampledLoop(np.where(real, vals.real, vals))
 
 
 def _split_spectrum(loop: SampledLoop):
@@ -206,17 +211,28 @@ def rotate(loop: SampledLoop, s: float) -> SampledLoop:
     return SampledLoop(vals)
 
 
+@functools.lru_cache(maxsize=None)
+def _fourier_table(n: int, bandwidth: int) -> tuple:
+    """Read-only rows cos(2 pi k t_j) and sin(2 pi k t_j), k = 0..bandwidth,
+    at the n nodes, built once per (n, bandwidth)."""
+    t = np.arange(n) / n
+    cos = np.array([np.cos(2 * np.pi * k * t) for k in range(bandwidth + 1)])
+    sin = np.array([np.sin(2 * np.pi * k * t) for k in range(bandwidth + 1)])
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> np.ndarray:
     """(n, dim) samples of a random real trigonometric polynomial of degree
     ``bandwidth``; mode k has amplitude ``amplitude / (1 + k)``."""
-    t = np.arange(n) / n
+    cos, sin = _fourier_table(n, bandwidth)
     vals = np.zeros((n, dim))
     for k in range(bandwidth + 1):
         a = rng.normal(size=dim) * amplitude / (1 + k)
         b = rng.normal(size=dim) * amplitude / (1 + k)
-        vals += np.outer(np.cos(2 * np.pi * k * t), a)
+        vals += cos[k][:, None] * a
         if k > 0:
-            vals += np.outer(np.sin(2 * np.pi * k * t), b)
+            vals += sin[k][:, None] * b
     return vals
 
 

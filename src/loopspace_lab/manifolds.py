@@ -57,15 +57,22 @@ def _same_point(a, b) -> bool:
 class EmbeddedManifold:
     """Base class: an n-manifold embedded in R^k with orthogonal projectors.
 
-    Subclasses provide the constraint, the tangent projector and its
-    directional derivative in apply form, the geodesic acceleration, the
-    nearest-point projection, and closed-form exp/log/transport where
-    available.  All point arguments are arrays of shape (..., k).
+    Subclasses write the constraint, the tangent projector and its
+    directional derivative in apply form, the geodesic acceleration and the
+    nearest-point projection once, as the underscored methods, on
+    component-major arrays: the component axis leads, split into
+    (factors, m) with factors * m = k, and the batch axes follow.  The
+    public maps take points of shape (..., k) and apply those formulas
+    through :meth:`_lead` and :meth:`_trail`; the integrators hold their
+    state component major and call them directly.  Subclasses also provide
+    closed-form exp/log/transport where available.
     """
 
     kind: str = "abstract"
     ambient_dim: int = 0
     intrinsic_dim: int = 0
+    #: number of leading blocks the component axis splits into
+    factors: int = 1
     #: compression scale of the default local addition
     local_addition_epsilon: float = 1.0
     #: radius of the balls on which exp is injective (every kind sets it)
@@ -73,27 +80,64 @@ class EmbeddedManifold:
     #: lower bound of the nearest-point projection domain (distance scale)
     projection_floor: float = 0.0
 
+    # -- layout ---------------------------------------------------------------
+
+    def _lead(self, *arrays):
+        """Component-major views (factors, m, ...) of (..., k) arrays.  The
+        arrays are broadcast against each other first: moved on its own, a
+        (k,) point would not line up with a (B, N, k) vector."""
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        shapes = [a.shape for a in arrays]
+        if shapes.count(shapes[0]) < len(shapes):
+            arrays = np.broadcast_arrays(*arrays)
+        shape = arrays[0].shape
+        axes = (len(shape) - 1,) + tuple(range(len(shape) - 1))
+        lead = (self.factors, shape[-1] // self.factors) + shape[:-1]
+        return [a.transpose(axes).reshape(lead) for a in arrays]
+
+    @staticmethod
+    def _trail(x):
+        """The C-contiguous (..., k) array of a component-major one."""
+        x = x.reshape((-1,) + x.shape[2:])
+        return np.ascontiguousarray(x.transpose(tuple(range(1, x.ndim)) + (0,)))
+
     # -- constraint and projectors ------------------------------------------
 
     def constraint_residual(self, p) -> np.ndarray:
-        raise NotImplementedError
+        """How far each point is from the manifold, shape (...)."""
+        return self._constraint_residual(*self._lead(p))
 
     def project_tangent_vector(self, p, w) -> np.ndarray:
         """P(p) w, the orthogonal projection of an ambient vector onto T_pM."""
-        raise NotImplementedError
+        return self._trail(self._project_tangent_vector(*self._lead(p, w)))
 
     def projector_derivative(self, p, w, v) -> np.ndarray:
         """(dP[w]) v: the derivative of the projector field at p along w,
         applied to v."""
-        raise NotImplementedError
+        return self._trail(self._projector_derivative(*self._lead(p, w, v)))
 
     def project_point(self, x) -> np.ndarray:
         """Nearest-point projection onto the manifold: x - result is normal
         at the result.  Raises OutsideTube outside the projection domain."""
-        raise NotImplementedError
+        return self._trail(self._project_point(*self._lead(x)))
 
     def geodesic_acceleration(self, p, v) -> np.ndarray:
         """Ambient acceleration of the geodesic through (p, v)."""
+        return self._trail(self._geodesic_acceleration(*self._lead(p, v)))
+
+    def _constraint_residual(self, p):
+        raise NotImplementedError
+
+    def _project_tangent_vector(self, p, w):
+        raise NotImplementedError
+
+    def _projector_derivative(self, p, w, v):
+        raise NotImplementedError
+
+    def _project_point(self, x):
+        raise NotImplementedError
+
+    def _geodesic_acceleration(self, p, v):
         raise NotImplementedError
 
     # -- closed-form maps -----------------------------------------------------
@@ -171,22 +215,21 @@ class Flat(EmbeddedManifold):
         self.ambient_dim = n
         self.intrinsic_dim = n
 
-    def constraint_residual(self, p):
+    def _constraint_residual(self, p):
         """Zero, or infinite for points with the wrong number of components."""
-        p = np.asarray(p)
-        return np.full(p.shape[:-1], 0.0 if p.shape[-1:] == (self.ambient_dim,) else np.inf)
+        return np.full(p.shape[2:], 0.0 if p.shape[1] == self.ambient_dim else np.inf)
 
-    def project_tangent_vector(self, p, w):
-        return np.array(w, dtype=np.float64)
+    def _project_tangent_vector(self, p, w):
+        return w.copy()
 
-    def projector_derivative(self, p, w, v):
-        return np.zeros_like(v, dtype=np.float64)
+    def _projector_derivative(self, p, w, v):
+        return np.zeros_like(v)
 
-    def project_point(self, x):
-        return np.asarray(x, dtype=np.float64).copy()
+    def _project_point(self, x):
+        return x.copy()
 
-    def geodesic_acceleration(self, p, v):
-        return np.zeros_like(np.asarray(v, dtype=np.float64))
+    def _geodesic_acceleration(self, p, v):
+        return np.zeros_like(v)
 
     def exp(self, p, v):
         return np.asarray(p, dtype=np.float64) + v
@@ -218,20 +261,21 @@ class RoundSpheres(EmbeddedManifold):
     """A product of ``factors`` round unit spheres in R^m, embedded in R^k
     with k = factors * m and carrying the product metric.
 
-    A point (..., k) is viewed as (..., factors, m) and every map applies the
-    unit-sphere formula to each factor on the last axis.  Projectors are
-    applied, never built: P v = v - p<p,v> and (dP[w]) v = -(w<p,v> + p<w,v>)
-    per factor.
+    Every map is the unit-sphere formula applied to each factor, written
+    once on component-major (factors, m, ...) arrays (see
+    :class:`EmbeddedManifold`), so that one component of every point is one
+    slice on axis 1.  Projectors are applied, never built: P v = v - p<p,v>
+    and (dP[w]) v = -(w<p,v> + p<w,v>) per factor.
 
     The per-factor sums (inner products, norms, and the max and norm across
     the factors) are unrolled into slice-and-add arithmetic: the axis is 2 or
     3 long, where a numpy reduction costs far more per call than the adds,
     and the integrators call these maps thousands of times per run.  They
-    add from +0.0 in component order, as ``np.sum`` does on fewer than eight
-    terms, so every result is bit for bit the reduction's, signed zeros
-    included.  Reductions over an ambient or a long axis stay ``np.sum`` and
-    ``np.linalg.norm``: from eight terms numpy sums pairwise, in an order
-    unrolled adds would not repeat.
+    add from +0.0 in component order, as ``np.sum`` does on the last axis
+    with fewer than eight terms, so every result is bit for bit the
+    row-major reduction's, signed zeros included.  Reductions over an
+    ambient or a long axis stay ``np.sum`` and ``np.linalg.norm``: from eight
+    terms numpy sums pairwise, in an order unrolled adds would not repeat.
     """
 
     factors: int = 1
@@ -240,26 +284,19 @@ class RoundSpheres(EmbeddedManifold):
     #: log precondition: every factor distance is below pi - CUT_MARGIN
     CUT_MARGIN = 1e-6
 
-    def _view(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return x.reshape(x.shape[:-1] + (self.factors, -1))
-
-    @staticmethod
-    def _unview(x):
-        return x.reshape(x.shape[:-2] + (-1,))
-
     @staticmethod
     def _dot(a, b):
-        """<a, b> on the last axis, kept as length 1: np.sum's bits."""
+        """<a, b> per factor, on axis 1 of (factors, m, ...) arrays and kept
+        as length 1: the bits of np.sum on the row-major last axis."""
         p = a * b
-        s = 0.0 + p[..., 0:1]
-        for i in range(1, p.shape[-1]):
-            s += p[..., i:i + 1]
+        s = 0.0 + p[:, 0:1]
+        for i in range(1, p.shape[1]):
+            s += p[:, i:i + 1]
         return s
 
     @classmethod
     def _norm(cls, x):
-        """|x| on the last axis, kept as length 1: np.linalg.norm's bits."""
+        """|x| per factor, kept as length 1: np.linalg.norm's bits."""
         return np.sqrt(cls._dot(x, x))
 
     @classmethod
@@ -271,56 +308,52 @@ class RoundSpheres(EmbeddedManifold):
         # arctan2 keeps the angle accurate at both ends of [0, pi]
         return w, nw, np.arctan2(nw, c)
 
-    def constraint_residual(self, p):
-        r = self._norm(self._view(p))[..., 0]
-        worst = np.abs(r[..., 0] - 1.0)
+    def _constraint_residual(self, p):
+        r = self._norm(p)[:, 0]
+        worst = np.abs(r[0] - 1.0)
         for i in range(1, self.factors):
-            worst = np.maximum(worst, np.abs(r[..., i] - 1.0))
+            worst = np.maximum(worst, np.abs(r[i] - 1.0))
         return worst
 
-    def project_tangent_vector(self, p, w):
-        p, w = self._view(p), self._view(w)
-        return self._unview(w - p * self._dot(p, w))
+    def _project_tangent_vector(self, p, w):
+        return w - p * self._dot(p, w)
 
-    def projector_derivative(self, p, w, v):
-        p, w, v = self._view(p), self._view(w), self._view(v)
-        return self._unview(-(w * self._dot(p, v) + p * self._dot(w, v)))
+    def _projector_derivative(self, p, w, v):
+        return -(w * self._dot(p, v) + p * self._dot(w, v))
 
-    def project_point(self, x):
-        x = self._view(x)
+    def _project_point(self, x):
         r = self._norm(x)
         if not np.all(r > self.projection_floor):
             raise OutsideTube("point too close to the centre of a sphere factor")
-        return self._unview(x / r)
+        return x / r
 
-    def geodesic_acceleration(self, p, v):
-        v = self._view(v)
-        return self._unview(-self._dot(v, v) * self._view(p))
+    def _geodesic_acceleration(self, p, v):
+        return -self._dot(v, v) * p
 
     def exp(self, p, v):
-        p, v = self._view(p), self._view(v)
+        p, v = self._lead(p, v)
         theta = self._norm(v)
-        return self._unview(np.cos(theta) * p + np.sinc(theta / np.pi) * v)
+        return self._trail(np.cos(theta) * p + np.sinc(theta / np.pi) * v)
 
     def log(self, p, q):
-        w, nw, theta = self._chord(self._view(p), self._view(q))
+        w, nw, theta = self._chord(*self._lead(p, q))
         if not np.all(theta < np.pi - self.CUT_MARGIN):
             raise OutOfInjectivityDomain("target at or beyond the antipode")
         scale = np.where(nw > 1e-300, theta / np.where(nw > 1e-300, nw, 1.0), 1.0)
-        return self._unview(scale * w)
+        return self._trail(scale * w)
 
     def geodesic_transport(self, p, v, w):
-        p, v, w = self._view(p), self._view(v), self._view(w)
+        p, v, w = self._lead(p, v, w)
         theta = self._norm(v)
         safe = np.where(theta > 1e-300, theta, 1.0)
         u = np.where(theta > 1e-300, v / safe, 0.0 * v)
         a = self._dot(w, u)
-        return self._unview(w + a * (-np.sin(theta) * p + (np.cos(theta) - 1.0) * u))
+        return self._trail(w + a * (-np.sin(theta) * p + (np.cos(theta) - 1.0) * u))
 
     def dist(self, p, q):
-        _, _, theta = self._chord(self._view(p), self._view(q))
-        theta = theta[..., 0]
-        return np.sqrt(self._dot(theta, theta)[..., 0])
+        _, _, theta = self._chord(*self._lead(p, q))
+        theta = np.swapaxes(theta, 0, 1)  # the factor angles on the summed axis
+        return np.sqrt(self._dot(theta, theta)[0, 0])
 
 
 class Sphere2(RoundSpheres):
@@ -398,7 +431,8 @@ class FlatTorus2(RoundSpheres):
 
     def tangent_frame(self, points):
         """The parallel frame: column i is the unit tangent of circle i."""
-        p = self._view(points)
+        p = np.asarray(points, dtype=np.float64)
+        p = p.reshape(p.shape[:-1] + (2, 2))
         turned = np.stack([-p[..., 1], p[..., 0]], axis=-1)  # (..., 2, 2)
         cols = turned[..., :, :, None] * np.eye(2)[:, None, :]
         return cols.reshape(p.shape[:-2] + (4, 2))
@@ -501,16 +535,23 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
     """RK4 integration of the geodesic ODE with per-step reprojection.
 
     ``p`` and ``v`` may carry leading batch axes.  Returns the trajectory,
-    of shape (steps+1,) + p.shape, and the velocity at the end.  Each
-    reprojected point is written into the preallocated trajectory, so the
-    trajectory is the only array of its size.
+    of shape (steps+1,) + p.shape, and the velocity at the end, both
+    C-contiguous and row major.
+
+    The RK4 state (p, v) is held component major, (2, factors, m) + batch,
+    so each component of every trial and node is one contiguous block for
+    the kind's per-factor formulas; in a row-major (..., k) array the same
+    component is every k-th float.  The formulas are elementwise, so the
+    layout moves no float.  Each reprojected point is written into the
+    preallocated row-major trajectory, so the trajectory is the only array
+    of its size, and what reads it later (a pairwise ``np.sum``, whose order
+    follows memory) sees the layout it always did.
     """
     h = _step_size(float(time), steps)
-    y = np.stack(np.broadcast_arrays(np.asarray(p, dtype=np.float64),
-                                     np.asarray(v, dtype=np.float64)))
-    acc = manifold.geodesic_acceleration
-    traj = np.empty((steps + 1,) + y.shape[1:])
-    traj[0] = y[0]
+    y = np.ascontiguousarray(manifold._lead(p, v))
+    traj = np.empty((steps + 1,) + y.shape[3:] + (y.shape[1] * y.shape[2],))
+    manifold._lead(traj[0])[0][...] = y[0]
+    acc = manifold._geodesic_acceleration
     count = itertools.count(1)
 
     def rhs(t, y):
@@ -518,15 +559,15 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
 
     def after_step(t, y):
         step = next(count)
-        res = manifold.constraint_residual(y[0])
+        res = manifold._constraint_residual(y[0])
         if not np.max(res) <= MIDFLOW_TOL:
             raise _diverged("constraint residual", res, step, steps)
-        x = traj[step]
-        x[...] = manifold.project_point(y[0])
-        return np.stack([x, manifold.project_tangent_vector(x, y[1])])
+        x = manifold._project_point(y[0])
+        manifold._lead(traj[step])[0][...] = x
+        return np.stack([x, manifold._project_tangent_vector(x, y[1])])
 
     _, u = _rk4(rhs, y, 0.0, h, steps, after_step)
-    return traj, u
+    return traj, manifold._trail(u)
 
 
 def exp_map(manifold: EmbeddedManifold, tangent: TangentAtPoint,
@@ -641,7 +682,14 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     After every step the vector is reprojected to the tangent space; norms and
     inner products are not imposed and hold to integration accuracy.
     An optional ``torsion(x, xdot, v)`` term adds -0.5 T(xdot, v), the
-    transport law of a connection with prescribed torsion tensor T.
+    transport law of a connection with prescribed torsion tensor T; it takes
+    and returns row-major arrays.
+
+    The vector and the RK4 stages are held component major, as in
+    :func:`integrate_geodesic`.  The spline is built on the row-major knots,
+    with no copy of the path, and the point and velocity read at each
+    distinct stage time are moved to component major once, in the path
+    memo.  The result is C-contiguous and row major.
     """
     s0, s1 = float(s_grid[0]), float(s_grid[-1])
     if steps is None:
@@ -649,6 +697,14 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
     h = _step_size(s1 - s0, steps)
     at = _path_spline(s_grid, points)
     v = np.asarray(v, dtype=np.float64)
+    batch = np.broadcast_shapes(np.shape(points)[1:], v.shape)
+
+    def lead(x):
+        """A contiguous component-major copy of x over the whole batch."""
+        if x.shape != batch:
+            x = np.broadcast_to(x, batch)
+        return np.ascontiguousarray(manifold._lead(x)[0])
+
     count = itertools.count(1)
 
     # The RK4 stages and after_step visit each stage time twice in a row
@@ -658,25 +714,26 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
 
     def path(s):
         if memo[0] != s:
-            memo[:] = s, at(s)
+            memo[:] = s, [lead(x) for x in at(s)]
         return memo[1]
 
     def rhs(s, vec):
         x, xdot = path(s)
-        out = manifold.projector_derivative(x, xdot, vec)
+        out = manifold._projector_derivative(x, xdot, vec)
         if torsion is not None:
-            out = out - 0.5 * torsion(x, xdot, vec)
+            rows = [manifold._trail(a) for a in (x, xdot, vec)]
+            out = out - 0.5 * manifold._lead(torsion(*rows))[0]
         return out
 
     def after_step(s, vec):
         step = next(count)
         x, _ = path(s)
-        res = manifold.constraint_residual(x)
+        res = manifold._constraint_residual(x)
         if not np.max(res) <= MIDFLOW_TOL:
             raise _diverged("path off manifold: residual", res, step, steps)
-        return manifold.project_tangent_vector(x, vec)
+        return manifold._project_tangent_vector(x, vec)
 
-    return _rk4(rhs, v, s0, h, steps, after_step)
+    return manifold._trail(_rk4(rhs, lead(v), s0, h, steps, after_step))
 
 
 def parallel_transport(manifold: EmbeddedManifold, path, v: TangentAtPoint,

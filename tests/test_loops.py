@@ -9,6 +9,8 @@ from loopspace_lab.geometry import exp_nonsurjectivity_witness
 from loopspace_lab.loops import (
     FourierRep,
     SampledLoop,
+    _fourier_noise,
+    _fourier_table,
     _split_spectrum,
     ck_seminorm,
     derivative,
@@ -225,6 +227,29 @@ class TestFourier:
                 assert np.array_equal(got, coeffs)
 
 
+class TestFourierNoise:
+    def test_table_rows_match_the_direct_sum(self):
+        # reference: each mode's cosine and sine computed at the call
+        def direct(rng, n, dim, bandwidth, amplitude):
+            t = np.arange(n) / n
+            vals = np.zeros((n, dim))
+            for k in range(bandwidth + 1):
+                a = rng.normal(size=dim) * amplitude / (1 + k)
+                b = rng.normal(size=dim) * amplitude / (1 + k)
+                vals += np.outer(np.cos(2 * np.pi * k * t), a)
+                if k > 0:
+                    vals += np.outer(np.sin(2 * np.pi * k * t), b)
+            return vals
+
+        for n, dim, bandwidth in ((8, 3, 2), (128, 3, 4), (1024, 2, 3)):
+            for seed in range(3):
+                got = _fourier_noise(np.random.default_rng(seed), n, dim, bandwidth, 0.4)
+                want = direct(np.random.default_rng(seed), n, dim, bandwidth, 0.4)
+                assert np.array_equal(got, want)
+        cos, sin = _fourier_table(128, 4)
+        assert not cos.flags.writeable and not sin.flags.writeable
+
+
 class TestInvariants:
     def test_resolution_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -276,6 +301,21 @@ class TestStack:
         assert witness["jump_magnitude"] == max(r["jump_magnitude"] for r in reports)
         with pytest.raises(ValueError, match="one loop"):
             loop_to_csv(stack, tmp_path / "stack.csv")
+
+    def test_to_samples_decides_real_per_loop(self):
+        # one real and one complex loop: the real one comes back with a zero
+        # imaginary part, as its own call returns it real
+        rng = np.random.default_rng(27)
+        real = rng.normal(size=(16, 2))
+        cplx = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+        stack = to_samples(to_fourier(SampledLoop(np.stack([real, cplx]))))
+        assert stack.samples.shape == (2, 16, 2)
+        alone = [to_samples(to_fourier(SampledLoop(a))) for a in (real, cplx)]
+        assert alone[0].is_real and not alone[1].is_real
+        assert np.array_equal(stack.samples[0].imag, np.zeros((16, 2)))
+        assert np.array_equal(stack.samples[0].real, alone[0].samples)
+        assert np.array_equal(stack.samples[1], alone[1].samples)
+        assert to_samples(to_fourier(SampledLoop(np.stack([real, real])))).is_real
 
 
 class TestSerialization:

@@ -405,6 +405,40 @@ class TestIntegratorMemory:
         assert peak <= 1.25 * traj.nbytes
 
 
+class TestIntegratorLayout:
+    """The integrators hold their state component major; what they return
+    is C-contiguous and row major, and a stack of trials integrates to the
+    bits of its trials integrated one by one."""
+
+    @pytest.mark.parametrize("manifold", [SPHERE, TORUS], ids=lambda m: m.kind)
+    def test_stack_equals_its_trials_bit_for_bit(self, manifold):
+        rng = np.random.default_rng(41)
+        p = np.stack([manifold.random_loop(rng, 16).samples for _ in range(3)])
+        v = 0.5 * manifold.project_tangent_vector(p, rng.normal(size=p.shape))
+        w = manifold.project_tangent_vector(p, rng.normal(size=p.shape))
+        s_grid = np.linspace(0.0, 1.0, 33)
+        traj, u = integrate_geodesic(manifold, p, v, 1.0, 32)
+        out = integrate_transport(manifold, s_grid, traj, w)
+        assert all(a.flags.c_contiguous for a in (traj, u, out))
+        for i in range(len(p)):
+            traj_i, u_i = integrate_geodesic(manifold, p[i], v[i], 1.0, 32)
+            assert np.array_equal(traj_i, traj[:, i]) and np.array_equal(u_i, u[i])
+            assert np.array_equal(integrate_transport(manifold, s_grid, traj_i, w[i]), out[i])
+
+    @pytest.mark.parametrize("manifold", [SPHERE, TORUS], ids=lambda m: m.kind)
+    def test_a_point_broadcasts_against_a_stack_of_vectors(self, manifold):
+        rng = np.random.default_rng(42)
+        p = manifold.random_point(rng)
+        v = 0.5 * manifold.project_tangent_vector(p, rng.normal(size=(4, p.size)))
+        traj, u = integrate_geodesic(manifold, p, v, 1.0, 16)
+        assert traj.shape == (17, 4, p.size) and u.shape == (4, p.size)
+        assert traj.flags.c_contiguous and u.flags.c_contiguous
+        whole, _ = integrate_geodesic(manifold, np.broadcast_to(p, v.shape), v, 1.0, 16)
+        assert np.array_equal(traj, whole)
+        out = integrate_transport(manifold, np.linspace(0.0, 1.0, 17), traj[:, 0], v)
+        assert out.shape == v.shape and out.flags.c_contiguous
+
+
 class TestPathSpline:
     """The in-repo not-a-knot path spline against scipy's ``CubicSpline``,
     whose default end condition is not-a-knot, on random batched data."""
@@ -599,17 +633,28 @@ def same_bits(got, want) -> bool:
             and np.asarray(got).tobytes() == np.asarray(want).tobytes())
 
 
+def component_major(x):
+    """The (factors, m, ...) view of an array whose last two axes are
+    (factors, m); a 1-D array is one factor."""
+    x = x.reshape((1,) * (2 - x.ndim) + x.shape)
+    return np.moveaxis(x, (-2, -1), (0, 1))
+
+
 class TestUnrolledSums:
-    """RoundSpheres sums each factor component by component; every result
-    must carry the bits of the numpy reduction it replaced."""
+    """RoundSpheres sums each factor component by component, on the
+    component-major layout; every result must carry the bits of the numpy
+    reduction it replaced, taken on the row-major last axis."""
 
     @pytest.mark.parametrize("shape", [(3,), (128, 1, 3), (201, 1024, 1, 3), (1024, 2, 2)])
     def test_dot_and_norm_match_numpy_reductions(self, shape):
         rng = np.random.default_rng(sum(shape))
         a, b = extreme_values(rng, shape), extreme_values(rng, shape)
+        lead_a, lead_b = component_major(a), component_major(b)
         with np.errstate(all="ignore"):
-            assert same_bits(RoundSpheres._dot(a, b), np.sum(a * b, axis=-1, keepdims=True))
-            assert same_bits(RoundSpheres._norm(a), np.linalg.norm(a, axis=-1, keepdims=True))
+            assert same_bits(RoundSpheres._dot(lead_a, lead_b),
+                             component_major(np.sum(a * b, axis=-1, keepdims=True)))
+            assert same_bits(RoundSpheres._norm(lead_a),
+                             component_major(np.linalg.norm(a, axis=-1, keepdims=True)))
 
     def test_all_negative_zero_products_sum_to_positive_zero(self):
         # a zero vector against negative coordinates: every product is -0.0,
@@ -618,8 +663,9 @@ class TestUnrolledSums:
         zero = np.zeros(3)
         products = p * zero
         assert np.signbit(products[0] + products[1] + products[2])
-        assert same_bits(RoundSpheres._dot(p, zero), np.sum(products, axis=-1, keepdims=True))
-        assert not np.signbit(RoundSpheres._dot(p, zero)[0])
+        got = RoundSpheres._dot(component_major(p), component_major(zero))
+        assert same_bits(got, component_major(np.sum(products, axis=-1, keepdims=True)))
+        assert not np.signbit(got[0, 0])
 
     @staticmethod
     def inputs(manifold, rng, batch):
