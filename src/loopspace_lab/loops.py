@@ -212,14 +212,14 @@ def rotate(loop: SampledLoop, s: float) -> SampledLoop:
 
 
 @functools.lru_cache(maxsize=None)
-def _fourier_table(n: int, bandwidth: int) -> tuple:
+def _fourier_table(n: int, bandwidth: int) -> np.ndarray:
     """Read-only rows cos(2 pi k t_j) and sin(2 pi k t_j), k = 0..bandwidth,
-    at the n nodes, built once per (n, bandwidth)."""
-    t = np.arange(n) / n
-    cos = np.array([np.cos(2 * np.pi * k * t) for k in range(bandwidth + 1)])
-    sin = np.array([np.sin(2 * np.pi * k * t) for k in range(bandwidth + 1)])
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
+    at the n nodes, as one (2, bandwidth + 1, n) block built once per
+    (n, bandwidth)."""
+    arg = (2 * np.pi * np.arange(bandwidth + 1))[:, None] * (np.arange(n) / n)
+    table = np.stack([np.cos(arg), np.sin(arg)])
+    table.flags.writeable = False
+    return table
 
 
 def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> np.ndarray:
