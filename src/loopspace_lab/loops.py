@@ -226,14 +226,16 @@ def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> n
     """(n, dim) samples of a random real trigonometric polynomial of degree
     ``bandwidth``; mode k has amplitude ``amplitude / (1 + k)``."""
     cos, sin = _fourier_table(n, bandwidth)
-    vals = np.zeros((n, dim))
+    # summed component major, so that each product row is one contiguous
+    # block; every element sees the same products in the same order
+    vals = np.zeros((dim, n))
     for k in range(bandwidth + 1):
         a = rng.normal(size=dim) * amplitude / (1 + k)
         b = rng.normal(size=dim) * amplitude / (1 + k)
-        vals += cos[k][:, None] * a
+        vals += a[:, None] * cos[k]
         if k > 0:
-            vals += sin[k][:, None] * b
-    return vals
+            vals += b[:, None] * sin[k]
+    return np.ascontiguousarray(vals.T)
 
 
 def random_bandlimited_loop(rng, dim: int, n: int = 128, bandwidth: int = 4,
