@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -130,7 +131,10 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigInvalid(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="loopspace-lab",
         description="verification suites for loop-space geometry")

@@ -24,6 +24,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _broadcasts_to(shape: tuple, target: tuple) -> bool:
+    """Whether an array of ``shape`` broadcasts to ``target`` unchanged."""
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True)
 class SampledLoop:
     """A loop sampled at N uniform nodes of the circle R/Z.
@@ -226,12 +234,13 @@ def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> n
     """(n, dim) samples of a random real trigonometric polynomial of degree
     ``bandwidth``; mode k has amplitude ``amplitude / (1 + k)``."""
     cos, sin = _fourier_table(n, bandwidth)
+    # one draw in the order of per-mode (a_k, b_k) pairs; b_0 is drawn unused
+    coeffs = rng.normal(size=(bandwidth + 1, 2, dim)) * amplitude \
+        / (1 + np.arange(bandwidth + 1))[:, None, None]
     # summed component major, so that each product row is one contiguous
     # block; every element sees the same products in the same order
     vals = np.zeros((dim, n))
-    for k in range(bandwidth + 1):
-        a = rng.normal(size=dim) * amplitude / (1 + k)
-        b = rng.normal(size=dim) * amplitude / (1 + k)
+    for k, (a, b) in enumerate(coeffs):
         vals += a[:, None] * cos[k]
         if k > 0:
             vals += b[:, None] * sin[k]

@@ -163,6 +163,21 @@ class TestMainExitCodes:
         data = json.loads((tmp_path / "geodesic-pointwise-0.json").read_text())
         assert data["all_pass"] is False
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once; a flag of one call must not reach the next
+        # and a parse error still exits 2
+        from loopspace_lab.cli import _build_parser
+        assert _build_parser() is _build_parser()
+        args = ["run", "--suite", "metric", "--resolution", "32", "--samples", "10",
+                "--out", str(tmp_path), "--quiet"]
+        assert main(args + ["--seed", "4"]) == 0
+        assert main(args) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "metric-0.json", "metric-0.meta.json", "metric-4.json", "metric-4.meta.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--resolution", "many"])
+        assert exc.value.code == 2
+
     def test_list_suites(self, capsys):
         assert main(["list-suites"]) == 0
         out = capsys.readouterr().out.split()
