@@ -261,8 +261,17 @@ class MatrixLoop:
         return self.matrices.shape[1]
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Pointwise action on an (..., N, n) array of loop samples."""
-        return np.einsum("tij,...tj->...ti", self.matrices, samples)
+        """Pointwise action on an (..., N, n) array of loop samples, along
+        axis -2: a stack of loops in R^n is one loop in a product of copies.
+
+        The sum over columns is unrolled into slice products: on a stack, an
+        einsum with an ellipsis costs several times the adds, and the adds
+        give its bits."""
+        m = self.matrices
+        out = m[:, :, 0] * samples[..., 0:1]
+        for j in range(1, self.n):
+            out += m[:, :, j] * samples[..., j:j + 1]
+        return out
 
 
 def rotation_matrix_loop(n_nodes: int, turns: float = 1.0) -> MatrixLoop:
@@ -280,32 +289,37 @@ def rotation_matrix_loop(n_nodes: int, turns: float = 1.0) -> MatrixLoop:
 def frame_from_module_map(g, n: int, resolution: int, rng=None) -> MatrixLoop:
     """Extract the matrix loop of a black-box pointwise-linear operator.
 
-    ``g`` maps loops in R^n, given as (N, n) sample arrays, to loops in R^n.
-    Columns come from probing with the constant standard-basis loops; the
-    reconstruction is then verified on FRAME_PROBES random loops, rejecting
-    operators that are linear but not pointwise (e.g. convolutions).  A frame
-    that is singular or ill-conditioned at some node raises SingularFrame.
+    ``g`` maps loops in R^n to loops in R^n, acting on (..., N, n) sample
+    arrays along axis -2, as every ``loops`` function does: a stack of P
+    loops is one loop in (R^n)^P.  The columns come from one call on the n
+    constant standard-basis loops; the reconstruction is then verified in
+    one call on FRAME_PROBES random loops, rejecting operators that are
+    linear but not pointwise (e.g. convolutions, or operators that mix the
+    loops of a stack).  A frame that is singular or ill-conditioned at some
+    node raises SingularFrame.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    cols = []
-    for j in range(n):
-        basis = np.zeros((resolution, n))
-        basis[:, j] = 1.0
-        cols.append(np.asarray(g(basis), dtype=np.float64))
-    mats = np.stack(cols, axis=-1)  # (N, n, n), column j = g(e_j)(t)
-    frame = MatrixLoop(mats)
-    worst = 0.0
-    for _ in range(FRAME_PROBES):
-        s = rng.normal(size=(resolution, n))
-        image = np.asarray(g(s), dtype=np.float64)
-        rebuilt = frame.apply(s)
-        scale = max(1.0, float(np.max(np.abs(image))))
-        worst = np.maximum(worst, np.max(np.abs(image - rebuilt)) / scale)
+
+    def image_of(samples):
+        out = np.asarray(g(samples), dtype=np.float64)
+        if out.shape != samples.shape:
+            raise ValueError(f"g returned shape {out.shape} for samples of shape "
+                             f"{samples.shape}")
+        return out
+
+    basis = np.zeros((n, resolution, n))
+    basis[np.arange(n), :, np.arange(n)] = 1.0
+    # (N, n, n), column j = g(e_j)(t)
+    frame = MatrixLoop(np.moveaxis(image_of(basis), 0, -1))
+    probes = rng.normal(size=(FRAME_PROBES, resolution, n))
+    image = image_of(probes)
+    scale = np.maximum(1.0, np.max(np.abs(image), axis=(-2, -1)))
+    worst = np.max(np.max(np.abs(image - frame.apply(probes)), axis=(-2, -1)) / scale)
     if not worst <= FRAME_RECONSTRUCTION_TOL:
         raise NotPointwiseLinear(
             f"reconstruction residual {worst:.3e} exceeds {FRAME_RECONSTRUCTION_TOL:.1e}")
-    svals = np.linalg.svd(mats, compute_uv=False)
+    svals = np.linalg.svd(frame.matrices, compute_uv=False)
     if np.min(svals) <= RANK_THRESHOLD or \
             np.max(svals[..., 0] / svals[..., -1]) >= CONDITION_LIMIT:
         raise SingularFrame("extracted frame is singular at some node")

@@ -15,6 +15,7 @@ from loopspace_lab.errors import (
     SingularFrame,
 )
 from loopspace_lab.geometry import (
+    FRAME_PROBES,
     ConnectionSpec,
     LoopPath,
     MatrixLoop,
@@ -526,32 +527,92 @@ class TestFrameExtraction:
             frame_from_module_map(lambda s: np.roll(s, 8, axis=0), 2, 64)
 
     def test_spectral_multiplier_rejected(self):
+        # the FFT runs along the circle axis -2; on axis 0 it would filter
+        # across the probes of a stack, and act pointwise on the circle
         def smoother(s):
-            c = np.fft.fft(s, axis=0)
+            c = np.fft.fft(s, axis=-2)
             k = np.abs(np.fft.fftfreq(64, 1 / 64))
-            return np.fft.ifft(c * np.exp(-0.1 * k)[:, None], axis=0).real
+            return np.fft.ifft(c * np.exp(-0.1 * k)[:, None], axis=-2).real
         with pytest.raises(NotPointwiseLinear):
             frame_from_module_map(smoother, 2, 64)
 
+    def test_operator_mixing_probes_rejected(self):
+        # pointwise on the circle, but it mixes the loops of a probe stack
+        with pytest.raises(NotPointwiseLinear):
+            frame_from_module_map(lambda s: np.roll(s, 1, axis=0), 2, 64)
+
+    def test_g_is_called_once_on_the_basis_and_once_on_the_probes(self):
+        shapes = []
+
+        def g(s):
+            shapes.append(s.shape)
+            return 2.0 * s
+
+        frame_from_module_map(g, 3, 32)
+        assert shapes == [(3, 32, 3), (FRAME_PROBES, 32, 3)]
+
+    def test_probe_stack_is_the_sequence_of_single_draws(self):
+        probes = []
+
+        def g(s):
+            probes.append(s)
+            return 2.0 * s
+
+        frame_from_module_map(g, 2, 32, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        singles = np.stack([rng.normal(size=(32, 2)) for _ in range(FRAME_PROBES)])
+        assert np.array_equal(probes[1], singles)
+
     def test_nan_probe_image_rejected(self):
-        # g(s) = 2s, but its 5th call (the 3rd random probe) has a NaN node
+        # g(s) = 2s, but its probe call has a NaN at probe 2, node 7
         calls = []
 
         def g(s):
             calls.append(None)
             out = 2.0 * s
-            if len(calls) == 5:
-                out[7, 0] = np.nan
+            if len(calls) == 2:
+                out[2, 7, 0] = np.nan
             return out
 
         with pytest.raises(NotPointwiseLinear):
             frame_from_module_map(g, 2, 32)
-        assert len(calls) == 2 + 100
+        assert len(calls) == 2
+
+    def test_image_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"g returned shape \(32, 2\)"):
+            frame_from_module_map(lambda s: np.ones((32, 2)), 2, 32)
 
     def test_singular_frame_rejected(self):
         nu = np.sin(2 * np.pi * np.arange(64) / 64)  # vanishes at two nodes
         with pytest.raises(SingularFrame):
             frame_from_module_map(lambda s: nu[:, None] * s, 2, 64)
+
+
+class TestMatrixLoopApply:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("complex_matrices", [False, True])
+    def test_stack_equals_probe_calls_and_einsum(self, n, complex_matrices):
+        rng = np.random.default_rng(28)
+        mats = rng.normal(size=(64, n, n))
+        if complex_matrices:
+            mats = mats + 1j * rng.normal(size=(64, n, n))
+        loop = MatrixLoop(mats)
+        probes = rng.normal(size=(FRAME_PROBES, 64, n))
+        stacked = loop.apply(probes)
+        assert np.array_equal(stacked, np.stack([loop.apply(s) for s in probes]))
+        assert np.array_equal(stacked, np.einsum("tij,...tj->...ti", loop.matrices, probes))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_wider_stack_equals_probe_calls(self, n):
+        # from three columns einsum sums in its own lane order, so it agrees
+        # to rounding only
+        rng = np.random.default_rng(29)
+        loop = MatrixLoop(rng.normal(size=(32, n, n)) + 1j * rng.normal(size=(32, n, n)))
+        probes = rng.normal(size=(5, 32, n)) + 1j * rng.normal(size=(5, 32, n))
+        stacked = loop.apply(probes)
+        assert np.array_equal(stacked, np.stack([loop.apply(s) for s in probes]))
+        assert np.allclose(stacked, np.einsum("tij,...tj->...ti", loop.matrices, probes),
+                           rtol=0.0, atol=1e-13)
 
 
 class TestWitness:
