@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BaseMismatch, NotInChartDomain, NotInOverlap
-from .loops import SampledLoop, _fourier_noise, loop_from_dict, loop_to_dict
+from .loops import (
+    SampledLoop,
+    _broadcasts_to,
+    _fourier_noise,
+    loop_from_dict,
+    loop_to_dict,
+)
 from .manifolds import (
     EmbeddedManifold,
     Flat,
@@ -50,15 +56,14 @@ class TangentSection:
         return self.base.resolution
 
     def scaled(self, nu) -> "TangentSection":
-        """The action of L R: multiply by a scalar (or scalar loop) nu."""
+        """The action of L R: multiply by a scalar or a scalar loop (N,); on
+        a stack, by one scalar (B, 1) or one scalar loop (B, N) per trial.
+        ``nu`` broadcasts against the nodes, ``vectors.shape[:-1]``."""
         nu = np.asarray(nu, dtype=np.float64)
-        if nu.ndim == 0:
-            factor = nu
-        else:
-            factor = nu.reshape(-1, 1)
-            if factor.shape[0] != self.resolution:
-                raise ValueError("scalar loop resolution mismatch")
-        return TangentSection(self.manifold, self.base, factor * self.vectors)
+        if not _broadcasts_to(nu.shape, self.vectors.shape[:-1]):
+            raise ValueError(f"scalars of shape {nu.shape} do not fit a section "
+                             f"of shape {self.vectors.shape}")
+        return TangentSection(self.manifold, self.base, nu[..., None] * self.vectors)
 
     def __add__(self, other: "TangentSection") -> "TangentSection":
         require_based(other, self.base)

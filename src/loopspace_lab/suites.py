@@ -445,8 +445,7 @@ def suite_metric(cfg: ExperimentConfig, rng) -> list:
     b, c, d, x, y = _trials(rng, max(1, cfg.samples // 5), draw)
     base = b.base
     out.track("symmetry", geometry.l2_inner(base, b, c) - geometry.l2_inner(base, c, b))
-    combo = charts.TangentSection(flat2, base, x[:, None, None] * b.vectors
-                                  + y[:, None, None] * c.vectors)
+    combo = b.scaled(x[:, None]) + c.scaled(y[:, None])
     lhs = geometry.l2_inner(base, combo, d)
     rhs = x * geometry.l2_inner(base, b, d) + y * geometry.l2_inner(base, c, d)
     out.track("bilinearity", lhs - rhs)
@@ -476,11 +475,12 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
         w = charts.random_section(rng, manifold, alpha, scale=0.1)
         w2 = charts.random_section(rng, manifold, alpha, scale=0.1)
 
-        def field_values(s, seed_vec):
-            """The closed-form geodesic family at time(s) s and a field along it."""
-            pos = manifold.exp(alpha.samples, s * nu.vectors)
+        def field_values(s, seed_vec, nodes=slice(None)):
+            """The closed-form geodesic family at time(s) s and a field along
+            it, at the given circle nodes."""
+            pos = manifold.exp(alpha.samples[nodes], s * nu.vectors[nodes])
             factor = 1.0 + 0.1 * np.sin(np.pi * s)
-            return pos, manifold.project_tangent_vector(pos, factor * seed_vec)
+            return pos, manifold.project_tangent_vector(pos, factor * seed_vec[nodes])
 
         pos, fieldV = field_values(s_col, w.vectors)
         _, fieldW = field_values(s_col, w2.vectors)
@@ -488,21 +488,19 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
         derivV = geometry.cov_deriv_along_path(conn, path, fieldV)
         derivW = geometry.cov_deriv_along_path(conn, path, fieldW)
 
-        # oracle: transport-based difference quotient at random grid nodes
+        # oracle: transport-based difference quotient at random grid nodes,
+        # each (time, circle) node evaluated on its own
         h = 1e-4
-        for _ in range(10):
-            i = int(rng.integers(1, grid))
-            j = int(rng.integers(0, n))
-            si = s_grid[i]
-            pos_i = path.values[i, j]
-            for_pos, for_vec = field_values(si + h, w.vectors)
-            back_pos, back_vec = field_values(si - h, w.vectors)
-            pulled_fwd = manifold.geodesic_transport(
-                for_pos[j], manifold.log(for_pos[j], pos_i), for_vec[j])
-            pulled_back = manifold.geodesic_transport(
-                back_pos[j], manifold.log(back_pos[j], pos_i), back_vec[j])
-            oracle = (pulled_fwd - pulled_back) / (2 * h)
-            out.track("connector-vs-transport", derivV[i, j] - oracle)
+        i, j = np.array([(rng.integers(1, grid), rng.integers(0, n))
+                         for _ in range(10)]).T
+        pos_ij = path.values[i, j]
+        pulled = []
+        for si in (s_grid[i, None] + h, s_grid[i, None] - h):
+            at_pos, at_vec = field_values(si, w.vectors, j)
+            pulled.append(manifold.geodesic_transport(
+                at_pos, manifold.log(at_pos, pos_ij), at_vec))
+        oracle = (pulled[0] - pulled[1]) / (2 * h)
+        out.track("connector-vs-transport", derivV[i, j] - oracle)
 
         inner = geometry.l2_pairing(fieldV, fieldW)
         dinner = geometry._time_derivative(inner[:, None], s_grid)[:, 0]
@@ -652,7 +650,7 @@ def suite_frame_extract(cfg: ExperimentConfig, rng) -> list:
     expected = nu[:, None, None] * np.eye(d)
     out.track("scalar", frame.matrices - expected)
 
-    convolution = lambda s: np.roll(s, n // 4, axis=0)
+    convolution = lambda s: np.roll(s, n // 4, axis=-2)
     try:
         geometry.frame_from_module_map(convolution, d, n)
         rejected = False
@@ -676,7 +674,8 @@ def suite_fibration(cfg: ExperimentConfig, rng) -> list:
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    for _ in range(max(1, cfg.samples // 10)):
+
+    def draw(rng):
         x = manifold.random_point(rng)
         seed = charts.random_section(
             rng, manifold, loops.SampledLoop.constant(x, n), scale=0.25)
@@ -684,12 +683,14 @@ def suite_fibration(cfg: ExperimentConfig, rng) -> list:
         clamp = min(1.0, 0.9 / max(float(np.linalg.norm(seed.vectors[0])), 1e-12))
         gamma = loops.SampledLoop(
             manifold.exp(np.tile(x, (n, 1)), clamp * seed.vectors))
-        omega, u = tubes.based_trivialize(manifold, x, gamma, steps=cfg.ode_steps)
-        out.track("based", omega.samples[0] - x)
-        back = tubes.based_detrivialize(manifold, x, omega, u,
-                                          steps=cfg.ode_steps)
-        out.track("roundtrip", back.samples - gamma.samples)
-        out.track("evaluation", back.samples[0] - u)
+        return x[None], gamma
+
+    x, gamma = _trials(rng, max(1, cfg.samples // 10), draw)
+    omega, u = tubes.based_trivialize(manifold, x, gamma, steps=cfg.ode_steps)
+    out.track("based", omega.samples[:, :1] - x)
+    back = tubes.based_detrivialize(manifold, x, omega, u, steps=cfg.ode_steps)
+    out.track("roundtrip", back.samples - gamma.samples)
+    out.track("evaluation", back.samples[:, 0] - u)
 
     # flow properties in the model space
     v = rng.normal(size=3)
@@ -715,58 +716,67 @@ def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
     spec = manifolds.LocalAdditionSpec(manifold)
     out = Checks(cfg)
     n = cfg.resolution
-    for _ in range(max(1, cfg.samples // 20)):
-        x0 = manifold.random_point(rng)
-        seed = charts.random_section(
-            rng, manifold, loops.SampledLoop.constant(x0, n), scale=0.3)
-        based = seed.vectors * np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
-        alpha = loops.SampledLoop(manifold.exp(np.tile(x0, (n, 1)), based))
-        v = clamped_tangent(rng, manifold, x0, float(rng.uniform(0.1, 0.6)))
-        beta = tubes.point_tube_forward(manifold, x0, alpha, v, steps=cfg.ode_steps)
-        nu_v = manifold.exp(x0, spec.compress(v.vector))
-        out.track("point-eval", beta.samples[0] - nu_v)
-        alpha2, v2 = tubes.point_tube_inverse(manifold, x0, beta, steps=cfg.ode_steps)
-        out.track("point-roundtrip", alpha2.samples - alpha.samples)
-        out.track("point-roundtrip", v2.vector - v.vector)
-        zero = manifolds.TangentAtPoint(manifold, x0, np.zeros(manifold.ambient_dim))
-        same = tubes.point_tube_forward(manifold, x0, alpha, zero,
-                                        steps=cfg.ode_steps)
-        out.track("point-zero", same.samples - alpha.samples)
+    bump = np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
+    steps = cfg.ode_steps
 
-    for _ in range(max(1, cfg.samples // 20)):
+    def seed(rng, point):
+        return clamped_tangent(rng, manifold, point, float(rng.uniform(0.1, 0.6))).vector
+
+    def draw_point(rng):
+        x0 = manifold.random_point(rng)
+        shift = charts.random_section(
+            rng, manifold, loops.SampledLoop.constant(x0, n), scale=0.3)
+        alpha = loops.SampledLoop(manifold.exp(np.tile(x0, (n, 1)), bump * shift.vectors))
+        return x0[None], alpha, seed(rng, x0)
+
+    x0, alpha, v = _trials(rng, max(1, cfg.samples // 20), draw_point)
+    v = manifolds.TangentAtPoint(manifold, x0[:, 0], v)
+    beta = tubes.point_tube_forward(manifold, x0, alpha, v, steps=steps)
+    nu_v = manifold.exp(x0[:, 0], spec.compress(v.vector))
+    out.track("point-eval", beta.samples[:, 0] - nu_v)
+    alpha2, v2 = tubes.point_tube_inverse(manifold, x0, beta, steps=steps)
+    out.track("point-roundtrip", alpha2.samples - alpha.samples)
+    out.track("point-roundtrip", v2.vector - v.vector)
+    zero = manifolds.TangentAtPoint(manifold, v.base, np.zeros_like(v.vector))
+    same = tubes.point_tube_forward(manifold, x0, alpha, zero, steps=steps)
+    out.track("point-zero", same.samples - alpha.samples)
+
+    def draw_pair(rng):
         a1 = manifold.random_loop(rng, n, wobble=0.3)
         shift = charts.random_section(rng, manifold, a1, scale=0.2)
-        based = shift.vectors * np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
-        a2 = loops.SampledLoop(manifold.exp(a1.samples, based))
-        v = clamped_tangent(rng, manifold, a1.samples[0], float(rng.uniform(0.1, 0.6)))
-        b1, b2 = tubes.diagonal_tube_forward(manifold, (a1, a2), v,
-                                              steps=cfg.ode_steps)
-        out.track("pair-anchor", b1.samples - a1.samples)
-        nu_v = manifold.exp(a1.samples[0], spec.compress(v.vector))
-        out.track("pair-eval", b2.samples[0] - nu_v)
-        (c1, c2), v2 = tubes.diagonal_tube_inverse(manifold, (b1, b2),
-                                                   steps=cfg.ode_steps)
-        out.track("pair-roundtrip", c2.samples - a2.samples)
-        out.track("pair-roundtrip", v2.vector - v.vector)
+        a2 = loops.SampledLoop(manifold.exp(a1.samples, bump * shift.vectors))
+        return a1, a2, seed(rng, a1.samples[0])
 
-    # partition-of-unity sections
-    partition = manifold.tangent_partition()
-    for _ in range(25):
+    a1, a2, v = _trials(rng, max(1, cfg.samples // 20), draw_pair)
+    v = manifolds.TangentAtPoint(manifold, a1.samples[:, 0], v)
+    b1, b2 = tubes.diagonal_tube_forward(manifold, (a1, a2), v, steps=steps)
+    out.track("pair-anchor", b1.samples - a1.samples)
+    nu_v = manifold.exp(a1.samples[:, 0], spec.compress(v.vector))
+    out.track("pair-eval", b2.samples[:, 0] - nu_v)
+    (c1, c2), v2 = tubes.diagonal_tube_inverse(manifold, (b1, b2), steps=steps)
+    out.track("pair-roundtrip", c2.samples - a2.samples)
+    out.track("pair-roundtrip", v2.vector - v.vector)
+
+    # partition-of-unity sections; each point goes through the weights as a
+    # (1, k) row, as a single call would pass it
+    p, = _trials(rng, 25, lambda rng: (manifold.random_point(rng)[None],))
+    out.track("partition-squares",
+              sum(weight(p) ** 2 for weight, _ in manifold.tangent_partition()) - 1.0)
+
+    def draw_seeds(rng):
         p = manifold.random_point(rng)
-        out.track("partition-squares",
-                  sum(float(weight(p[None])[0]) ** 2 for weight, _ in partition) - 1.0)
-    for _ in range(10):
-        p = manifold.random_point(rng)
-        v = manifolds.random_tangent(manifold, rng, p, 0.5)
-        w = manifolds.random_tangent(manifold, rng, p, 0.5)
-        sv = tubes.pou_section(manifold, v)
-        sw = tubes.pou_section(manifold, w)
-        out.track("pou-reproduces", sv(p) - v.vector)
-        x, y = rng.normal(size=2)
-        comb = manifolds.TangentAtPoint(manifold, p, x * v.vector + y * w.vector)
-        scomb = tubes.pou_section(manifold, comb)
-        q = manifold.random_point(rng)
-        out.track("pou-linear", scomb(q) - x * sv(q) - y * sw(q))
+        v, w = (manifolds.random_tangent(manifold, rng, p, 0.5).vector for _ in range(2))
+        return p, v, w, *rng.normal(size=2), manifold.random_point(rng)
+
+    p, v, w, x, y, q = _trials(rng, 10, draw_seeds)
+    v, w = (manifolds.TangentAtPoint(manifold, p, vec) for vec in (v, w))
+    sv = tubes.pou_section(manifold, v)
+    sw = tubes.pou_section(manifold, w)
+    out.track("pou-reproduces", sv(p) - v.vector)
+    x, y = x[:, None], y[:, None]
+    comb = manifolds.TangentAtPoint(manifold, p, x * v.vector + y * w.vector)
+    scomb = tubes.pou_section(manifold, comb)
+    out.track("pou-linear", scomb(q) - x * sv(q) - y * sw(q))
     return out.records
 
 
@@ -778,23 +788,26 @@ def suite_equivariant(cfg: ExperimentConfig, rng) -> list:
     out = Checks(cfg)
     n = cfg.resolution
     for m in (2, 4):
-        for _ in range(max(1, cfg.samples // 25)):
+        def draw(rng):
             base = manifold.random_loop(rng, n // m, wobble=0.25, bandwidth=2)
             periodic = loops.SampledLoop(np.tile(base.samples, (m, 1)))
             wiggle = charts.random_section(rng, manifold, periodic, scale=0.1)
             gamma = loops.SampledLoop(manifold.exp(periodic.samples, wiggle.vectors))
-            fixed, normal = tubes.equivariant_decompose(manifold, m, gamma)
-            rec = tubes.equivariant_recompose(manifold, fixed, normal)
-            out.track("roundtrip", rec.samples - gamma.samples)
-            out.track("period", fixed.samples - np.roll(fixed.samples, n // m, axis=0))
-            out.track("coset-mean", tubes.coset_mean_residual(manifold, m, gamma, fixed))
-            shift = int(rng.integers(1, n))
-            rot_gamma = loops.rotate(gamma, shift / n)
-            fixed_r, normal_r = tubes.equivariant_decompose(manifold, m, rot_gamma)
-            out.track("rotation-commute",
-                      fixed_r.samples - loops.rotate(fixed, shift / n).samples)
-            out.track("rotation-commute",
-                      normal_r.vectors - np.roll(normal.vectors, -shift, axis=0))
+            return gamma, rng.integers(1, n)
+
+        gamma, shift = _trials(rng, max(1, cfg.samples // 25), draw)
+        fixed, normal = tubes.equivariant_decompose(manifold, m, gamma)
+        rec = tubes.equivariant_recompose(manifold, fixed, normal)
+        out.track("roundtrip", rec.samples - gamma.samples)
+        out.track("period", fixed.samples - np.roll(fixed.samples, n // m, axis=-2))
+        out.track("coset-mean", tubes.coset_mean_residual(manifold, m, gamma, fixed))
+        # the circle action by shift/N, a whole number of nodes, per trial
+        nodes = ((np.arange(n) + shift[:, None]) % n)[..., None]
+        rotated = lambda a: np.take_along_axis(a, nodes, axis=-2)
+        fixed_r, normal_r = tubes.equivariant_decompose(
+            manifold, m, loops.SampledLoop(rotated(gamma.samples)))
+        out.track("rotation-commute", fixed_r.samples - rotated(fixed.samples))
+        out.track("rotation-commute", normal_r.vectors - rotated(normal.vectors))
 
     # flat circle-group case against the Fourier oracle
     flat = manifolds.Flat(3)

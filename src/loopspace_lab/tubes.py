@@ -13,7 +13,12 @@ Four constructions, all driven by compactly supported flows:
   decomposition of a loop near the fixed set of a cyclic or circle action
   into a periodic part plus normal data.
 
-Each construction takes one loop and raises ValueError for a stack of trials.
+Each construction takes one loop or a (B, N, k) stack of B trials, which it
+treats as one loop of a product.  Per-trial points that broadcast over the
+nodes, such as centers, come as (B, 1, k) arrays; values at time 0, such as
+base points and seed vectors, come as (B, k) arrays.  One point shared by
+every trial may come as (k,).  A shape that fits no trial layout raises
+ValueError naming its argument.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     OutsidePatch,
     OutsideTube,
 )
-from .loops import SampledLoop
+from .loops import SampledLoop, _broadcasts_to
 from .manifolds import (
     EmbeddedManifold,
     LocalAdditionSpec,
@@ -126,27 +131,39 @@ class FlowDiffeo:
         return _flow_constant_direction(u, self.vector, self.steps, sign=-1.0)
 
 
-def _require_one_loop(*loops: SampledLoop) -> None:
-    """Raise ValueError for a stack of loops: each construction takes one."""
-    for loop in loops:
-        if loop.samples.ndim != 2:
-            raise ValueError(f"a stack of loops of shape {loop.samples.shape} was "
-                             "given; this construction takes one loop")
+def _fit(name: str, value, loop: SampledLoop, over_nodes: bool) -> np.ndarray:
+    """``value`` as points or vectors for the trials of ``loop``: its axes
+    before the component axis must broadcast to the loop's trial axes,
+    followed by a length-1 node axis when it broadcasts over the nodes.
+    Raises ValueError naming ``name`` otherwise."""
+    value = np.asarray(value, dtype=np.float64)
+    trials = loop.samples.shape[:-2] + (1,) * over_nodes
+    if value.ndim == 0 or not _broadcasts_to(value.shape[:-1], trials):
+        raise ValueError(f"{name} of shape {value.shape} does not fit loops of "
+                         f"shape {loop.samples.shape}")
+    return value
+
+
+def _require_pair(name: str, first: SampledLoop, second: SampledLoop) -> None:
+    """Raise ValueError naming ``name`` unless the two loops of a pair have
+    one shape."""
+    if first.samples.shape != second.samples.shape:
+        raise ValueError(f"{name} holds loops of shapes {first.samples.shape} "
+                         f"and {second.samples.shape}")
 
 
 # -- the based fibration --------------------------------------------------------
 
 def _patch_seed(manifold: EmbeddedManifold, center, u):
-    """The center and v = log_center(u); raises OutsidePatch unless u lies
-    within the plateau radius of the center."""
-    center = np.asarray(center, dtype=np.float64)
+    """v = log_center(u) per trial; raises OutsidePatch unless every u lies
+    within the plateau radius of its center."""
     manifold.require_on_manifold(center)
     # a NaN distance fails this test, so it must run before log
-    if not manifold.dist(center, u) <= np.sqrt(BUMP_LOWER):
+    if not np.all(manifold.dist(center, u) <= np.sqrt(BUMP_LOWER)):
         raise OutsidePatch("base point outside the trivializing patch")
     # off the manifold, log has a normal part that exp would carry along
     manifold.require_on_manifold(u)
-    return center, manifold.log(center, u)
+    return manifold.log(center, u)
 
 
 def _apply_patch_flow(manifold: EmbeddedManifold, center, samples: np.ndarray,
@@ -154,9 +171,11 @@ def _apply_patch_flow(manifold: EmbeddedManifold, center, samples: np.ndarray,
     out = samples.copy()
     inside = manifold.dist(center, samples) < np.sqrt(BUMP_UPPER)
     if np.any(inside):
-        w = manifold.log(center, samples[inside])
-        moved = _flow_constant_direction(w, v, steps, sign=sign)
-        out[inside] = manifold.exp(center, moved)
+        c_in = np.broadcast_to(center, samples.shape)[inside]
+        w = manifold.log(c_in, samples[inside])
+        moved = _flow_constant_direction(w, np.broadcast_to(v, samples.shape)[inside],
+                                         steps, sign=sign)
+        out[inside] = manifold.exp(c_in, moved)
     return out
 
 
@@ -171,9 +190,9 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
     of radius sqrt(BUMP_LOWER) = 1 about the center; nodes at distance
     sqrt(BUMP_UPPER) or more never move.  Inverse: :func:`based_detrivialize`.
     """
-    _require_one_loop(gamma)
-    u = gamma.samples[0]
-    center, v = _patch_seed(manifold, center, u)
+    center = _fit("center", center, gamma, over_nodes=True)
+    u = gamma.samples[..., 0, :]
+    v = _patch_seed(manifold, center, u[..., None, :])
     omega = _apply_patch_flow(manifold, center, gamma.samples, v, steps, -1.0)
     return SampledLoop(omega), u
 
@@ -181,8 +200,9 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
 def based_detrivialize(manifold: EmbeddedManifold, center, omega: SampledLoop, u,
                        steps: int = 100) -> SampledLoop:
     """Inverse of :func:`based_trivialize`: (omega, u) -> phi_u(omega)."""
-    _require_one_loop(omega)
-    center, v = _patch_seed(manifold, center, u)
+    center = _fit("center", center, omega, over_nodes=True)
+    u = _fit("u", u, omega, over_nodes=False)
+    v = _patch_seed(manifold, center, u[..., None, :])
     moved = _apply_patch_flow(manifold, center, omega.samples, v, steps, 1.0)
     return SampledLoop(moved)
 
@@ -192,24 +212,31 @@ def based_detrivialize(manifold: EmbeddedManifold, center, omega: SampledLoop, u
 def pou_section(manifold: EmbeddedManifold, v: TangentAtPoint):
     """The global section s(v) with s(v)(base) = v, linear in v.
 
-    Returns the map points (..., k) -> (..., k).  Over the squared partition
-    ``manifold.tangent_partition()``, s(v)(x) is the sum over its
+    Returns the map points (..., k) -> (..., k).  A stack of seeds, with
+    base and vector of shape (B, k), gives the map of points (B, ..., k)
+    that sends trial b through the section of seed b.  Over the squared
+    partition ``manifold.tangent_partition()``, s(v)(x) is the sum over its
     (weight, frame) pairs (w, F) of w(p) w(x) F(x) F(p)^T v, with p the base
     of v.
     """
-    p = v.base[None]
+    trials = v.base.ndim - 1
+    p = v.base[..., None, :]
     terms = []
     for weight, frame in manifold.tangent_partition():
-        wp = float(weight(p)[0])
-        if wp != 0.0:
-            terms.append((weight, frame, wp, np.einsum("kn,k->n", frame(p)[0], v.vector)))
+        wp = weight(p)[..., 0]
+        if np.any(wp != 0.0):
+            coords = np.einsum("...kn,...k->...n", frame(p)[..., 0, :, :], v.vector)
+            terms.append((weight, frame, wp, coords))
 
     def section(points) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
+        nodes = (1,) * (points.ndim - 1 - trials)  # between trial and component axes
         out = np.zeros_like(points)
         for weight, frame, wp, coords in terms:
+            wp = wp.reshape(wp.shape + nodes + (1,))
+            coords = coords.reshape(coords.shape[:-1] + nodes + coords.shape[-1:])
             out += wp * weight(points)[..., None] * np.einsum(
-                "...kn,n->...k", frame(points), coords)
+                "...kn,...n->...k", frame(points), coords)
         return out
 
     return section
@@ -248,7 +275,10 @@ def _fiber_flow(manifold: EmbeddedManifold, anchors: SampledLoop, loop: SampledL
 def _tube_forward(manifold: EmbeddedManifold, anchors: SampledLoop,
                   loop: SampledLoop, v: TangentAtPoint, steps: int) -> SampledLoop:
     """The tube map over ``anchors`` with a seed based at the anchor at 0."""
-    if not _same_point(v.base, anchors.samples[0]) or not v.norm <= TUBE_RADIUS:
+    a0 = anchors.samples[..., 0, :]
+    base = _fit("v", v.base, anchors, over_nodes=False)
+    if not _same_point(np.broadcast_to(base, a0.shape), a0) or \
+            not np.all(np.linalg.norm(v.vector, axis=-1) <= TUBE_RADIUS):
         raise OutsideTube("seed vector outside the tube-radius ball")
     return _fiber_flow(manifold, anchors, loop, v, steps, 1.0)
 
@@ -257,11 +287,11 @@ def _tube_inverse(manifold: EmbeddedManifold, anchors: SampledLoop,
                   loop: SampledLoop, steps: int):
     """Inverse of :func:`_tube_forward`; the seed is nu^{-1}(loop(0)) at anchors(0)."""
     addition = LocalAdditionSpec(manifold)
-    a0, b0 = anchors.samples[0], loop.samples[0]
-    if manifold.dist(a0, b0) >= addition.epsilon:
+    a0, b0 = anchors.samples[..., 0, :], loop.samples[..., 0, :]
+    if not np.all(manifold.dist(a0, b0) < addition.epsilon):
         raise OutsideTube("base points outside the tube")
     vec = addition.decompress(manifold.log(a0, b0))
-    if np.linalg.norm(vec) > TUBE_RADIUS:
+    if not np.all(np.linalg.norm(vec, axis=-1) <= TUBE_RADIUS):
         raise OutsideTube("base points beyond the tube-radius ball")
     v = TangentAtPoint(manifold, a0, vec)
     return _fiber_flow(manifold, anchors, loop, v, steps, -1.0), v
@@ -274,19 +304,18 @@ def point_tube_forward(manifold: EmbeddedManifold, x0, alpha: SampledLoop,
     Carries (alpha, v) with alpha(0) = x0 and v in T_{x0}M to a loop whose
     value at 0 is nu(v): the diagonal tube map over the constant loop at x0.
     """
-    _require_one_loop(alpha)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if not _same_point(alpha.samples[0], x0):
+    x0 = _fit("x0", x0, alpha, over_nodes=True)
+    anchors = np.broadcast_to(x0, alpha.samples.shape)
+    if not _same_point(alpha.samples[..., 0, :], anchors[..., 0, :]):
         raise OutsideTube("loop is not based at the submanifold point")
-    anchors = SampledLoop.constant(x0, alpha.resolution)
-    return _tube_forward(manifold, anchors, alpha, v, steps)
+    return _tube_forward(manifold, SampledLoop(anchors), alpha, v, steps)
 
 
 def point_tube_inverse(manifold: EmbeddedManifold, x0, beta: SampledLoop,
                        steps: int = 100):
     """Inverse tube map: beta -> (alpha based at x0, v = nu^{-1}(beta(0)))."""
-    _require_one_loop(beta)
-    anchors = SampledLoop.constant(np.asarray(x0, dtype=np.float64), beta.resolution)
+    x0 = _fit("x0", x0, beta, over_nodes=True)
+    anchors = SampledLoop(np.broadcast_to(x0, beta.samples.shape))
     return _tube_inverse(manifold, anchors, beta, steps)
 
 
@@ -299,8 +328,8 @@ def diagonal_tube_forward(manifold: EmbeddedManifold, alpha_pair,
     partition-of-unity section seeded with v at the common base point.
     """
     a1, a2 = alpha_pair
-    _require_one_loop(a1, a2)
-    if not _same_point(a1.samples[0], a2.samples[0]):
+    _require_pair("alpha_pair", a1, a2)
+    if not _same_point(a1.samples[..., 0, :], a2.samples[..., 0, :]):
         raise OutsideTube("pair does not coincide at time 0")
     return a1, _tube_forward(manifold, a1, a2, v, steps)
 
@@ -309,7 +338,7 @@ def diagonal_tube_inverse(manifold: EmbeddedManifold, beta_pair,
                           steps: int = 100):
     """Inverse of :func:`diagonal_tube_forward`."""
     b1, b2 = beta_pair
-    _require_one_loop(b1, b2)
+    _require_pair("beta_pair", b1, b2)
     moved, v = _tube_inverse(manifold, b1, b2, steps)
     return (b1, moved), v
 
@@ -349,15 +378,16 @@ def local_average(manifold: EmbeddedManifold, beta: FinitePointMap) -> np.ndarra
 
 
 def _cosets(order: int, samples: np.ndarray) -> np.ndarray:
-    """The samples (N, k) as (m, N/m, k), row i the i-th element of every
-    coset of C_m; order 0 or 1 is the circle group, m = N."""
+    """The samples (..., N, k) as (m, ..., N/m, k), row i the i-th element
+    of every coset of C_m; order 0 or 1 is the circle group, m = N."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    n = samples.shape[0]
+    n = samples.shape[-2]
     m = order if order >= 2 else n
     if n % m != 0:
         raise ValueError("resolution must be divisible by the group order")
-    return samples.reshape(m, n // m, samples.shape[1])
+    cosets = samples.reshape(samples.shape[:-2] + (m, n // m, samples.shape[-1]))
+    return np.moveaxis(cosets, -3, 0)
 
 
 def equivariant_decompose(manifold: EmbeddedManifold, order: int,
@@ -371,7 +401,6 @@ def equivariant_decompose(manifold: EmbeddedManifold, order: int,
     gamma about the fixed part; its coset means vanish after linearization
     because the averaging residue is orthogonal to the tangent space.
     """
-    _require_one_loop(gamma)
     cosets = _cosets(order, gamma.samples)
     m = cosets.shape[0]
     try:

@@ -316,6 +316,23 @@ class TestSectionArithmetic:
         with pytest.raises(OffManifold):
             TangentSection(Flat(2), SampledLoop(np.zeros((16, 3))), np.zeros((16, 3)))
 
+    def test_scaled_per_trial_when_trials_equal_nodes(self):
+        # B = N = 8: a (B, 1) scalar per trial and an (N,) scalar loop have
+        # as many entries, and only their shapes tell them apart
+        flat = Flat(2)
+        rng = np.random.default_rng(18)
+        vectors = rng.normal(size=(8, 8, 2))
+        section = TangentSection(flat, SampledLoop(rng.normal(size=(8, 8, 2))), vectors)
+        nu = rng.normal(size=8)
+        for scalars, expected in ((nu[:, None], nu[:, None, None] * vectors),
+                                  (nu, nu[:, None] * vectors),
+                                  (nu[0], nu[0] * vectors),
+                                  (np.outer(nu, nu), np.outer(nu, nu)[..., None] * vectors)):
+            assert np.array_equal(section.scaled(scalars).vectors, expected)
+        for misfit in (np.ones(4), np.ones((8, 8, 1)), np.ones((4, 1))):
+            with pytest.raises(ValueError, match="do not fit a section"):
+                section.scaled(misfit)
+
     def test_base_mismatch_rejected(self):
         flat = Flat(2)
         a = SampledLoop.constant(np.zeros(2), 64)

@@ -102,19 +102,19 @@ def test_nan_trial_fails_chart_roundtrip(monkeypatch):
 
 
 def test_nan_weight_fails_partition_squares(monkeypatch):
-    # each partition's first weight returns NaN on its 3rd call: in the one
-    # partition-squares draws, at the 3rd of its 25 probes, which must not
-    # drop out of the fold
+    # each partition's first weight returns NaN at the 3rd of the points of
+    # a call: in the one partition-squares draws, at the 3rd of its 25
+    # probes, which must not drop out of the fold
     real_partition = Sphere2.tangent_partition
 
     def partition_with_nan(manifold):
         (first, frame), *rest = real_partition(manifold)
-        calls = []
 
         def weight(points):
-            calls.append(None)
             out = first(points)
-            return np.full_like(out, np.nan) if len(calls) == 3 else out
+            if out.size >= 3:
+                out.flat[2] = np.nan
+            return out
 
         return ((weight, frame), *rest)
 

@@ -607,28 +607,96 @@ class TestHundredRoundtrips:
         assert worst < 1e-6
 
 
-#: each one-loop construction, called on a loop (or a pair of it) near NORTH
-ONE_LOOP_CALLS = {
-    "based_trivialize": lambda g: based_trivialize(SPHERE, NORTH, g),
-    "based_detrivialize": lambda g: based_detrivialize(SPHERE, NORTH, g, NORTH),
-    "point_tube_forward": lambda g: point_tube_forward(
-        SPHERE, NORTH, g, TangentAtPoint(SPHERE, NORTH, np.array([0.3, 0.0, 0.0]))),
-    "point_tube_inverse": lambda g: point_tube_inverse(SPHERE, NORTH, g),
-    "diagonal_tube_forward": lambda g: diagonal_tube_forward(
-        SPHERE, (g, g), TangentAtPoint(SPHERE, NORTH, np.array([0.3, 0.0, 0.0]))),
-    "diagonal_tube_inverse": lambda g: diagonal_tube_inverse(SPHERE, (g, g)),
-    "equivariant_decompose": lambda g: equivariant_decompose(SPHERE, 2, g),
+def stack_trials(manifold, count, n=32, seed=23):
+    """Per-trial inputs near random centers x: the center, a loop based at
+    x, a second loop agreeing with it at time 0, and a seed vector at x."""
+    rng = np.random.default_rng(seed)
+    bump = np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
+    trials = []
+    for _ in range(count):
+        x = manifold.random_point(rng)
+        shift = random_section(rng, manifold, SampledLoop.constant(x, n), scale=0.2)
+        alpha = SampledLoop(manifold.exp(np.tile(x, (n, 1)), bump * shift.vectors))
+        wiggle = random_section(rng, manifold, alpha, scale=0.2)
+        other = SampledLoop(manifold.exp(alpha.samples, bump * wiggle.vectors))
+        raw = random_tangent(manifold, rng, x)
+        v = TangentAtPoint(manifold, x, raw.vector * 0.4 / raw.norm)
+        trials.append((x, alpha, other, v))
+    return trials
+
+
+def stacked(trials):
+    """The trials as one stack: centers (B, 1, k), loops (B, N, k), seeds (B, k)."""
+    x, alpha, other, v = zip(*trials)
+    manifold = v[0].manifold
+    return (np.stack(x)[:, None], SampledLoop(np.stack([a.samples for a in alpha])),
+            SampledLoop(np.stack([a.samples for a in other])),
+            TangentAtPoint(manifold, np.stack(x), np.stack([s.vector for s in v])))
+
+
+def unstack(result):
+    """The arrays of a tube result, in order, through pairs and tuples."""
+    if isinstance(result, (tuple, list)):
+        return [a for item in result for a in unstack(item)]
+    if isinstance(result, SampledLoop):
+        return [result.samples]
+    if isinstance(result, TangentSection):
+        return [result.base.samples, result.vectors]
+    if isinstance(result, TangentAtPoint):
+        return [result.base, result.vector]
+    return [np.asarray(result)]
+
+
+#: each tube entry point on (manifold, center, loop, second loop, seed)
+STACK_CALLS = {
+    "based_trivialize": lambda m, x, a, b, v: based_trivialize(m, x, a),
+    "based_detrivialize": lambda m, x, a, b, v: based_detrivialize(
+        m, x, a, m.exp(v.base, v.vector)),
+    "point_tube_forward": lambda m, x, a, b, v: point_tube_forward(m, x, a, v),
+    "point_tube_inverse": lambda m, x, a, b, v: point_tube_inverse(
+        m, x, point_tube_forward(m, x, a, v)),
+    "diagonal_tube_forward": lambda m, x, a, b, v: diagonal_tube_forward(m, (a, b), v),
+    "diagonal_tube_inverse": lambda m, x, a, b, v: diagonal_tube_inverse(
+        m, diagonal_tube_forward(m, (a, b), v)),
+    "equivariant_decompose": lambda m, x, a, b, v: equivariant_decompose(m, 2, b),
+    "pou_section": lambda m, x, a, b, v: pou_section(m, v)(b.samples),
 }
 
 
-@pytest.mark.parametrize("call", ONE_LOOP_CALLS.values(), ids=ONE_LOOP_CALLS.keys())
-def test_a_stack_of_loops_is_rejected_by_name(call):
-    rng = np.random.default_rng(23)
-    n = 32
-    bump = np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
-    loops = [SampledLoop(SPHERE.exp(np.tile(NORTH, (n, 1)), bump * random_section(
-        rng, SPHERE, SampledLoop.constant(NORTH, n), scale=0.2).vectors))
-        for _ in range(2)]
-    call(loops[0])  # each loop on its own is in the domain
-    with pytest.raises(ValueError, match=r"stack of loops of shape \(2, 32, 3\)"):
-        call(SampledLoop(np.stack([loop.samples for loop in loops])))
+@pytest.mark.parametrize("manifold", [Flat(3), SPHERE, TORUS], ids=repr)
+@pytest.mark.parametrize("call", STACK_CALLS.values(), ids=STACK_CALLS.keys())
+def test_a_stack_equals_its_trials_bit_for_bit(call, manifold):
+    trials = stack_trials(manifold, 3)
+    singles = [unstack(call(manifold, *trial)) for trial in trials]
+    together = unstack(call(manifold, *stacked(trials)))
+    assert len(together) == len(singles[0])
+    for b, single in enumerate(singles):
+        for whole, part in zip(together, single):
+            assert whole[b].shape == part.shape
+            assert np.array_equal(whole[b], part)
+
+
+#: each tube entry point with one argument that does not fit a 2-trial
+#: stack, and the name the error must give
+MISFITS = {
+    "based_trivialize": (lambda x3, a, b, v: based_trivialize(SPHERE, x3, a), "center"),
+    "based_detrivialize": (
+        lambda x3, a, b, v: based_detrivialize(SPHERE, x3[:2], a, x3[:, 0]), "u"),
+    "point_tube_forward": (lambda x3, a, b, v: point_tube_forward(SPHERE, x3, a, v), "x0"),
+    "point_tube_forward-seed": (
+        lambda x3, a, b, v: point_tube_forward(SPHERE, x3[:2], a, TangentAtPoint(
+            SPHERE, x3[:, 0], np.zeros((3, 3)))), "v"),
+    "point_tube_inverse": (lambda x3, a, b, v: point_tube_inverse(SPHERE, x3, a), "x0"),
+    "diagonal_tube_forward": (lambda x3, a, b, v: diagonal_tube_forward(
+        SPHERE, (a, SampledLoop(b.samples[0])), v), "alpha_pair"),
+    "diagonal_tube_inverse": (lambda x3, a, b, v: diagonal_tube_inverse(
+        SPHERE, (SampledLoop(a.samples[0]), b)), "beta_pair"),
+}
+
+
+@pytest.mark.parametrize("call, name", MISFITS.values(), ids=MISFITS.keys())
+def test_a_misfit_shape_is_rejected_by_name(call, name):
+    x3, *_ = stacked(stack_trials(SPHERE, 3))
+    _, a, b, v = stacked(stack_trials(SPHERE, 2))
+    with pytest.raises(ValueError, match=rf"^{name} (of shape|holds loops of shapes) "):
+        call(x3, a, b, v)
