@@ -265,9 +265,11 @@ class MatrixLoop:
         axis -2: a stack of loops in R^n is one loop in a product of copies.
 
         The sum over columns is unrolled into slice products: on a stack, an
-        einsum with an ellipsis costs several times the adds, and the adds
-        give its bits."""
+        einsum with an ellipsis costs several times the adds.  With two
+        columns and real samples, as everywhere in the lab, the adds give
+        its bits; from three columns einsum sums in another order."""
         m = self.matrices
+        samples = np.asarray(samples)
         out = m[:, :, 0] * samples[..., 0:1]
         for j in range(1, self.n):
             out += m[:, :, j] * samples[..., j:j + 1]
