@@ -22,10 +22,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigInvalid, LoopspaceError, UnknownSuite
-from .suites import FLAG, SUITES, CheckRecord, ExperimentConfig
+from .suites import SUITES, ExperimentConfig, run_checks
 
 REPORT_SCHEMA = "loopspace-lab/report-v1"
 
@@ -60,7 +58,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 
 def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
-    """Execute one suite and write the report pair.
+    """Run one suite through :func:`~loopspace_lab.suites.run_checks`, time
+    it and write the report pair.
 
     Writes ``<out>/<suite>-<seed>.json`` and ``.csv`` plus a ``.meta.json``
     sidecar carrying the wall time, which is kept out of the main report so
@@ -74,14 +73,8 @@ def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalid(f"cannot make the output directory: {exc}") from exc
-    rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    try:
-        checks = SUITES[cfg.suite](cfg, rng)
-    except (LoopspaceError, ValueError) as exc:
-        # a numerical failure inside an accepted configuration is a failed
-        # check with a report, not an invalid configuration
-        checks = [CheckRecord("suite-error", f"{type(exc).__name__}: {exc}", 1.0, FLAG)]
+    checks = run_checks(cfg)
     wall = time.perf_counter() - t0
     report = Report(cfg.suite, _config_echo(cfg), tuple(checks),
                     all(c.passed for c in checks))
@@ -167,9 +160,8 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
-    overrides = {k: getattr(args, k) for k in
-                 ("suite", "manifold", "resolution", "path_grid", "ode_steps",
-                  "seed", "out_dir", "oracle_tol", "samples")}
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(ExperimentConfig)}
     try:
         cfg = load_config(args.config, overrides)
         report = run_suite(cfg, verbose=not args.quiet)

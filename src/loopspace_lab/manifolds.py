@@ -380,8 +380,9 @@ class Sphere2(RoundSpheres):
     def tangent_partition(self):
         """The two polar patches with the half-colatitude sine/cosine
         weights, whose squares sum to one exactly.  Each frame is its pole's
-        basis moved by parallel transport along the meridian.  A pole's basis
-        is the rows (e1, pole x e1), with e1 the first axis."""
+        basis moved by parallel transport along the meridian, in closed form
+        (a reflection).  A pole's basis is the rows (e1, pole x e1), with e1
+        the first axis."""
         north = np.array([0.0, 0.0, 1.0])
 
         def make_patch(pole, basis):

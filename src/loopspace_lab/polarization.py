@@ -83,7 +83,9 @@ class OperatorBlocks:
 
     Plus-sector modes are 0..K ascending, minus-sector modes are -K..-1
     ascending, each inflated by the matrix size n.  ``coeffs`` is the
-    symbol's coefficient table (:func:`symbol_coefficients`).
+    symbol's coefficient table (:func:`symbol_coefficients`), from which
+    the blocks are gathered; the index and its bandwidth padding read it
+    instead of redoing the FFT.
     """
 
     symbol: MatrixLoop
@@ -198,14 +200,14 @@ def winding_number(symbol: MatrixLoop) -> int:
 # -- compactness profiles ----------------------------------------------------------
 
 def compactness_profile(blocks: OperatorBlocks) -> dict:
-    """Descending singular values of the off-diagonal blocks.
+    """Descending singular values of the off-diagonal blocks, in the order
+    that ``np.linalg.svd`` returns them (LAPACK sorts them descending).
 
     For smooth symbols these decay at the rate of the symbol's Fourier
     coefficients, which is the finite-truncation face of compactness.
     """
-    s_pm = np.linalg.svd(blocks.pm, compute_uv=False)
-    s_mp = np.linalg.svd(blocks.mp, compute_uv=False)
-    return {"plus_minus": np.sort(s_pm)[::-1], "minus_plus": np.sort(s_mp)[::-1]}
+    return {"plus_minus": np.linalg.svd(blocks.pm, compute_uv=False),
+            "minus_plus": np.linalg.svd(blocks.mp, compute_uv=False)}
 
 
 def profile_to_csv(profile: dict, path) -> None:

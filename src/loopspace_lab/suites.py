@@ -4,6 +4,9 @@ against independent oracles and reports residuals with pinned tolerances.
 Suites are deterministic functions of the experiment configuration: all
 randomness flows through the seeded generator, and summation orders are
 fixed, so rerunning a configuration reproduces the report byte for byte.
+Each suite is ``suite(cfg, rng, out)``: it tracks its residuals into the
+ledger ``out`` and returns nothing.  :func:`run_checks` is the one way to
+run a suite in process.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 from . import charts, geometry, loops, manifolds, polarization, tubes
 from .errors import (
     ConfigInvalid,
+    LoopspaceError,
     NotPointwiseLinear,
     SingularFrame,
     UnknownSuite,
@@ -268,11 +272,10 @@ def _loop_and_sections(manifold, n: int, *scales):
 
 # -- suite implementations ---------------------------------------------------------
 
-def suite_chart_roundtrip(cfg: ExperimentConfig, rng) -> list:
+def suite_chart_roundtrip(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Psi_alpha is a bijection onto U_alpha, inverted exactly by the
     nodewise inversion of the local addition."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    out = Checks(cfg)
 
     def draw(rng):
         center = manifold.random_loop(rng, cfg.resolution)
@@ -286,14 +289,12 @@ def suite_chart_roundtrip(cfg: ExperimentConfig, rng) -> list:
     out.track("psi-roundtrip", back.vectors - beta.vectors)
     zero_img = charts.chart_forward(chart, charts.zero_section(manifold, center))
     out.track("zero-section", zero_img.samples - center.samples)
-    return out.records
 
 
-def suite_transition_cocycle(cfg: ExperimentConfig, rng) -> list:
+def suite_transition_cocycle(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Transition functions compose to the identity, satisfy the cocycle
     law, act pointwise in t, and have L R-linear derivatives."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    out = Checks(cfg)
     n = cfg.resolution
 
     def draw(rng):
@@ -340,7 +341,6 @@ def suite_transition_cocycle(cfg: ExperimentConfig, rng) -> list:
     lhs = dphi(delta.scaled(nu))
     rhs = nu[:, None] * dphi(delta)
     out.track("dphi-linear", lhs - rhs)
-    return out.records
 
 
 def _fiber_map(lin, quad, cubic, wave, freq):
@@ -359,12 +359,11 @@ def _fiber_map(lin, quad, cubic, wave, freq):
     return psi
 
 
-def suite_vertical_derivative(cfg: ExperimentConfig, rng) -> list:
+def suite_vertical_derivative(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The derivative of a looped fiberwise map is the loop of vertical
     derivatives, and it commutes with the scalar-loop action."""
     d = 3
     manifold = manifolds.Flat(d)
-    out = Checks(cfg)
     n = cfg.resolution
     t = np.arange(n) / n
 
@@ -394,13 +393,11 @@ def suite_vertical_derivative(cfg: ExperimentConfig, rng) -> list:
     beta = charts.random_section(rng, manifolds.Flat(d), alpha)
     vd = charts.vertical_derivative(psi_lin, alpha, beta)
     out.track("linear-map", vd.vectors - beta.vectors @ lin.T)
-    return out.records
 
 
-def suite_tangent_identification(cfg: ExperimentConfig, rng) -> list:
+def suite_tangent_identification(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Velocities of curves of loops are loops of pointwise velocities."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    out = Checks(cfg)
     n = cfg.resolution
     reps = max(1, cfg.samples // 10)
     alpha, u = _trials(rng, reps, _loop_and_sections(manifold, n, 0.5))
@@ -418,13 +415,11 @@ def suite_tangent_identification(cfg: ExperimentConfig, rng) -> list:
     curve = lambda s: loops.SampledLoop(a.samples + s * b.vectors + s * s * c.vectors)
     vel = geometry.curve_of_loops_derivative(curve, s0)
     out.track("flat-quadratic", vel - (b.vectors + 2 * s0 * c.vectors))
-    return out.records
 
 
-def suite_metric(cfg: ExperimentConfig, rng) -> list:
+def suite_metric(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The weak L^2 metric: closed-form values, symmetry, bilinearity,
     positivity, and invariance under orthogonal frame loops."""
-    out = Checks(cfg)
     n = cfg.resolution
     flat2 = manifolds.Flat(2)
     const = loops.SampledLoop.constant(np.zeros(2), n)
@@ -455,16 +450,14 @@ def suite_metric(cfg: ExperimentConfig, rng) -> list:
     rb, rc = (charts.TangentSection(flat2, base, rot.apply(s.vectors)) for s in (b, c))
     out.track("frame-invariance", geometry.l2_inner(base, rb, rc)
               - geometry.l2_inner(base, b, c))
-    return out.records
 
 
-def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
+def suite_covderiv_adjoint(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The looped covariant derivative is the nodewise connector applied to
     adjoint data; checked against a transport-based difference quotient and
     for metric compatibility."""
     manifold = manifolds.Sphere2()
     conn = geometry.ConnectionSpec(manifold)
-    out = Checks(cfg)
     n = cfg.resolution
     grid = cfg.path_grid
     s_grid = np.linspace(0.0, 1.0, grid + 1)
@@ -515,15 +508,13 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng) -> list:
     c = charts.random_section(rng, flat, a)
     field = np.broadcast_to(c.vectors, fpath.values.shape)
     out.track("flat-constant", geometry.cov_deriv_along_path(fconn, fpath, field))
-    return out.records
 
 
-def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
+def suite_geodesic_pointwise(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Loop-space geodesics evaluate to manifold geodesics node by node and
     keep their L^2 energy."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     conn = geometry.ConnectionSpec(manifold)
-    out = Checks(cfg)
     n = cfg.resolution
     alpha, nu = _trials(rng, 3, _loop_and_sections(manifold, n, 0.5))
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
@@ -542,15 +533,13 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng) -> list:
     b = charts.random_section(rng, flat, a)
     fpath = geometry.loop_geodesic(fconn, a, b, 1.0, 32)
     out.track("flat-lines", fpath.values[-1] - (a.samples + b.vectors))
-    return out.records
 
 
-def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
+def suite_transport_pointwise(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Loop-space parallel transport agrees with the nodewise closed-form
     transport and preserves the L^2 metric."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     conn = geometry.ConnectionSpec(manifold)
-    out = Checks(cfg)
     n = cfg.resolution
     alpha, nu, sigma = _trials(rng, 3, _loop_and_sections(manifold, n, 0.5, 0.8))
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
@@ -567,12 +556,10 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng) -> list:
     sig = charts.random_section(rng, flat, a)
     fmoved = geometry.loop_parallel_transport(fconn, fpath, sig)
     out.track("flat-invariance", fmoved.vectors - sig.vectors)
-    return out.records
 
 
-def suite_torsion_loop(cfg: ExperimentConfig, rng) -> list:
+def suite_torsion_loop(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The torsion of a looped connection is the loop of the torsion."""
-    out = Checks(cfg)
     n = cfg.resolution
     flat = manifolds.Flat(3)
     cross = lambda p, u, v: np.cross(u, v)
@@ -594,7 +581,7 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng) -> list:
     zero = geometry.torsion(lc, s_alpha, s_beta, s_gamma)
     out.track("levi-civita-zero", zero.vectors)
 
-    # finite-difference torsion estimate at sample nodes
+    # finite-difference torsion estimate at five sample nodes, one row each
     def fd_torsion(manifold_, conn_, p, u, v, h=1e-5):
         def extend(vec):
             return lambda q: manifold_.project_tangent_vector(
@@ -612,21 +599,16 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng) -> list:
         covYX = conn_.connector(p, X(p), Y(p), dXY)
         return covXY - covYX - bracket
 
-    for _ in range(5):
-        j = int(rng.integers(0, n))
-        p = s_alpha.samples[j]
-        est = fd_torsion(sphere, lc, p, s_beta.vectors[j], s_gamma.vectors[j])
-        out.track("fd-estimate", est)
-        pf = alpha.samples[j]
-        est_f = fd_torsion(flat, conn_t, pf, beta.vectors[j], gamma.vectors[j])
-        out.track("fd-estimate", est_f - np.cross(beta.vectors[j], gamma.vectors[j]))
-    return out.records
+    j = [int(rng.integers(0, n)) for _ in range(5)]
+    out.track("fd-estimate", fd_torsion(sphere, lc, s_alpha.samples[j],
+                                        s_beta.vectors[j], s_gamma.vectors[j]))
+    est_f = fd_torsion(flat, conn_t, alpha.samples[j], beta.vectors[j], gamma.vectors[j])
+    out.track("fd-estimate", est_f - np.cross(beta.vectors[j], gamma.vectors[j]))
 
 
-def suite_frame_extract(cfg: ExperimentConfig, rng) -> list:
+def suite_frame_extract(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Pointwise-linear operators on loop spaces are matrix loops, recovered
     by probing with constant basis loops."""
-    out = Checks(cfg)
     n = min(cfg.resolution, 64)
     d = 2
     for _ in range(20):
@@ -666,13 +648,11 @@ def suite_frame_extract(cfg: ExperimentConfig, rng) -> list:
     except SingularFrame:
         flagged = True
     out.track("reject-singular", not flagged)
-    return out.records
 
 
-def suite_fibration(cfg: ExperimentConfig, rng) -> list:
+def suite_fibration(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The based-loop fibration trivializes locally through bump flows."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    out = Checks(cfg)
     n = cfg.resolution
 
     def draw(rng):
@@ -706,15 +686,13 @@ def suite_fibration(cfg: ExperimentConfig, rng) -> list:
     probes = np.stack([rng.normal(size=3) * rng.uniform(0.0, 1.5)
                        for _ in range(20)])
     out.track("flow-bijection", fd.inverse(fd.forward(probes)) - probes)
-    return out.records
 
 
-def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
+def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Tubes around coincidence submanifolds: loops through a point, and
     pairs of loops agreeing at time zero."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     spec = manifolds.LocalAdditionSpec(manifold)
-    out = Checks(cfg)
     n = cfg.resolution
     bump = np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
     steps = cfg.ode_steps
@@ -777,15 +755,13 @@ def suite_tube_lp(cfg: ExperimentConfig, rng) -> list:
     comb = manifolds.TangentAtPoint(manifold, p, x * v.vector + y * w.vector)
     scomb = tubes.pou_section(manifold, comb)
     out.track("pou-linear", scomb(q) - x * sv(q) - y * sw(q))
-    return out.records
 
 
-def suite_equivariant(cfg: ExperimentConfig, rng) -> list:
+def suite_equivariant(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Equivariant averaging: decomposition near the fixed sets of circle
     subgroups, its inverse, rotation equivariance, and the flat Fourier
     oracle."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
-    out = Checks(cfg)
     n = cfg.resolution
     for m in (2, 4):
         def draw(rng):
@@ -817,7 +793,6 @@ def suite_equivariant(cfg: ExperimentConfig, rng) -> list:
     mode0 = coeffs[0].real
     out.track("flat-fourier", fixed.samples - mode0)
     out.track("flat-fourier", normal.vectors - (a.samples - mode0))
-    return out.records
 
 
 def _latitude_circle(radius: float, n: int) -> loops.SampledLoop:
@@ -838,11 +813,10 @@ def _tilted_great_circle(min_dist: float, azimuth: float, n: int) -> loops.Sampl
                              + np.outer(np.sin(2 * np.pi * t), w))
 
 
-def suite_exp_nonsurjective(cfg: ExperimentConfig, rng) -> list:
+def suite_exp_nonsurjective(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Great circles through the base point admit no continuous log lift;
     circles staying away from the cut locus do."""
     manifold = manifolds.Sphere2()
-    out = Checks(cfg)
     n = cfg.resolution
     for _ in range(5):
         azimuth = float(rng.uniform(0, 2 * np.pi))
@@ -865,7 +839,6 @@ def suite_exp_nonsurjective(cfg: ExperimentConfig, rng) -> list:
     const = loops.SampledLoop.constant(target, n)
     report = geometry.exp_nonsurjectivity_witness(manifold, const)
     out.track("constant-target", report["jump_magnitude"])
-    return out.records
 
 
 def _monomial_symbol(m: int, n_nodes: int) -> geometry.MatrixLoop:
@@ -908,10 +881,9 @@ def symbol_battery(rng, n_nodes: int = 128, count: int = 20) -> list:
     return battery
 
 
-def suite_polarization_index(cfg: ExperimentConfig, rng) -> list:
+def suite_polarization_index(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The plus-sector compression of an invertible symbol is Fredholm with
     index minus the winding of the determinant."""
-    out = Checks(cfg)
     truncation = 16
     for symbol in symbol_battery(rng):
         blocks = polarization.toeplitz_blocks(symbol, truncation)
@@ -949,7 +921,6 @@ def suite_polarization_index(cfg: ExperimentConfig, rng) -> list:
         rolled = geometry.MatrixLoop(np.roll(symbol.matrices, -shift_nodes, axis=0))
         idx_r = polarization.fredholm_index(polarization.toeplitz_blocks(rolled, 16))
         out.track("rotation-covariance", idx_r - base_idx)
-    return out.records
 
 
 def _entire_rotation_symbol() -> geometry.MatrixLoop:
@@ -963,10 +934,9 @@ def _entire_rotation_symbol() -> geometry.MatrixLoop:
     return geometry.MatrixLoop(mats)
 
 
-def suite_compactness(cfg: ExperimentConfig, rng) -> list:
+def suite_compactness(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Off-diagonal blocks are compact: finite rank for banded symbols and
     rapidly decaying singular values for entire ones."""
-    out = Checks(cfg)
     const = geometry.MatrixLoop(np.tile(np.diag([1.0 + 0j, 2.0]), (64, 1, 1)))
     prof = polarization.compactness_profile(polarization.toeplitz_blocks(const, 8))
     out.track("constant-symbol", prof["plus_minus"][0])
@@ -987,7 +957,6 @@ def suite_compactness(cfg: ExperimentConfig, rng) -> list:
     out.track("superpolynomial-decay", 1e3 / ratio1)
     out.track("superpolynomial-decay", 1e3 / ratio2)
     out.track("sorted", not np.all(np.diff(s) <= 1e-15))
-    return out.records
 
 
 SUITES = {
@@ -1008,3 +977,20 @@ SUITES = {
     "polarization-index": suite_polarization_index,
     "compactness": suite_compactness,
 }
+
+
+def run_checks(cfg: ExperimentConfig) -> list[CheckRecord]:
+    """The records of one run of ``cfg.suite`` on a validated configuration,
+    with the generator seeded by ``cfg.seed``.
+
+    ``SUITES`` is read at call time, so an entry swapped in by a tracer or a
+    test is the one that runs.
+    """
+    out = Checks(cfg)
+    try:
+        SUITES[cfg.suite](cfg, np.random.default_rng(cfg.seed), out)
+    except (LoopspaceError, ValueError) as exc:
+        # a numerical failure inside an accepted configuration is a failed
+        # check with a report, not an invalid configuration
+        return [CheckRecord("suite-error", f"{type(exc).__name__}: {exc}", 1.0, FLAG)]
+    return out.records

@@ -188,7 +188,8 @@ def based_trivialize(manifold: EmbeddedManifold, center, gamma: SampledLoop,
     the flow of a bump field in the exponential chart about the center, so
     omega(0) is the center.  The patch of base points u is the closed ball
     of radius sqrt(BUMP_LOWER) = 1 about the center; nodes at distance
-    sqrt(BUMP_UPPER) or more never move.  Inverse: :func:`based_detrivialize`.
+    sqrt(BUMP_UPPER) = sqrt(2) or more never move, bit for bit.  Inverse:
+    :func:`based_detrivialize`.
     """
     center = _fit("center", center, gamma, over_nodes=True)
     u = gamma.samples[..., 0, :]

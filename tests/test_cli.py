@@ -1,5 +1,6 @@
 """The experiment runner: config handling, exit codes, reports, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -145,7 +146,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("under", [False, True], ids=["a file", "a path under a file"])
     def test_unwritable_out_exits_3_before_the_suite(self, tmp_path, monkeypatch, under):
         calls = []
-        monkeypatch.setitem(SUITES, "metric", lambda cfg, rng: calls.append(cfg) or [])
+        monkeypatch.setitem(SUITES, "metric", lambda cfg, rng, out: calls.append(cfg))
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         out = blocker / "reports" if under else blocker
@@ -177,6 +178,12 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--resolution", "many"])
         assert exc.value.code == 2
+
+    def test_every_config_field_has_a_run_flag(self):
+        # main reads one override per config field, by the field's name
+        from loopspace_lab.cli import _build_parser
+        dests = vars(_build_parser().parse_args(["run"]))
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= dests.keys()
 
     def test_list_suites(self, capsys):
         assert main(["list-suites"]) == 0

@@ -14,8 +14,8 @@ import functools
 import numpy as np
 import pytest
 
-from loopspace_lab import geometry, manifolds
-from loopspace_lab.suites import SUITES, ExperimentConfig
+from loopspace_lab import geometry, manifolds, polarization
+from loopspace_lab.suites import ExperimentConfig, run_checks
 
 
 def zero_projector_derivative(mp):
@@ -85,6 +85,13 @@ def mix_compress_rows(mp):
     mp.setattr(manifolds.LocalAdditionSpec, "compress", compress)
 
 
+def ascending_profile(mp):
+    """Compactness profiles list the singular values in ascending order."""
+    profile = polarization.compactness_profile
+    mp.setattr(polarization, "compactness_profile",
+               lambda blocks: {name: s[::-1] for name, s in profile(blocks).items()})
+
+
 #: (suite/check-id, manifold, defect) rows; the defect must fail the check
 DEFECTS = [
     ("transport-pointwise/pointwise-oracle", "sphere2", zero_projector_derivative),
@@ -110,6 +117,8 @@ DEFECTS = [
     ("transition-cocycle/pointwise", "torus2", mix_compress_rows),
     ("chart-roundtrip/psi-roundtrip", "sphere2", mix_compress_rows),
     ("chart-roundtrip/psi-roundtrip", "torus2", mix_compress_rows),
+    ("compactness/sorted", "sphere2", ascending_profile),
+    ("compactness/superpolynomial-decay", "sphere2", ascending_profile),
 ]
 
 
@@ -120,7 +129,7 @@ def passed(suite: str, manifold: str, defect=None) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         if defect is not None:
             defect(mp)
-        records = SUITES[suite](cfg, np.random.default_rng(cfg.seed))
+        records = run_checks(cfg)
     return {r.check_id: r.passed for r in records}
 
 

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from loopspace_lab import manifolds
-from loopspace_lab.suites import CHECKS, ORACLE, SUITES, ExperimentConfig
+from loopspace_lab.suites import CHECKS, ORACLE, ExperimentConfig, run_checks
 
 #: identity: (method order p, fitted C) of the path spline
 ORDERS = {
@@ -61,7 +61,7 @@ def suite_residuals(suite: str, refinement: int) -> dict:
     else:
         settings = dict(resolution=32, ode_steps=refinement, path_grid=refinement)
     cfg = ExperimentConfig(suite=suite, manifold="sphere2", seed=0, **settings).validated()
-    return {r.check_id: r.residual for r in SUITES[suite](cfg, np.random.default_rng(cfg.seed))}
+    return {r.check_id: r.residual for r in run_checks(cfg)}
 
 
 def assert_suite_order(identity: str) -> None:

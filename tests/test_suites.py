@@ -1,12 +1,16 @@
 """The suites' residual bookkeeping: a non-finite residual must fail its check,
-and every check is declared in the catalogue."""
+every check is declared in the catalogue, and ``run_checks`` gives the
+records that the runner reports."""
 
 import numpy as np
 import pytest
 
 from loopspace_lab import charts, geometry, suites
+from loopspace_lab.cli import run_suite
+from loopspace_lab.errors import IntegrationDiverged
 from loopspace_lab.manifolds import Sphere2
-from loopspace_lab.suites import FLAG, ORACLE, SUITES, Checks, ExperimentConfig
+from loopspace_lab.suites import (FLAG, ORACLE, SUITES, CheckRecord, Checks,
+                                  ExperimentConfig, run_checks)
 
 
 @pytest.fixture
@@ -94,7 +98,7 @@ def test_nan_trial_fails_chart_roundtrip(monkeypatch):
     monkeypatch.setattr(charts, "chart_inverse", inverse_with_nan)
     cfg = ExperimentConfig(suite="chart-roundtrip", resolution=32, samples=5,
                            seed=3).validated()
-    records = SUITES[cfg.suite](cfg, np.random.default_rng(cfg.seed))
+    records = run_checks(cfg)
     assert len(calls) == 1
     roundtrip = [r for r in records if r.check_id == "psi-roundtrip"][0]
     assert np.isnan(roundtrip.residual)
@@ -121,7 +125,7 @@ def test_nan_weight_fails_partition_squares(monkeypatch):
     monkeypatch.setattr(Sphere2, "tangent_partition", partition_with_nan)
     cfg = ExperimentConfig(suite="tube-lp", resolution=32, samples=1,
                            seed=5).validated()
-    records = SUITES[cfg.suite](cfg, np.random.default_rng(cfg.seed))
+    records = run_checks(cfg)
     squares = [r for r in records if r.check_id == "partition-squares"][0]
     assert np.isnan(squares.residual)
     assert not squares.passed
@@ -133,6 +137,23 @@ def test_nan_norm_fails_metric_positive(monkeypatch):
     monkeypatch.setattr(geometry, "l2_inner",
                         lambda base, b, c: np.nan if b is c else real_inner(base, b, c))
     cfg = ExperimentConfig(suite="metric", resolution=32, samples=5, seed=1).validated()
-    records = SUITES[cfg.suite](cfg, np.random.default_rng(cfg.seed))
+    records = run_checks(cfg)
     positive = [r for r in records if r.check_id == "positive"][0]
     assert positive.residual == 1.0 and not positive.passed
+
+
+def test_run_checks_gives_the_records_of_the_report(tmp_path):
+    cfg = ExperimentConfig(suite="metric", resolution=32, seed=7,
+                           out_dir=str(tmp_path)).validated()
+    assert run_checks(cfg) == list(run_suite(cfg).checks)
+
+
+def test_run_checks_records_a_suite_error(monkeypatch):
+    def diverging(cfg, rng, out):
+        out.track("symmetry", 0.0)
+        raise IntegrationDiverged("RK4 step 3 of 16 left the manifold")
+
+    monkeypatch.setitem(SUITES, "metric", diverging)
+    cfg = ExperimentConfig(suite="metric", resolution=32).validated()
+    assert run_checks(cfg) == [CheckRecord(
+        "suite-error", "IntegrationDiverged: RK4 step 3 of 16 left the manifold", 1.0, FLAG)]

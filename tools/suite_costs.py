@@ -6,17 +6,18 @@
 ``<src>`` is a directory that holds the ``loopspace_lab`` package (the
 ``src/`` directory of a checkout); it goes first on ``sys.path``.  Every
 suite runs at the defaults of ``ExperimentConfig`` apart from the manifold,
-the resolution and the seed given, with a fresh ``default_rng(seed)`` per
-run, as ``loopspace-lab run`` does, but writing no report.  Each suite runs
+the resolution and the seed given, through ``suites.run_checks``, as
+``loopspace-lab run`` does, but writing no report.  Each suite runs
 R times untraced, for the minimum wall time, then once under
 ``tracemalloc`` for the peak of the memory allocated during the run (numpy
 reports its data buffers to ``tracemalloc``).  One line per
 suite, slowest first, gives both, whether every check passed, and the
 suite's tightest check: the one with the largest residual / tolerance,
 with that ratio (0/0 reads as 0, x/0 and a NaN residual as inf), e.g.
-``pass (away-from-pole 0.938)``.  A last line gives the sums of the times
-and the largest peak.  The exit code is 1
-if a suite failed a check or raised.
+``pass (away-from-pole 0.938)``; a suite that raised shows its failing
+``suite-error`` record.  A last line gives the sums of the times and the
+largest peak.  The exit code is 1 if a suite failed a check.  The tree must
+have ``suites.run_checks``.
 
 The peaks show each suite's share of the benchmark's ``peak_rss_mb`` before
 a benchmark run: a change that stacks more work into one array shows here
@@ -44,8 +45,7 @@ def main(argv: list) -> int:
         parser.error("--repeats must be at least 1")
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
-    from loopspace_lab.errors import LoopspaceError
-    from loopspace_lab.suites import SUITES, ExperimentConfig
+    from loopspace_lab.suites import SUITES, ExperimentConfig, run_checks
 
     def ratio(record) -> float:
         if record.residual == 0:
@@ -57,10 +57,7 @@ def main(argv: list) -> int:
     def run(name: str):
         cfg = ExperimentConfig(suite=name, manifold=args.manifold,
                                resolution=args.resolution, seed=args.seed).validated()
-        try:
-            records = SUITES[name](cfg, np.random.default_rng(cfg.seed))
-        except (LoopspaceError, ValueError) as exc:
-            return f"{type(exc).__name__}: {exc}"
+        records = run_checks(cfg)
         tightest = max(records, key=ratio)
         return (f"{'pass' if all(r.passed for r in records) else 'FAIL'} "
                 f"({tightest.check_id} {ratio(tightest):.3f})")
