@@ -19,9 +19,10 @@ from .errors import BaseMismatch, NotInChartDomain, NotInOverlap
 from .loops import (
     SampledLoop,
     _broadcasts_to,
-    _fourier_noise,
     loop_from_dict,
     loop_to_dict,
+    noise_draw,
+    noise_samples,
 )
 from .manifolds import (
     EmbeddedManifold,
@@ -91,14 +92,28 @@ def section_from_ambient(manifold: EmbeddedManifold, base: SampledLoop, w) -> Ta
                           manifold.project_tangent_vector(base.samples, w))
 
 
+def section_draw(rng, manifold: EmbeddedManifold) -> np.ndarray:
+    """The one generator call of a random section: ambient noise coefficients
+    at bandwidth 4, shape (5, 2, k)."""
+    return noise_draw(rng, manifold.ambient_dim, 4)
+
+
+def section_from_draw(manifold: EmbeddedManifold, base: SampledLoop, draw,
+                      scale=1.0) -> TangentSection:
+    """The section over ``base`` of a stack of draws (B, 5, 2, k), one draw
+    per base loop (B, N, k), with one scale or one per trial (B,); each
+    trial gets the bits it has on its own."""
+    return section_from_ambient(manifold, base, noise_samples(draw, base.resolution, scale))
+
+
 def random_section(rng, manifold: EmbeddedManifold, base: SampledLoop,
                    scale: float = 1.0) -> TangentSection:
     """A random smooth section: the ambient noise of random_bandlimited_loop
     at bandwidth 4 and amplitude ``scale``, projected into the tangent spaces.
-    The one (N, k) noise draw is broadcast over a stack of base loops, so
-    independent trials draw one section per loop."""
-    w = _fourier_noise(rng, base.resolution, manifold.ambient_dim, 4, scale)
-    return section_from_ambient(manifold, base, w)
+    Its one (N, k) noise draw is broadcast over a stack of base loops, so
+    every loop gets the same noise; for independent trials, stack one
+    :func:`section_draw` per loop and call :func:`section_from_draw`."""
+    return section_from_draw(manifold, base, section_draw(rng, manifold), scale)
 
 
 @dataclass(frozen=True)

@@ -230,29 +230,43 @@ def _fourier_table(n: int, bandwidth: int) -> np.ndarray:
     return table
 
 
-def _fourier_noise(rng, n: int, dim: int, bandwidth: int, amplitude: float) -> np.ndarray:
-    """(n, dim) samples of a random real trigonometric polynomial of degree
-    ``bandwidth``; mode k has amplitude ``amplitude / (1 + k)``."""
+def noise_draw(rng, dim: int, bandwidth: int) -> np.ndarray:
+    """The one generator call of a random trigonometric polynomial in R^dim
+    of degree ``bandwidth``: its per-mode (a_k, b_k) pairs, shape
+    (bandwidth + 1, 2, dim); b_0 is drawn unused."""
+    return rng.normal(size=(bandwidth + 1, 2, dim))
+
+
+def noise_samples(draw, n: int, amplitude=1.0) -> np.ndarray:
+    """(..., n, dim) samples of the polynomials of a stack of draws
+    (..., bandwidth + 1, 2, dim); mode k has amplitude ``amplitude / (1 + k)``,
+    with one amplitude or one per draw (...).  Each draw's samples are the
+    bits it has on its own."""
+    bandwidth = draw.shape[-3] - 1
+    if bandwidth > n // 4:
+        raise ValueError("bandwidth above N/4 would not survive resampling")
     cos, sin = _fourier_table(n, bandwidth)
-    # one draw in the order of per-mode (a_k, b_k) pairs; b_0 is drawn unused
-    coeffs = rng.normal(size=(bandwidth + 1, 2, dim)) * amplitude \
-        / (1 + np.arange(bandwidth + 1))[:, None, None]
+    amplitude = np.asarray(amplitude, dtype=np.float64)[..., None, None, None]
+    coeffs = draw * amplitude / (1 + np.arange(bandwidth + 1))[:, None, None]
     # summed component major, so that each product row is one contiguous
     # block; every element sees the same products in the same order
-    vals = np.zeros((dim, n))
-    for k, (a, b) in enumerate(coeffs):
-        vals += a[:, None] * cos[k]
+    vals = np.zeros(draw.shape[:-3] + (draw.shape[-1], n))
+    for k in range(bandwidth + 1):
+        vals += coeffs[..., k, 0, :, None] * cos[k]
         if k > 0:
-            vals += b[:, None] * sin[k]
-    return np.ascontiguousarray(vals.T)
+            vals += coeffs[..., k, 1, :, None] * sin[k]
+    return np.ascontiguousarray(np.swapaxes(vals, -1, -2))
+
+
+def noise_loop(draw, n: int, amplitude=1.0) -> SampledLoop:
+    """The loop (..., n, dim) of :func:`noise_samples`."""
+    return SampledLoop(noise_samples(draw, n, amplitude))
 
 
 def random_bandlimited_loop(rng, dim: int, n: int = 128, bandwidth: int = 4,
                             amplitude: float = 1.0) -> SampledLoop:
     """A random real loop with Fourier support in |k| <= bandwidth."""
-    if bandwidth > n // 4:
-        raise ValueError("bandwidth above N/4 would not survive resampling")
-    return SampledLoop(_fourier_noise(rng, n, dim, bandwidth, amplitude))
+    return noise_loop(noise_draw(rng, dim, bandwidth), n, amplitude)
 
 
 # -- serialization -------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import (
     OutsideTube,
     ShootingFailed,
 )
-from .loops import SampledLoop, random_bandlimited_loop
+from .loops import SampledLoop, noise_draw, noise_loop, noise_samples
 
 ON_MANIFOLD_TOL = 1e-8
 TANGENT_TOL = 1e-10
@@ -173,10 +173,19 @@ class EmbeddedManifold:
     def random_point(self, rng) -> np.ndarray:
         raise NotImplementedError
 
+    def loop_draw(self, rng, bandwidth: int = 3) -> tuple:
+        """The generator calls of one random loop, in order: a tuple of arrays."""
+        raise NotImplementedError
+
+    def loop_from_draw(self, draw, n: int, wobble: float = 0.4) -> SampledLoop:
+        """The loops (..., n, k) of a stack of :meth:`loop_draw` tuples, each
+        part stacked on the same leading axes; each loop has its own bits."""
+        raise NotImplementedError
+
     def random_loop(self, rng, n: int, wobble: float = 0.4,
                     bandwidth: int = 3) -> SampledLoop:
         """A random smooth loop on the manifold with O(1) geometry."""
-        raise NotImplementedError
+        return self.loop_from_draw(self.loop_draw(rng, bandwidth), n, wobble)
 
     # -- frames for the tubular constructions ---------------------------------
 
@@ -246,8 +255,13 @@ class Flat(EmbeddedManifold):
     def random_point(self, rng):
         return rng.normal(size=self.ambient_dim)
 
-    def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
-        return random_bandlimited_loop(rng, self.ambient_dim, n, bandwidth=bandwidth)
+    def loop_draw(self, rng, bandwidth=3):
+        return (noise_draw(rng, self.ambient_dim, bandwidth),)
+
+    def loop_from_draw(self, draw, n, wobble=0.4):
+        """The band-limited noise loops themselves, at amplitude 1: ``wobble``
+        is ignored."""
+        return noise_loop(draw[0], n)
 
     def tangent_frame(self, points):
         eye = np.eye(self.ambient_dim)
@@ -369,13 +383,18 @@ class Sphere2(RoundSpheres):
         x = rng.normal(size=3)
         return x / np.linalg.norm(x)
 
-    def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
-        center = self.random_point(rng)
-        noise = random_bandlimited_loop(rng, 3, n, bandwidth=bandwidth,
-                                        amplitude=wobble)
-        spread = float(np.max(np.linalg.norm(noise.samples, axis=1)))
-        clamp = min(1.0, 0.55 / max(spread, 1e-12))
-        return SampledLoop(self.project_point(center + clamp * noise.samples))
+    def loop_draw(self, rng, bandwidth=3):
+        # the center is normalized here: a 1-D norm is a dot product, whose
+        # bits a norm along an axis of a stack need not repeat
+        return self.random_point(rng), noise_draw(rng, 3, bandwidth)
+
+    def loop_from_draw(self, draw, n, wobble=0.4):
+        center, noise = draw
+        noise = noise_samples(noise, n, wobble)
+        spread = np.max(np.linalg.norm(noise, axis=-1), axis=-1)
+        clamp = np.minimum(1.0, 0.55 / np.maximum(spread, 1e-12))
+        return SampledLoop(self.project_point(
+            center[..., None, :] + clamp[..., None, None] * noise))
 
     def tangent_partition(self):
         """The two polar patches with the half-colatitude sine/cosine
@@ -424,11 +443,13 @@ class FlatTorus2(RoundSpheres):
     def random_point(self, rng):
         return self.from_angles(rng.uniform(0, 2 * np.pi, size=2))
 
-    def random_loop(self, rng, n, wobble=0.4, bandwidth=3):
-        base = rng.uniform(0, 2 * np.pi, size=2)
-        noise = random_bandlimited_loop(rng, 2, n, bandwidth=bandwidth,
-                                        amplitude=wobble)
-        return SampledLoop(self.from_angles(base + noise.samples))
+    def loop_draw(self, rng, bandwidth=3):
+        return rng.uniform(0, 2 * np.pi, size=2), noise_draw(rng, 2, bandwidth)
+
+    def loop_from_draw(self, draw, n, wobble=0.4):
+        base, noise = draw
+        return SampledLoop(self.from_angles(
+            base[..., None, :] + noise_samples(noise, n, wobble)))
 
     def tangent_frame(self, points):
         """The parallel frame: column i is the unit tangent of circle i."""
@@ -556,7 +577,9 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
     count = itertools.count(1)
 
     def rhs(t, y):
-        return np.stack([y[1], acc(y[0], y[1])])
+        out = np.empty_like(y)
+        out[0], out[1] = y[1], acc(y[0], y[1])
+        return out
 
     def after_step(t, y):
         step = next(count)
@@ -565,7 +588,9 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
             raise _diverged("constraint residual", res, step, steps)
         x = manifold._project_point(y[0])
         manifold._lead(traj[step])[0][...] = x
-        return np.stack([x, manifold._project_tangent_vector(x, y[1])])
+        out = np.empty_like(y)
+        out[0], out[1] = x, manifold._project_tangent_vector(x, y[1])
+        return out
 
     _, u = _rk4(rhs, y, 0.0, h, steps, after_step)
     return traj, manifold._trail(u)

@@ -241,33 +241,20 @@ def clamped_tangent(rng, manifold, point, norm: float) -> manifolds.TangentAtPoi
 
 
 def _trials(rng, count: int, draw) -> list:
-    """``count`` calls of ``draw(rng)`` in order, each slot stacked on a new axis 0:
-    loops as one loop, sections as one section over the stacked base, else arrays."""
-    stacked = {}  # one stack per tuple of loops, shared by the sections over them
-    return [_stack(slot, stacked) for slot in zip(*[draw(rng) for _ in range(count)])]
+    """``count`` calls of ``draw(rng)`` in order, each slot stacked on a new
+    axis 0 as an array; a tuple slot (a loop draw) is stacked part by part."""
+    return [tuple(map(np.stack, zip(*slot))) if isinstance(slot[0], tuple) else np.stack(slot)
+            for slot in zip(*[draw(rng) for _ in range(count)])]
 
 
-def _stack(items: list, stacked: dict):
-    """One slot of :func:`_trials`; module level, as a nested function that
-    calls itself is a reference cycle, which would hold the stacks until the
-    next garbage collection."""
-    if isinstance(items[0], charts.TangentSection):
-        return charts.TangentSection(items[0].manifold, _stack([s.base for s in items], stacked),
-                                     np.stack([s.vectors for s in items]))
-    if isinstance(items[0], loops.SampledLoop):
-        if (key := tuple(map(id, items))) not in stacked:
-            stacked[key] = loops.SampledLoop(np.stack([a.samples for a in items]))
-        return stacked[key]
-    return np.stack(items)
-
-
-def _loop_and_sections(manifold, n: int, *scales):
-    """A draw: a random loop, then one random section along it per scale."""
-    def draw(rng):
-        alpha = manifold.random_loop(rng, n)
-        return alpha, *[charts.random_section(rng, manifold, alpha, s) for s in scales]
-
-    return draw
+def _loop_and_sections(rng, manifold, n: int, count: int, *scales):
+    """``count`` trials of a random loop, then one random section along it
+    per scale: drawn trial by trial, built as one stack."""
+    loop, *noise = _trials(rng, count, lambda rng: (
+        manifold.loop_draw(rng), *[charts.section_draw(rng, manifold) for _ in scales]))
+    alpha = manifold.loop_from_draw(loop, n)
+    return alpha, *[charts.section_from_draw(manifold, alpha, w, s)
+                    for w, s in zip(noise, scales)]
 
 
 # -- suite implementations ---------------------------------------------------------
@@ -277,11 +264,11 @@ def suite_chart_roundtrip(cfg: ExperimentConfig, rng, out: Checks) -> None:
     nodewise inversion of the local addition."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
 
-    def draw(rng):
-        center = manifold.random_loop(rng, cfg.resolution)
-        return center, charts.random_section(rng, manifold, center, rng.uniform(0.2, 2.0))
-
-    center, beta = _trials(rng, cfg.samples, draw)
+    # drawn in the order loop, scale, section noise, which the reports depend on
+    loop, scale, noise = _trials(rng, cfg.samples, lambda rng: (
+        manifold.loop_draw(rng), rng.uniform(0.2, 2.0), charts.section_draw(rng, manifold)))
+    center = manifold.loop_from_draw(loop, cfg.resolution)
+    beta = charts.section_from_draw(manifold, center, noise, scale)
     chart = charts.Chart(center, manifolds.LocalAdditionSpec(manifold))
     image = charts.chart_forward(chart, beta)
     out.track("membership", not charts.chart_membership(chart, image))
@@ -298,19 +285,20 @@ def suite_transition_cocycle(cfg: ExperimentConfig, rng, out: Checks) -> None:
     n = cfg.resolution
 
     def draw(rng):
-        center1 = manifold.random_loop(rng, n, wobble=0.3)
-        shift, shift3, beta = (charts.random_section(rng, manifold, center1, scale=scale)
-                               for scale in (0.05, 0.05, 0.1))
-        j = int(rng.integers(0, n))
-        bumped = beta.vectors.copy()
-        bumped[j] += manifold.project_tangent_vector(center1.samples[j],
-                                                     0.01 * rng.normal(size=manifold.ambient_dim))
-        delta = charts.random_section(rng, manifold, center1, scale=0.05)
-        return (center1, shift, shift3, beta, j,
-                charts.TangentSection(manifold, center1, bumped), delta)
+        return (manifold.loop_draw(rng), *[charts.section_draw(rng, manifold) for _ in range(3)],
+                rng.integers(0, n), rng.normal(size=manifold.ambient_dim),
+                charts.section_draw(rng, manifold))
 
-    center1, shift, shift3, beta, j, bumped, delta = _trials(
-        rng, max(1, cfg.samples // 10), draw)
+    loop, *noise, j, kick, delta = _trials(rng, max(1, cfg.samples // 10), draw)
+    center1 = manifold.loop_from_draw(loop, n, wobble=0.3)
+    shift, shift3, beta = (charts.section_from_draw(manifold, center1, w, scale)
+                           for w, scale in zip(noise, (0.05, 0.05, 0.1)))
+    delta = charts.section_from_draw(manifold, center1, delta, 0.05)
+    # each trial's section with one node j nudged along its tangent space
+    node = (np.arange(len(j)), j)
+    bumped = beta.vectors.copy()
+    bumped[node] += manifold.project_tangent_vector(center1.samples[node], 0.01 * kick)
+    bumped = charts.TangentSection(manifold, center1, bumped)
     eps1 = manifold.local_addition_epsilon
     shifted = lambda section: loops.SampledLoop(manifold.exp(center1.samples, section.vectors))
     chart1 = charts.Chart(center1, manifolds.LocalAdditionSpec(manifold, eps1))
@@ -326,7 +314,7 @@ def suite_transition_cocycle(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("cocycle", t23.vectors - t13.vectors)
 
     changed = charts.transition(chart1, chart2, bumped).vectors != t12.vectors
-    changed[np.arange(len(j)), j] = False
+    changed[node] = False
     out.track("pointwise", np.any(changed))
 
     nu = 0.5 + 0.3 * np.sin(2 * np.pi * center1.nodes)
@@ -368,12 +356,13 @@ def suite_vertical_derivative(cfg: ExperimentConfig, rng, out: Checks) -> None:
     t = np.arange(n) / n
 
     def draw(rng):
-        params = (rng.normal(size=(d, d)) * 0.8, rng.normal(size=(d, d)) * 0.4,
-                  rng.normal(size=d) * 0.3, rng.normal(size=d), int(rng.integers(1, 4)))
-        alpha = loops.random_bandlimited_loop(rng, d, n, amplitude=0.8)
-        return *params, alpha, charts.random_section(rng, manifold, alpha, scale=0.8)
+        return (rng.normal(size=(d, d)) * 0.8, rng.normal(size=(d, d)) * 0.4,
+                rng.normal(size=d) * 0.3, rng.normal(size=d), int(rng.integers(1, 4)),
+                loops.noise_draw(rng, d, 4), charts.section_draw(rng, manifold))
 
     *params, alpha, beta = _trials(rng, max(10, cfg.samples // 2), draw)
+    alpha = loops.noise_loop(alpha, n, 0.8)
+    beta = charts.section_from_draw(manifold, alpha, beta, 0.8)
     psi = _fiber_map(*params)
     vd = charts.vertical_derivative(psi, alpha, beta, h=1e-5)
 
@@ -400,18 +389,17 @@ def suite_tangent_identification(cfg: ExperimentConfig, rng, out: Checks) -> Non
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     n = cfg.resolution
     reps = max(1, cfg.samples // 10)
-    alpha, u = _trials(rng, reps, _loop_and_sections(manifold, n, 0.5))
+    alpha, u = _loop_and_sections(rng, manifold, n, reps, 0.5)
     curve = lambda s: loops.SampledLoop(manifold.exp(alpha.samples, s * u.vectors))
     vel = geometry.curve_of_loops_derivative(curve, 0.0)
     out.track("exp-family", vel - u.vectors)
     flat = manifolds.Flat(3)
 
-    def draw(rng):
-        a = loops.random_bandlimited_loop(rng, 3, n)
-        b, c = (charts.random_section(rng, flat, a, scale=1.0) for _ in range(2))
-        return a, b, c, rng.uniform(-0.5, 0.5, size=(1, 1))
-
-    a, b, c, s0 = _trials(rng, reps, draw)
+    a, b, c, s0 = _trials(rng, reps, lambda rng: (
+        loops.noise_draw(rng, 3, 4), *[charts.section_draw(rng, flat) for _ in range(2)],
+        rng.uniform(-0.5, 0.5, size=(1, 1))))
+    a = loops.noise_loop(a, n)
+    b, c = (charts.section_from_draw(flat, a, w) for w in (b, c))
     curve = lambda s: loops.SampledLoop(a.samples + s * b.vectors + s * s * c.vectors)
     vel = geometry.curve_of_loops_derivative(curve, s0)
     out.track("flat-quadratic", vel - (b.vectors + 2 * s0 * c.vectors))
@@ -433,12 +421,10 @@ def suite_metric(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("circle-energy", geometry.l2_inner(const, wave, wave) - 1.0)
     rot = geometry.rotation_matrix_loop(n, 1.0)
 
-    def draw(rng):
-        sections = [charts.random_section(rng, flat2, const) for _ in range(3)]
-        return *sections, *rng.normal(size=2)
-
-    b, c, d, x, y = _trials(rng, max(1, cfg.samples // 5), draw)
-    base = b.base
+    b, c, d, x, y = _trials(rng, max(1, cfg.samples // 5), lambda rng: (
+        *[charts.section_draw(rng, flat2) for _ in range(3)], *rng.normal(size=2)))
+    base = loops.SampledLoop(np.broadcast_to(const.samples, (len(x), n, 2)))
+    b, c, d = (charts.section_from_draw(flat2, base, w) for w in (b, c, d))
     out.track("symmetry", geometry.l2_inner(base, b, c) - geometry.l2_inner(base, c, b))
     combo = b.scaled(x[:, None]) + c.scaled(y[:, None])
     lhs = geometry.l2_inner(base, combo, d)
@@ -462,7 +448,7 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng, out: Checks) -> None:
     grid = cfg.path_grid
     s_grid = np.linspace(0.0, 1.0, grid + 1)
     s_col = s_grid[:, None, None]
-    for _ in range(3):
+    for _ in range(3):  # per trial: a stack would multiply the T^2 peak of the fields
         alpha = manifold.random_loop(rng, n, wobble=0.3)
         nu = charts.random_section(rng, manifold, alpha, scale=0.2)
         w = charts.random_section(rng, manifold, alpha, scale=0.1)
@@ -516,7 +502,7 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng, out: Checks) -> None:
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     conn = geometry.ConnectionSpec(manifold)
     n = cfg.resolution
-    alpha, nu = _trials(rng, 3, _loop_and_sections(manifold, n, 0.5))
+    alpha, nu = _loop_and_sections(rng, manifold, n, 3, 0.5)
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
     for idx in (cfg.ode_steps // 2, cfg.ode_steps):
         oracle = manifold.exp(alpha.samples, path.s_grid[idx] * nu.vectors)
@@ -541,7 +527,7 @@ def suite_transport_pointwise(cfg: ExperimentConfig, rng, out: Checks) -> None:
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     conn = geometry.ConnectionSpec(manifold)
     n = cfg.resolution
-    alpha, nu, sigma = _trials(rng, 3, _loop_and_sections(manifold, n, 0.5, 0.8))
+    alpha, nu, sigma = _loop_and_sections(rng, manifold, n, 3, 0.5, 0.8)
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
     moved = geometry.loop_parallel_transport(conn, path, sigma)
     oracle = manifold.geodesic_transport(alpha.samples, nu.vectors, sigma.vectors)
@@ -611,7 +597,7 @@ def suite_frame_extract(cfg: ExperimentConfig, rng, out: Checks) -> None:
     by probing with constant basis loops."""
     n = min(cfg.resolution, 64)
     d = 2
-    for _ in range(20):
+    for _ in range(20):  # per trial: frame_from_module_map takes one matrix loop
         t = np.arange(n) / n
         mats = np.tile(np.eye(d) * rng.uniform(1.5, 2.5), (n, 1, 1))
         for k in range(1, 3):
@@ -655,17 +641,15 @@ def suite_fibration(cfg: ExperimentConfig, rng, out: Checks) -> None:
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     n = cfg.resolution
 
-    def draw(rng):
-        x = manifold.random_point(rng)
-        seed = charts.random_section(
-            rng, manifold, loops.SampledLoop.constant(x, n), scale=0.25)
-        # keep the base point inside the trivializing patch radius sqrt(lower)
-        clamp = min(1.0, 0.9 / max(float(np.linalg.norm(seed.vectors[0])), 1e-12))
-        gamma = loops.SampledLoop(
-            manifold.exp(np.tile(x, (n, 1)), clamp * seed.vectors))
-        return x[None], gamma
-
-    x, gamma = _trials(rng, max(1, cfg.samples // 10), draw)
+    x, seed = _trials(rng, max(1, cfg.samples // 10), lambda rng: (
+        manifold.random_point(rng)[None], charts.section_draw(rng, manifold)))
+    base = np.broadcast_to(x, (len(x), n, manifold.ambient_dim))
+    seed = charts.section_from_draw(manifold, loops.SampledLoop(base), seed, 0.25)
+    # keep the base point inside the trivializing patch radius sqrt(lower);
+    # one 1-D norm per trial, a dot product, as each trial had on its own
+    norm = np.array([np.linalg.norm(v) for v in seed.vectors[:, 0]])
+    clamp = np.minimum(1.0, 0.9 / np.maximum(norm, 1e-12))[:, None, None]
+    gamma = loops.SampledLoop(manifold.exp(base, clamp * seed.vectors))
     omega, u = tubes.based_trivialize(manifold, x, gamma, steps=cfg.ode_steps)
     out.track("based", omega.samples[:, :1] - x)
     back = tubes.based_detrivialize(manifold, x, omega, u, steps=cfg.ode_steps)
@@ -702,12 +686,12 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
 
     def draw_point(rng):
         x0 = manifold.random_point(rng)
-        shift = charts.random_section(
-            rng, manifold, loops.SampledLoop.constant(x0, n), scale=0.3)
-        alpha = loops.SampledLoop(manifold.exp(np.tile(x0, (n, 1)), bump * shift.vectors))
-        return x0[None], alpha, seed(rng, x0)
+        return x0[None], charts.section_draw(rng, manifold), seed(rng, x0)
 
-    x0, alpha, v = _trials(rng, max(1, cfg.samples // 20), draw_point)
+    x0, shift, v = _trials(rng, max(1, cfg.samples // 20), draw_point)
+    base = np.broadcast_to(x0, (len(x0), n, manifold.ambient_dim))
+    shift = charts.section_from_draw(manifold, loops.SampledLoop(base), shift, 0.3)
+    alpha = loops.SampledLoop(manifold.exp(base, bump * shift.vectors))
     v = manifolds.TangentAtPoint(manifold, x0[:, 0], v)
     beta = tubes.point_tube_forward(manifold, x0, alpha, v, steps=steps)
     nu_v = manifold.exp(x0[:, 0], spec.compress(v.vector))
@@ -719,13 +703,14 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     same = tubes.point_tube_forward(manifold, x0, alpha, zero, steps=steps)
     out.track("point-zero", same.samples - alpha.samples)
 
-    def draw_pair(rng):
+    def draw_pair(rng):  # per trial: the seed reads the built loop's node 0
         a1 = manifold.random_loop(rng, n, wobble=0.3)
         shift = charts.random_section(rng, manifold, a1, scale=0.2)
-        a2 = loops.SampledLoop(manifold.exp(a1.samples, bump * shift.vectors))
-        return a1, a2, seed(rng, a1.samples[0])
+        a2 = manifold.exp(a1.samples, bump * shift.vectors)
+        return a1.samples, a2, seed(rng, a1.samples[0])
 
     a1, a2, v = _trials(rng, max(1, cfg.samples // 20), draw_pair)
+    a1, a2 = loops.SampledLoop(a1), loops.SampledLoop(a2)
     v = manifolds.TangentAtPoint(manifold, a1.samples[:, 0], v)
     b1, b2 = tubes.diagonal_tube_forward(manifold, (a1, a2), v, steps=steps)
     out.track("pair-anchor", b1.samples - a1.samples)
@@ -741,7 +726,7 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("partition-squares",
               sum(weight(p) ** 2 for weight, _ in manifold.tangent_partition()) - 1.0)
 
-    def draw_seeds(rng):
+    def draw_seeds(rng):  # per trial: the tangent seeds read the drawn point
         p = manifold.random_point(rng)
         v, w = (manifolds.random_tangent(manifold, rng, p, 0.5).vector for _ in range(2))
         return p, v, w, *rng.normal(size=2), manifold.random_point(rng)
@@ -764,14 +749,13 @@ def suite_equivariant(cfg: ExperimentConfig, rng, out: Checks) -> None:
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     n = cfg.resolution
     for m in (2, 4):
-        def draw(rng):
-            base = manifold.random_loop(rng, n // m, wobble=0.25, bandwidth=2)
-            periodic = loops.SampledLoop(np.tile(base.samples, (m, 1)))
-            wiggle = charts.random_section(rng, manifold, periodic, scale=0.1)
-            gamma = loops.SampledLoop(manifold.exp(periodic.samples, wiggle.vectors))
-            return gamma, rng.integers(1, n)
-
-        gamma, shift = _trials(rng, max(1, cfg.samples // 25), draw)
+        loop, wiggle, shift = _trials(rng, max(1, cfg.samples // 25), lambda rng: (
+            manifold.loop_draw(rng, bandwidth=2), charts.section_draw(rng, manifold),
+            rng.integers(1, n)))
+        base = manifold.loop_from_draw(loop, n // m, wobble=0.25)
+        periodic = loops.SampledLoop(np.tile(base.samples, (1, m, 1)))
+        wiggle = charts.section_from_draw(manifold, periodic, wiggle, 0.1)
+        gamma = loops.SampledLoop(manifold.exp(periodic.samples, wiggle.vectors))
         fixed, normal = tubes.equivariant_decompose(manifold, m, gamma)
         rec = tubes.equivariant_recompose(manifold, fixed, normal)
         out.track("roundtrip", rec.samples - gamma.samples)

@@ -14,8 +14,10 @@ from loopspace_lab.charts import (
     chart_to_dict,
     loop_map,
     random_section,
+    section_draw,
     section_from_ambient,
     section_from_dict,
+    section_from_draw,
     section_to_dict,
     transition,
     vertical_derivative,
@@ -298,6 +300,23 @@ class TestSectionArithmetic:
             expected = section_from_ambient(manifold, base, w)
             got = random_section(np.random.default_rng(17), manifold, base, scale=scale)
             assert np.array_equal(got.vectors, expected.vectors)
+
+    @pytest.mark.parametrize("tag", ["sphere2", "torus2", "flat:3"])
+    def test_stacked_draws_build_the_single_sections(self, tag):
+        manifold = manifold_from_tag(tag)
+        rng = np.random.default_rng(18)
+        bases = [manifold.random_loop(rng, 64) for _ in range(5)]
+        scales = rng.uniform(0.05, 2.0, size=5)
+        rng = np.random.default_rng(19)
+        singles = [random_section(rng, manifold, a, s) for a, s in zip(bases, scales)]
+        after = rng.normal()
+        rng = np.random.default_rng(19)
+        draws = np.stack([section_draw(rng, manifold) for _ in range(5)])
+        assert rng.normal() == after
+        base = SampledLoop(np.stack([a.samples for a in bases]))
+        stack = section_from_draw(manifold, base, draws, scales)
+        assert stack.base is base
+        assert np.array_equal(stack.vectors, np.stack([s.vectors for s in singles]))
 
     def test_non_tangent_rejected(self):
         center = SampledLoop.constant(NORTH, 64)

@@ -9,7 +9,6 @@ from loopspace_lab.geometry import exp_nonsurjectivity_witness
 from loopspace_lab.loops import (
     FourierRep,
     SampledLoop,
-    _fourier_noise,
     _fourier_table,
     _split_spectrum,
     ck_seminorm,
@@ -19,6 +18,9 @@ from loopspace_lab.loops import (
     loop_from_dict,
     loop_to_csv,
     loop_to_dict,
+    noise_draw,
+    noise_loop,
+    noise_samples,
     random_bandlimited_loop,
     rotate,
     save_loop,
@@ -243,10 +245,30 @@ class TestFourierNoise:
 
         for n, dim, bandwidth in ((8, 3, 2), (128, 3, 4), (1024, 2, 3)):
             for seed in range(3):
-                got = _fourier_noise(np.random.default_rng(seed), n, dim, bandwidth, 0.4)
+                draw = noise_draw(np.random.default_rng(seed), dim, bandwidth)
+                got = noise_samples(draw, n, 0.4)
                 want = direct(np.random.default_rng(seed), n, dim, bandwidth, 0.4)
                 assert np.array_equal(got, want)
         assert not _fourier_table(128, 4).flags.writeable
+
+    def test_a_stack_of_draws_equals_its_draws(self):
+        # one amplitude per draw, and a leading axis beyond the trial axis
+        rng = np.random.default_rng(28)
+        draws = np.stack([noise_draw(rng, 3, 4) for _ in range(6)]).reshape(2, 3, 5, 2, 3)
+        amplitude = rng.uniform(0.05, 2.0, size=(2, 3))
+        got = noise_samples(draws, 64, amplitude)
+        assert got.shape == (2, 3, 64, 3) and got.flags.c_contiguous
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], noise_samples(draws[i, j], 64, amplitude[i, j]))
+        assert np.array_equal(noise_loop(draws, 64).samples, noise_samples(draws, 64))
+
+    def test_bandwidth_above_a_quarter_rejected(self):
+        draw = noise_draw(np.random.default_rng(0), 2, 5)
+        with pytest.raises(ValueError, match="N/4"):
+            noise_loop(draw, 16)
+        with pytest.raises(ValueError, match="N/4"):
+            random_bandlimited_loop(np.random.default_rng(0), 2, 16, bandwidth=5)
+        assert noise_loop(draw, 32).resolution == 32
 
 
 class TestInvariants:

@@ -20,6 +20,7 @@ from loopspace_lab.errors import (
     ShootingFailed,
 )
 from loopspace_lab import manifolds
+from loopspace_lab.loops import random_bandlimited_loop
 from loopspace_lab.manifolds import (
     Flat,
     FlatTorus2,
@@ -811,6 +812,50 @@ class TestTubularProjection:
         # a NaN radius must not compare as above the projection floor
         with pytest.raises(OutsideTube):
             Sphere2().project_point(np.array([np.nan, 0.0, 0.0]))
+
+
+class TestRandomLoops:
+    """A random loop is its generator draw, then an array build that takes
+    a stack of draws."""
+
+    @staticmethod
+    def reference(manifold, rng, n, wobble, bandwidth):
+        """Each kind's loop written out trial by trial."""
+        if manifold.kind == "sphere2":
+            center = rng.normal(size=3)
+            center = center / np.linalg.norm(center)
+            noise = random_bandlimited_loop(rng, 3, n, bandwidth, wobble).samples
+            spread = float(np.max(np.linalg.norm(noise, axis=1)))
+            clamp = min(1.0, 0.55 / max(spread, 1e-12))
+            return manifold.project_point(center + clamp * noise)
+        if manifold.kind == "torus2":
+            base = rng.uniform(0, 2 * np.pi, size=2)
+            noise = random_bandlimited_loop(rng, 2, n, bandwidth, wobble).samples
+            return manifold.from_angles(base + noise)
+        return random_bandlimited_loop(rng, manifold.ambient_dim, n, bandwidth).samples
+
+    @pytest.mark.parametrize("tag", ["sphere2", "torus2", "flat:3"])
+    @pytest.mark.parametrize("n, wobble, bandwidth", [(64, 0.4, 3), (16, 0.25, 2),
+                                                      (128, 3.0, 3)])
+    def test_stacked_draws_build_the_single_loops(self, tag, n, wobble, bandwidth):
+        manifold = manifold_from_tag(tag)
+        rng = np.random.default_rng(43)
+        singles = [manifold.random_loop(rng, n, wobble, bandwidth) for _ in range(5)]
+        after = rng.normal()
+        rng = np.random.default_rng(43)
+        draws = [manifold.loop_draw(rng, bandwidth) for _ in range(5)]
+        assert rng.normal() == after
+        stack = manifold.loop_from_draw(tuple(map(np.stack, zip(*draws))), n, wobble)
+        assert np.array_equal(stack.samples, np.stack([a.samples for a in singles]))
+        rng = np.random.default_rng(43)
+        for loop in singles:
+            assert np.array_equal(loop.samples,
+                                  self.reference(manifold, rng, n, wobble, bandwidth))
+
+    def test_flat_ignores_wobble(self):
+        draw = Flat(3).loop_draw(np.random.default_rng(44))
+        assert np.array_equal(Flat(3).loop_from_draw(draw, 32, 0.1).samples,
+                              Flat(3).loop_from_draw(draw, 32, 5.0).samples)
 
 
 class TestTags:

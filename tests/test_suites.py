@@ -157,3 +157,21 @@ def test_run_checks_records_a_suite_error(monkeypatch):
     cfg = ExperimentConfig(suite="metric", resolution=32).validated()
     assert run_checks(cfg) == [CheckRecord(
         "suite-error", "IntegrationDiverged: RK4 step 3 of 16 left the manifold", 1.0, FLAG)]
+
+
+def test_trials_stack_each_slot_and_a_tuple_slot_part_by_part():
+    # three draws, each an array, a scalar and a loop draw (a tuple)
+    def draw(rng):
+        return rng.normal(size=2), rng.integers(0, 9), (rng.normal(size=3), rng.normal())
+
+    rng = np.random.default_rng(31)
+    singles = [draw(rng) for _ in range(3)]
+    after = rng.normal()
+    rng = np.random.default_rng(31)
+    arrays, ints, (parts, scalars) = suites._trials(rng, 3, draw)
+    assert rng.normal() == after
+    assert np.array_equal(arrays, np.stack([s[0] for s in singles]))
+    assert np.array_equal(ints, [s[1] for s in singles])
+    assert parts.shape == (3, 3) and scalars.shape == (3,)
+    assert np.array_equal(parts, np.stack([s[2][0] for s in singles]))
+    assert np.array_equal(scalars, [s[2][1] for s in singles])
