@@ -241,10 +241,9 @@ def noise_samples(draw, n: int, amplitude=1.0) -> np.ndarray:
     """(..., n, dim) samples of the polynomials of a stack of draws
     (..., bandwidth + 1, 2, dim); mode k has amplitude ``amplitude / (1 + k)``,
     with one amplitude or one per draw (...).  Each draw's samples are the
-    bits it has on its own."""
+    bits it has on its own.  Any bandwidth is accepted: a section's ambient
+    noise need not be a loop of its own; :func:`noise_loop` guards loops."""
     bandwidth = draw.shape[-3] - 1
-    if bandwidth > n // 4:
-        raise ValueError("bandwidth above N/4 would not survive resampling")
     cos, sin = _fourier_table(n, bandwidth)
     amplitude = np.asarray(amplitude, dtype=np.float64)[..., None, None, None]
     coeffs = draw * amplitude / (1 + np.arange(bandwidth + 1))[:, None, None]
@@ -259,7 +258,10 @@ def noise_samples(draw, n: int, amplitude=1.0) -> np.ndarray:
 
 
 def noise_loop(draw, n: int, amplitude=1.0) -> SampledLoop:
-    """The loop (..., n, dim) of :func:`noise_samples`."""
+    """The loop (..., n, dim) of :func:`noise_samples`; a bandwidth above
+    N/4 raises ValueError."""
+    if draw.shape[-3] - 1 > n // 4:
+        raise ValueError("bandwidth above N/4 would not survive resampling")
     return SampledLoop(noise_samples(draw, n, amplitude))
 
 

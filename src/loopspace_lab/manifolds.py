@@ -41,7 +41,7 @@ from .errors import (
     OutsideTube,
     ShootingFailed,
 )
-from .loops import SampledLoop, noise_draw, noise_loop, noise_samples
+from .loops import SampledLoop, noise_draw, noise_loop
 
 ON_MANIFOLD_TOL = 1e-8
 TANGENT_TOL = 1e-10
@@ -390,7 +390,7 @@ class Sphere2(RoundSpheres):
 
     def loop_from_draw(self, draw, n, wobble=0.4):
         center, noise = draw
-        noise = noise_samples(noise, n, wobble)
+        noise = noise_loop(noise, n, wobble).samples
         spread = np.max(np.linalg.norm(noise, axis=-1), axis=-1)
         clamp = np.minimum(1.0, 0.55 / np.maximum(spread, 1e-12))
         return SampledLoop(self.project_point(
@@ -449,7 +449,7 @@ class FlatTorus2(RoundSpheres):
     def loop_from_draw(self, draw, n, wobble=0.4):
         base, noise = draw
         return SampledLoop(self.from_angles(
-            base[..., None, :] + noise_samples(noise, n, wobble)))
+            base[..., None, :] + noise_loop(noise, n, wobble).samples))
 
     def tangent_frame(self, points):
         """The parallel frame: column i is the unit tangent of circle i."""

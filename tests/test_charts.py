@@ -318,6 +318,18 @@ class TestSectionArithmetic:
         assert stack.base is base
         assert np.array_equal(stack.vectors, np.stack([s.vectors for s in singles]))
 
+    @pytest.mark.parametrize("tag", ["sphere2", "torus2", "flat:3"])
+    def test_sections_build_at_the_smallest_resolution(self, tag):
+        # a section's bandwidth-4 noise is above N/4 at N = 8, which only
+        # loops reject
+        manifold = manifold_from_tag(tag)
+        base = SampledLoop.constant(manifold.random_point(np.random.default_rng(20)), 8)
+        single = random_section(np.random.default_rng(21), manifold, base, 0.5)
+        draws = section_draw(np.random.default_rng(21), manifold)[None]
+        stack = section_from_draw(manifold, SampledLoop(base.samples[None]), draws, 0.5)
+        assert single.vectors.shape == (8, manifold.ambient_dim)
+        assert np.array_equal(stack.vectors[0], single.vectors)
+
     def test_non_tangent_rejected(self):
         center = SampledLoop.constant(NORTH, 64)
         with pytest.raises(ValueError):

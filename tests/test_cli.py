@@ -221,6 +221,18 @@ class TestMainExitCodes:
         data = json.loads((tmp_path / f"fibration-{seed}.json").read_text())
         assert data["all_pass"] is True
 
+    @pytest.mark.parametrize("manifold", ["sphere2", "torus2", "flat:1", "flat:3"])
+    @pytest.mark.parametrize("suite", ["metric", "fibration"])
+    def test_section_suites_pass_at_the_smallest_resolution(self, tmp_path,
+                                                            suite, manifold):
+        # these suites build sections but no random loop, so the N/4
+        # bandwidth guard of random loops must not stop them at N = 8
+        code = main(["run", "--suite", suite, "--manifold", manifold,
+                     "--resolution", "8", "--samples", "2", "--seed", "0",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        assert json.loads((tmp_path / f"{suite}-0.json").read_text())["all_pass"]
+
     @pytest.mark.parametrize("args,suite,error", [
         (["--suite", "tube-lp", "--resolution", "8"], "tube-lp", "ValueError: "),
         (["--suite", "transport-pointwise", "--ode-steps", "8"],

@@ -8,8 +8,11 @@ Each argument is a directory that holds the ``loopspace_lab`` package (the
 interpreter with that tree on ``PYTHONPATH``, writing into a temporary
 directory.  RUNS holds the default resolution on each of three manifolds,
 then torus2 at N = 1024, the size of the ``battery-n1024-torus2`` benchmark
-workload, where the integrators see large arrays, and last sphere2 at a
-path grid and a step count away from their defaults: 80 runs per tree.  Every
+workload, where the integrators see large arrays, then sphere2 at a
+path grid and a step count away from their defaults, and last each manifold
+at N = 8, the smallest accepted resolution, where the N/4 bandwidth guard
+of random loops ends ten suites with a suite-error report while the
+suites that build only sections run through: 128 runs per tree.  Every
 ``.json`` and ``.csv`` report that differs, or exists for one tree only, is
 printed, and so is every run that wrote no report.  Under each ``.json``
 report that differs and exists for both trees, one line per check whose
@@ -35,7 +38,10 @@ RUNS = (("sphere2", ("--manifold", "sphere2")),
         ("flat:3", ("--manifold", "flat:3")),
         ("torus2-n1024", ("--manifold", "torus2", "--resolution", "1024")),
         ("sphere2-grid48-steps64", ("--manifold", "sphere2", "--path-grid", "48",
-                                    "--ode-steps", "64")))
+                                    "--ode-steps", "64")),
+        ("sphere2-n8", ("--manifold", "sphere2", "--resolution", "8")),
+        ("torus2-n8", ("--manifold", "torus2", "--resolution", "8")),
+        ("flat:3-n8", ("--manifold", "flat:3", "--resolution", "8")))
 SEED = "7"
 CLI = "import sys; from loopspace_lab.cli import main; sys.exit(main(sys.argv[1:]))"
 
