@@ -239,10 +239,9 @@ def noise_draw(rng, dim: int, bandwidth: int) -> np.ndarray:
 
 def noise_samples(draw, n: int, amplitude=1.0) -> np.ndarray:
     """(..., n, dim) samples of the polynomials of a stack of draws
-    (..., bandwidth + 1, 2, dim); mode k has amplitude ``amplitude / (1 + k)``,
-    with one amplitude or one per draw (...).  Each draw's samples are the
-    bits it has on its own.  Any bandwidth is accepted: a section's ambient
-    noise need not be a loop of its own; :func:`noise_loop` guards loops."""
+    (..., bandwidth + 1, 2, dim), of any bandwidth; mode k has amplitude
+    ``amplitude / (1 + k)``, with one amplitude or one per draw (...).  Each
+    draw's samples are the bits it has on its own."""
     bandwidth = draw.shape[-3] - 1
     cos, sin = _fourier_table(n, bandwidth)
     amplitude = np.asarray(amplitude, dtype=np.float64)[..., None, None, None]
@@ -258,8 +257,8 @@ def noise_samples(draw, n: int, amplitude=1.0) -> np.ndarray:
 
 
 def noise_loop(draw, n: int, amplitude=1.0) -> SampledLoop:
-    """The loop (..., n, dim) of :func:`noise_samples`; a bandwidth above
-    N/4 raises ValueError."""
+    """The loop (..., n, dim) of :func:`noise_samples`; a bandwidth above N/4,
+    which a section's ambient noise may have, raises ValueError."""
     if draw.shape[-3] - 1 > n // 4:
         raise ValueError("bandwidth above N/4 would not survive resampling")
     return SampledLoop(noise_samples(draw, n, amplitude))
