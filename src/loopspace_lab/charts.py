@@ -166,9 +166,10 @@ def transition(chart1: Chart, chart2: Chart, beta: TangentSection) -> TangentSec
     center describing the same loop.
     """
     image = chart_forward(chart1, beta)
-    if not chart_membership(chart2, image):
-        raise NotInOverlap("section image leaves the second chart")
-    return chart_inverse(chart2, image)
+    try:
+        return chart_inverse(chart2, image)
+    except NotInChartDomain:
+        raise NotInOverlap("section image leaves the second chart") from None
 
 
 def loop_map(f, gamma: SampledLoop) -> SampledLoop:

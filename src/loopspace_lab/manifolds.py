@@ -28,7 +28,6 @@ give about its center.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -519,28 +518,33 @@ def _step_size(span: float, steps: int) -> float:
     return span / steps
 
 
-def _diverged(what: str, res, step: int, steps: int) -> IntegrationDiverged:
-    """IntegrationDiverged for a residual array over the batch axes, naming
+def _require_mid_flow(manifold: EmbeddedManifold, x, what: str, step: int, steps: int) -> None:
+    """Raise IntegrationDiverged unless the component-major points x lie on
+    the manifold to MIDFLOW_TOL after RK4 step ``step``.  The message names
     the step and where the worst (or first NaN) residual sits: the last
     batch axis is the circle node, any axes before it the trial."""
+    res = manifold._constraint_residual(x)
+    if np.max(res) <= MIDFLOW_TOL:
+        return
     where = np.unravel_index(np.argmax(res), np.shape(res))
     place = [f"step {step}/{steps}"]
     if len(where) > 1:
         place.append("trial " + ",".join(str(int(i)) for i in where[:-1]))
     if where:
         place.append(f"node {int(where[-1])}")
-    return IntegrationDiverged(f"{what} {np.max(res):.3e} mid-flow at {', '.join(place)}")
+    raise IntegrationDiverged(f"{what} {np.max(res):.3e} mid-flow at {', '.join(place)}")
 
 
 def _rk4(rhs, y, t, h, steps, after_step=None):
     """Fixed-step classical RK4 for y' = rhs(t, y), starting at time t.
 
-    ``after_step(t, y)``, if given, runs after every step at the new time and
-    returns the state to continue from (reprojected, say).  Time advances by
-    ``t += h``, not ``t0 + i * h``: the transport spline is evaluated at these
-    times, so the other form would move transport residuals in the last bits.
+    ``after_step(step, t, y)``, if given, runs after every step, numbered
+    from 1, at the new time and returns the state to continue from
+    (reprojected, say).  Time advances by ``t += h``, not ``t0 + i * h``:
+    the transport spline is evaluated at these times, so the other form
+    would move transport residuals in the last bits.
     """
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
@@ -548,7 +552,7 @@ def _rk4(rhs, y, t, h, steps, after_step=None):
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         if after_step is not None:
-            y = after_step(t, y)
+            y = after_step(step, t, y)
     return y
 
 
@@ -574,18 +578,14 @@ def integrate_geodesic(manifold: EmbeddedManifold, p, v, time: float = 1.0,
     traj = np.empty((steps + 1,) + y.shape[3:] + (y.shape[1] * y.shape[2],))
     manifold._lead(traj[0])[0][...] = y[0]
     acc = manifold._geodesic_acceleration
-    count = itertools.count(1)
 
     def rhs(t, y):
         out = np.empty_like(y)
         out[0], out[1] = y[1], acc(y[0], y[1])
         return out
 
-    def after_step(t, y):
-        step = next(count)
-        res = manifold._constraint_residual(y[0])
-        if not np.max(res) <= MIDFLOW_TOL:
-            raise _diverged("constraint residual", res, step, steps)
+    def after_step(step, t, y):
+        _require_mid_flow(manifold, y[0], "constraint residual", step, steps)
         x = manifold._project_point(y[0])
         manifold._lead(traj[step])[0][...] = x
         out = np.empty_like(y)
@@ -731,8 +731,6 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
             x = np.broadcast_to(x, batch)
         return np.ascontiguousarray(manifold._lead(x)[0])
 
-    count = itertools.count(1)
-
     # The RK4 stages and after_step visit each stage time twice in a row
     # (t += h gives the float of t + h), so with a one-entry memo the path
     # is read 2 * steps + 1 times.
@@ -751,12 +749,9 @@ def integrate_transport(manifold: EmbeddedManifold, s_grid, points, v,
             out = out - 0.5 * manifold._lead(torsion(*rows))[0]
         return out
 
-    def after_step(s, vec):
-        step = next(count)
+    def after_step(step, s, vec):
         x, _ = path(s)
-        res = manifold._constraint_residual(x)
-        if not np.max(res) <= MIDFLOW_TOL:
-            raise _diverged("path off manifold: residual", res, step, steps)
+        _require_mid_flow(manifold, x, "path off manifold: residual", step, steps)
         return manifold._project_tangent_vector(x, vec)
 
     return manifold._trail(_rk4(rhs, lead(v), s0, h, steps, after_step))

@@ -233,13 +233,6 @@ class Checks:
 
 # -- random geometry generators ---------------------------------------------------
 
-def clamped_tangent(rng, manifold, point, norm: float) -> manifolds.TangentAtPoint:
-    """A random tangent vector rescaled to a fixed norm."""
-    raw = manifolds.random_tangent(manifold, rng, point, 1.0)
-    scale = norm / max(raw.norm, 1e-12)
-    return manifolds.TangentAtPoint(manifold, point, raw.vector * scale)
-
-
 def _trials(rng, count: int, draw) -> list:
     """``count`` calls of ``draw(rng)`` in order, each slot stacked on a new
     axis 0 as an array; a tuple slot (a loop draw) is stacked part by part."""
@@ -255,6 +248,16 @@ def _loop_and_sections(rng, manifold, n: int, count: int, *scales):
     alpha = manifold.loop_from_draw(loop, n)
     return alpha, *[charts.section_from_draw(manifold, alpha, w, s)
                     for w, s in zip(noise, scales)]
+
+
+def _scaled_tangents(manifold, point, length, direction) -> manifolds.TangentAtPoint:
+    """A stack of tangent vectors (B, k): each ambient direction projected
+    at its point and scaled to its length, by one 1-D norm (a dot product)
+    per trial, the bits a norm of that vector alone has."""
+    v = manifold.project_tangent_vector(point, direction)
+    norm = np.array([np.linalg.norm(row) for row in v])
+    scale = length / np.maximum(norm, 1e-12)
+    return manifolds.TangentAtPoint(manifold, point, scale[:, None] * v)
 
 
 # -- suite implementations ---------------------------------------------------------
@@ -677,22 +680,17 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     pairs of loops agreeing at time zero."""
     manifold = manifolds.manifold_from_tag(cfg.manifold)
     spec = manifolds.LocalAdditionSpec(manifold)
-    n = cfg.resolution
+    n, k = cfg.resolution, manifold.ambient_dim
     bump = np.sin(np.pi * np.arange(n) / n)[:, None] ** 2
     steps = cfg.ode_steps
 
-    def seed(rng, point):
-        return clamped_tangent(rng, manifold, point, float(rng.uniform(0.1, 0.6))).vector
-
-    def draw_point(rng):
-        x0 = manifold.random_point(rng)
-        return x0[None], charts.section_draw(rng, manifold), seed(rng, x0)
-
-    x0, shift, v = _trials(rng, max(1, cfg.samples // 20), draw_point)
-    base = np.broadcast_to(x0, (len(x0), n, manifold.ambient_dim))
+    x0, shift, length, direction = _trials(rng, max(1, cfg.samples // 20), lambda rng: (
+        manifold.random_point(rng)[None], charts.section_draw(rng, manifold),
+        rng.uniform(0.1, 0.6), rng.normal(size=k)))
+    base = np.broadcast_to(x0, (len(x0), n, k))
     shift = charts.section_from_draw(manifold, loops.SampledLoop(base), shift, 0.3)
     alpha = loops.SampledLoop(manifold.exp(base, bump * shift.vectors))
-    v = manifolds.TangentAtPoint(manifold, x0[:, 0], v)
+    v = _scaled_tangents(manifold, x0[:, 0], length, direction)
     beta = tubes.point_tube_forward(manifold, x0, alpha, v, steps=steps)
     nu_v = manifold.exp(x0[:, 0], spec.compress(v.vector))
     out.track("point-eval", beta.samples[:, 0] - nu_v)
@@ -703,15 +701,13 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     same = tubes.point_tube_forward(manifold, x0, alpha, zero, steps=steps)
     out.track("point-zero", same.samples - alpha.samples)
 
-    def draw_pair(rng):  # per trial: the seed reads the built loop's node 0
-        a1 = manifold.random_loop(rng, n, wobble=0.3)
-        shift = charts.random_section(rng, manifold, a1, scale=0.2)
-        a2 = manifold.exp(a1.samples, bump * shift.vectors)
-        return a1.samples, a2, seed(rng, a1.samples[0])
-
-    a1, a2, v = _trials(rng, max(1, cfg.samples // 20), draw_pair)
-    a1, a2 = loops.SampledLoop(a1), loops.SampledLoop(a2)
-    v = manifolds.TangentAtPoint(manifold, a1.samples[:, 0], v)
+    loop, shift, length, direction = _trials(rng, max(1, cfg.samples // 20), lambda rng: (
+        manifold.loop_draw(rng), charts.section_draw(rng, manifold),
+        rng.uniform(0.1, 0.6), rng.normal(size=k)))
+    a1 = manifold.loop_from_draw(loop, n, wobble=0.3)
+    shift = charts.section_from_draw(manifold, a1, shift, 0.2)
+    a2 = loops.SampledLoop(manifold.exp(a1.samples, bump * shift.vectors))
+    v = _scaled_tangents(manifold, a1.samples[:, 0], length, direction)
     b1, b2 = tubes.diagonal_tube_forward(manifold, (a1, a2), v, steps=steps)
     out.track("pair-anchor", b1.samples - a1.samples)
     nu_v = manifold.exp(a1.samples[:, 0], spec.compress(v.vector))
@@ -726,13 +722,11 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("partition-squares",
               sum(weight(p) ** 2 for weight, _ in manifold.tangent_partition()) - 1.0)
 
-    def draw_seeds(rng):  # per trial: the tangent seeds read the drawn point
-        p = manifold.random_point(rng)
-        v, w = (manifolds.random_tangent(manifold, rng, p, 0.5).vector for _ in range(2))
-        return p, v, w, *rng.normal(size=2), manifold.random_point(rng)
-
-    p, v, w, x, y, q = _trials(rng, 10, draw_seeds)
-    v, w = (manifolds.TangentAtPoint(manifold, p, vec) for vec in (v, w))
+    p, v, w, x, y, q = _trials(rng, 10, lambda rng: (
+        manifold.random_point(rng), rng.normal(size=k), rng.normal(size=k),
+        *rng.normal(size=2), manifold.random_point(rng)))
+    v, w = (manifolds.TangentAtPoint(manifold, p, manifold.project_tangent_vector(p, 0.5 * vec))
+            for vec in (v, w))
     sv = tubes.pou_section(manifold, v)
     sw = tubes.pou_section(manifold, w)
     out.track("pou-reproduces", sv(p) - v.vector)

@@ -312,7 +312,7 @@ class TestParallelTransport:
             x, xdot = at(s)
             return SPHERE.projector_derivative(x, xdot, vec)
 
-        def after_step(s, vec):
+        def after_step(step, s, vec):
             return SPHERE.project_tangent_vector(at(s)[0], vec)
 
         assert np.array_equal(out, manifolds._rk4(rhs, v, 0.0, 1.0 / steps, steps,

@@ -5,7 +5,7 @@ records that the runner reports."""
 import numpy as np
 import pytest
 
-from loopspace_lab import charts, geometry, suites
+from loopspace_lab import charts, geometry, manifolds, suites
 from loopspace_lab.cli import run_suite
 from loopspace_lab.errors import IntegrationDiverged
 from loopspace_lab.manifolds import Sphere2
@@ -175,3 +175,25 @@ def test_trials_stack_each_slot_and_a_tuple_slot_part_by_part():
     assert parts.shape == (3, 3) and scalars.shape == (3,)
     assert np.array_equal(parts, np.stack([s[2][0] for s in singles]))
     assert np.array_equal(scalars, [s[2][1] for s in singles])
+
+
+@pytest.mark.parametrize("tag", ["sphere2", "torus2", "flat:3"])
+def test_stacked_seeds_are_the_single_clamped_tangents(tag):
+    # the reference, trial by trial: a random tangent at scale 1, rescaled
+    # to its drawn length by its own 1-D norm
+    manifold = manifolds.manifold_from_tag(tag)
+    rng = np.random.default_rng(23)
+    singles = []
+    for _ in range(5):
+        point, length = manifold.random_point(rng), rng.uniform(0.1, 0.6)
+        raw = manifolds.random_tangent(manifold, rng, point, 1.0)
+        singles.append(raw.vector * (length / max(raw.norm, 1e-12)))
+    after = rng.normal()
+    rng = np.random.default_rng(23)
+    point, length, direction = suites._trials(rng, 5, lambda rng: (
+        manifold.random_point(rng), rng.uniform(0.1, 0.6),
+        rng.normal(size=manifold.ambient_dim)))
+    assert rng.normal() == after
+    seeds = suites._scaled_tangents(manifold, point, length, direction)
+    assert seeds.vector.shape == (5, manifold.ambient_dim)
+    assert np.array_equal(seeds.vector, np.stack(singles))
