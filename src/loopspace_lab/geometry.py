@@ -343,7 +343,7 @@ def curve_of_loops_derivative(curve, s0: float = 0.0) -> np.ndarray:
 # -- non-surjectivity of the loop exponential --------------------------------------
 
 def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
-    """Maximal node-to-node jump of the nodewise log lift of a target loop
+    """Maximal node-to-node jump of the nodewise log lift of each target loop
     about the constant loop at the south pole (0, 0, -1) of S^2.
 
     Lifting a loop through the exponential map at a constant base loop
@@ -352,7 +352,9 @@ def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
     land close to +pi and -pi times the same direction, so the jump is of
     order 2 pi.  For loops staying away from the cut locus the lift is
     continuous and the jump is O(1/N).  Nodes falling exactly on the
-    antipode are avoided by re-sampling at half-step offsets.
+    antipode are avoided by re-sampling at half-step offsets.  A (B, N, 3)
+    stack gets one jump per loop and one offset, the first that keeps every
+    loop off the antipode; one loop gets an ``np.float64`` jump.
     """
     p = np.array([0.0, 0.0, -1.0])
     n = target.resolution
@@ -370,7 +372,7 @@ def exp_nonsurjectivity_witness(manifold: Sphere2, target: SampledLoop) -> dict:
         raise OutOfInjectivityDomain("could not avoid the antipode at any node offset")
     logs = manifold.log(np.broadcast_to(p, samples.shape), samples)
     jumps = np.linalg.norm(np.roll(logs, -1, axis=-2) - logs, axis=-1)
-    return {"jump_magnitude": float(np.max(jumps)), "offset": float(offset)}
+    return {"jump_magnitude": np.max(jumps, axis=-1), "offset": float(offset)}
 
 
 # -- serialization ------------------------------------------------------------------

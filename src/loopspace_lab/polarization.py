@@ -153,8 +153,9 @@ def fredholm_data(blocks: OperatorBlocks):
     Counts are taken at the block's truncation and again four modes higher;
     disagreement raises IndexUnstable.  The kernel is counted on a tall
     window (columns modes 0..K, rows every plus mode they reach) and the
-    cokernel on its transpose: that wide window's conjugate transpose is the
-    adjoint's tall window, with the same singular values.
+    cokernel on the transposed window's conjugate transpose: the adjoint's
+    tall window, with the same singular values.  LAPACK's gesdd only ever
+    sees rows >= columns, since a wide window can stall it on one thread.
     """
     _require_invertible(blocks.symbol)
     coeffs = blocks.coeffs
@@ -165,7 +166,7 @@ def fredholm_data(blocks: OperatorBlocks):
             raise ValueError("stabilized truncation beyond the symbol's Nyquist range")
         tall, wide = np.arange(k + pad + 1), np.arange(k + 1)
         ker = _numerical_kernel_dim(_block(coeffs, tall, wide))
-        coker = _numerical_kernel_dim(_block(coeffs, wide, tall))
+        coker = _numerical_kernel_dim(_block(coeffs, wide, tall).conj().T)
         results.append((ker - coker, ker, coker))
     if results[0] != results[1]:
         raise IndexUnstable(
@@ -204,10 +205,11 @@ def compactness_profile(blocks: OperatorBlocks) -> dict:
     that ``np.linalg.svd`` returns them (LAPACK sorts them descending).
 
     For smooth symbols these decay at the rate of the symbol's Fourier
-    coefficients, which is the finite-truncation face of compactness.
+    coefficients, which is the finite-truncation face of compactness.  The
+    wide ``mp`` goes to LAPACK tall, as its conjugate transpose.
     """
     return {"plus_minus": np.linalg.svd(blocks.pm, compute_uv=False),
-            "minus_plus": np.linalg.svd(blocks.mp, compute_uv=False)}
+            "minus_plus": np.linalg.svd(blocks.mp.conj().T, compute_uv=False)}
 
 
 def profile_to_csv(profile: dict, path) -> None:

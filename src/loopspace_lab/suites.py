@@ -428,7 +428,8 @@ def suite_metric(cfg: ExperimentConfig, rng, out: Checks) -> None:
         *[charts.section_draw(rng, flat2) for _ in range(3)], *rng.normal(size=2)))
     base = loops.SampledLoop(np.broadcast_to(const.samples, (len(x), n, 2)))
     b, c, d = (charts.section_from_draw(flat2, base, w) for w in (b, c, d))
-    out.track("symmetry", geometry.l2_inner(base, b, c) - geometry.l2_inner(base, c, b))
+    bc = geometry.l2_inner(base, b, c)
+    out.track("symmetry", bc - geometry.l2_inner(base, c, b))
     combo = b.scaled(x[:, None]) + c.scaled(y[:, None])
     lhs = geometry.l2_inner(base, combo, d)
     rhs = x * geometry.l2_inner(base, b, d) + y * geometry.l2_inner(base, c, d)
@@ -437,8 +438,7 @@ def suite_metric(cfg: ExperimentConfig, rng, out: Checks) -> None:
     scale = np.maximum(1e-300, np.max(np.abs(b.vectors), axis=(-2, -1)) ** 2)
     out.track("positive", ~(nb / scale > 1e-6))
     rb, rc = (charts.TangentSection(flat2, base, rot.apply(s.vectors)) for s in (b, c))
-    out.track("frame-invariance", geometry.l2_inner(base, rb, rc)
-              - geometry.l2_inner(base, b, c))
+    out.track("frame-invariance", geometry.l2_inner(base, rb, rc) - bc)
 
 
 def suite_covderiv_adjoint(cfg: ExperimentConfig, rng, out: Checks) -> None:
@@ -451,36 +451,33 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng, out: Checks) -> None:
     grid = cfg.path_grid
     s_grid = np.linspace(0.0, 1.0, grid + 1)
     s_col = s_grid[:, None, None]
-    for _ in range(3):  # per trial: a stack would multiply the T^2 peak of the fields
+    for _ in range(3):  # per trial: a stack would multiply the N = 1024 peak of the fields
         alpha = manifold.random_loop(rng, n, wobble=0.3)
         nu = charts.random_section(rng, manifold, alpha, scale=0.2)
         w = charts.random_section(rng, manifold, alpha, scale=0.1)
         w2 = charts.random_section(rng, manifold, alpha, scale=0.1)
 
-        def field_values(s, seed_vec, nodes=slice(None)):
-            """The closed-form geodesic family at time(s) s and a field along
-            it, at the given circle nodes."""
+        def field(s, nodes=slice(None)):
+            """The closed-form geodesic family at time(s) s and the fields
+            built from w and w2 along it, at the given circle nodes."""
             pos = manifold.exp(alpha.samples[nodes], s * nu.vectors[nodes])
             factor = 1.0 + 0.1 * np.sin(np.pi * s)
-            return pos, manifold.project_tangent_vector(pos, factor * seed_vec[nodes])
+            return pos, *(manifold.project_tangent_vector(pos, factor * v.vectors[nodes])
+                          for v in (w, w2))
 
-        pos, fieldV = field_values(s_col, w.vectors)
-        _, fieldW = field_values(s_col, w2.vectors)
+        pos, fieldV, fieldW = field(s_col)
         path = geometry.LoopPath(manifold, s_grid, pos)
         derivV = geometry.cov_deriv_along_path(conn, path, fieldV)
         derivW = geometry.cov_deriv_along_path(conn, path, fieldW)
 
         # oracle: transport-based difference quotient at random grid nodes,
-        # each (time, circle) node evaluated on its own
+        # both times s +- h of each (time, circle) node in one call
         h = 1e-4
         i, j = np.array([(rng.integers(1, grid), rng.integers(0, n))
                          for _ in range(10)]).T
-        pos_ij = path.values[i, j]
-        pulled = []
-        for si in (s_grid[i, None] + h, s_grid[i, None] - h):
-            at_pos, at_vec = field_values(si, w.vectors, j)
-            pulled.append(manifold.geodesic_transport(
-                at_pos, manifold.log(at_pos, pos_ij), at_vec))
+        at_pos, at_vec, _ = field(s_grid[i, None] + np.array([h, -h])[:, None, None], j)
+        pulled = manifold.geodesic_transport(
+            at_pos, manifold.log(at_pos, path.values[i, j]), at_vec)
         oracle = (pulled[0] - pulled[1]) / (2 * h)
         out.track("connector-vs-transport", derivV[i, j] - oracle)
 
@@ -495,8 +492,8 @@ def suite_covderiv_adjoint(cfg: ExperimentConfig, rng, out: Checks) -> None:
     b = charts.random_section(rng, flat, a)
     fpath = geometry.LoopPath(flat, s_grid, a.samples + s_col * b.vectors)
     c = charts.random_section(rng, flat, a)
-    field = np.broadcast_to(c.vectors, fpath.values.shape)
-    out.track("flat-constant", geometry.cov_deriv_along_path(fconn, fpath, field))
+    constant = np.broadcast_to(c.vectors, fpath.values.shape)
+    out.track("flat-constant", geometry.cov_deriv_along_path(fconn, fpath, constant))
 
 
 def suite_geodesic_pointwise(cfg: ExperimentConfig, rng, out: Checks) -> None:
@@ -507,9 +504,9 @@ def suite_geodesic_pointwise(cfg: ExperimentConfig, rng, out: Checks) -> None:
     n = cfg.resolution
     alpha, nu = _loop_and_sections(rng, manifold, n, 3, 0.5)
     path = geometry.loop_geodesic(conn, alpha, nu, 1.0, cfg.ode_steps)
-    for idx in (cfg.ode_steps // 2, cfg.ode_steps):
-        oracle = manifold.exp(alpha.samples, path.s_grid[idx] * nu.vectors)
-        out.track("pointwise-oracle", path.values[idx] - oracle)
+    idx = np.array([cfg.ode_steps // 2, cfg.ode_steps])
+    oracle = manifold.exp(alpha.samples, path.s_grid[idx, None, None, None] * nu.vectors)
+    out.track("pointwise-oracle", path.values[idx] - oracle)
     for trial in range(len(alpha.samples)):
         # per trial: a velocity of the whole stack would double its memory
         vel = geometry._time_derivative(path.values[:, trial], path.s_grid)
@@ -592,7 +589,7 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("fd-estimate", fd_torsion(sphere, lc, s_alpha.samples[j],
                                         s_beta.vectors[j], s_gamma.vectors[j]))
     est_f = fd_torsion(flat, conn_t, alpha.samples[j], beta.vectors[j], gamma.vectors[j])
-    out.track("fd-estimate", est_f - np.cross(beta.vectors[j], gamma.vectors[j]))
+    out.track("fd-estimate", est_f - direct[j])
 
 
 def suite_frame_extract(cfg: ExperimentConfig, rng, out: Checks) -> None:
@@ -773,22 +770,23 @@ def suite_equivariant(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("flat-fourier", normal.vectors - (a.samples - mode0))
 
 
-def _latitude_circle(radius: float, n: int) -> loops.SampledLoop:
-    t = np.arange(n) / n
-    return loops.SampledLoop(np.stack([
-        np.sin(radius) * np.cos(2 * np.pi * t),
-        np.sin(radius) * np.sin(2 * np.pi * t),
-        -np.cos(radius) * np.ones(n)], axis=-1))
+def _latitude_circles(radius: np.ndarray, n: int) -> np.ndarray:
+    """(B, N, 3): one circle per radius about the south pole."""
+    radius, t = radius[:, None], np.arange(n) / n
+    return np.stack([np.sin(radius) * np.cos(2 * np.pi * t),
+                     np.sin(radius) * np.sin(2 * np.pi * t),
+                     -np.cos(radius) * np.ones(n)], axis=-1)
 
 
-def _tilted_great_circle(min_dist: float, azimuth: float, n: int) -> loops.SampledLoop:
+def _tilted_great_circles(min_dist: np.ndarray, azimuth: np.ndarray, n: int) -> np.ndarray:
+    """(B, N, 3): one great circle per pair, passing min_dist from the south
+    pole at that azimuth."""
     a = np.pi / 2 - min_dist
-    u = np.array([np.cos(a) * np.cos(azimuth), np.cos(a) * np.sin(azimuth),
-                  -np.sin(a)])
-    w = np.array([-np.sin(azimuth), np.cos(azimuth), 0.0])
-    t = np.arange(n) / n
-    return loops.SampledLoop(np.outer(np.cos(2 * np.pi * t), u)
-                             + np.outer(np.sin(2 * np.pi * t), w))
+    u = np.stack([np.cos(a) * np.cos(azimuth), np.cos(a) * np.sin(azimuth),
+                  -np.sin(a)], axis=-1)
+    w = np.stack([-np.sin(azimuth), np.cos(azimuth), np.zeros_like(azimuth)], axis=-1)
+    t = 2 * np.pi * (np.arange(n) / n)[:, None]
+    return np.cos(t) * u[:, None] + np.sin(t) * w[:, None]
 
 
 def suite_exp_nonsurjective(cfg: ExperimentConfig, rng, out: Checks) -> None:
@@ -796,27 +794,16 @@ def suite_exp_nonsurjective(cfg: ExperimentConfig, rng, out: Checks) -> None:
     circles staying away from the cut locus do."""
     manifold = manifolds.Sphere2()
     n = cfg.resolution
-    for _ in range(5):
-        azimuth = float(rng.uniform(0, 2 * np.pi))
-        circle = _tilted_great_circle(0.0, azimuth, n)
-        report = geometry.exp_nonsurjectivity_witness(manifold, circle)
-        # circles through the pole must jump: the residual is 1/jump
-        out.track("through-pole", 1.0 / report["jump_magnitude"])
-
-    for radius in (0.2, 0.7, 1.2):
-        circle = _latitude_circle(radius, n)
-        report = geometry.exp_nonsurjectivity_witness(manifold, circle)
-        out.track("away-from-pole", report["jump_magnitude"])
-    for min_dist in (np.pi / 2, 1.3):
-        circle = _tilted_great_circle(float(min_dist),
-                                      float(rng.uniform(0, 2 * np.pi)), n)
-        report = geometry.exp_nonsurjectivity_witness(manifold, circle)
-        out.track("away-from-pole", report["jump_magnitude"])
-
-    target = manifold.random_point(rng)
-    const = loops.SampledLoop.constant(target, n)
-    report = geometry.exp_nonsurjectivity_witness(manifold, const)
-    out.track("constant-target", report["jump_magnitude"])
+    witness = lambda samples: geometry.exp_nonsurjectivity_witness(
+        manifold, loops.SampledLoop(samples))["jump_magnitude"]
+    through = _tilted_great_circles(np.zeros(5), rng.uniform(0, 2 * np.pi, size=5), n)
+    # circles through the pole must jump: the residual is 1/jump
+    out.track("through-pole", 1.0 / witness(through))
+    away = np.concatenate([_latitude_circles(np.array([0.2, 0.7, 1.2]), n),
+                           _tilted_great_circles(np.array([np.pi / 2, 1.3]),
+                                                 rng.uniform(0, 2 * np.pi, size=2), n)])
+    out.track("away-from-pole", witness(away))
+    out.track("constant-target", witness(np.tile(manifold.random_point(rng), (n, 1))))
 
 
 def _monomial_symbol(m: int, n_nodes: int) -> geometry.MatrixLoop:

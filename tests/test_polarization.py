@@ -1,9 +1,12 @@
 """Fourier polarization: mode splitting, Toeplitz blocks, the numerical
 Fredholm index against the winding oracle, and compactness profiles."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from loopspace_lab import polarization
 from loopspace_lab.errors import IndexUnstable, SingularSymbol
 from loopspace_lab.geometry import MatrixLoop
 from loopspace_lab.loops import SampledLoop, to_fourier
@@ -254,6 +257,28 @@ class TestFredholmIndex:
         for shift in (5, 31):
             rolled = MatrixLoop(np.roll(symbol.matrices, -shift, axis=0))
             assert fredholm_index(toeplitz_blocks(rolled, 16)) == base
+
+
+class TestSvdOrientation:
+    def test_every_svd_is_tall(self, monkeypatch):
+        # a wide window can stall LAPACK's gesdd under one BLAS thread, so
+        # polarization hands every SVD the orientation with rows >= columns
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == polarization.__name__:
+                shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        for symbol in symbol_battery(np.random.default_rng(0), n_nodes=512, count=5):
+            for k in (16, 64, 128):
+                blocks = toeplitz_blocks(symbol, k)
+                fredholm_data(blocks)
+                compactness_profile(blocks)
+        assert len(shapes) == 5 * 3 * 6
+        assert all(rows >= cols for rows, cols in shapes), shapes
 
 
 class TestWinding:
