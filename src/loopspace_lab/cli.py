@@ -8,7 +8,8 @@ main report is byte-identical across reruns with the same seed.
 
 Exit codes: 0 all checks pass, 1 a check failed (report still written; a
 suite that raises a numerical error reports it as a failing ``suite-error``
-check), 2 unknown suite, 3 invalid configuration.
+check), 2 unknown suite, 3 invalid configuration or a report that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
     sidecar carrying the wall time, which is kept out of the main report so
     that equal configurations produce byte-identical reports.  The output
     directory is made before the suite runs; one that cannot be made (a
-    file, or a path under a file) raises ConfigInvalid.
+    file, or a path under a file) raises ConfigInvalid, and so does a report
+    file that cannot be written after the run.
     """
     cfg = cfg.validated()
     out = Path(cfg.out_dir)
@@ -84,18 +86,21 @@ def run_suite(cfg: ExperimentConfig, verbose: bool = False) -> Report:
             print(f"[{status}] {cfg.suite}/{c.check_id}: "
                   f"residual {c.residual:.3e} <= {c.tolerance:.3e} ({c.anchor})")
     stem = out / f"{cfg.suite}-{cfg.seed}"
-    with open(f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "anchor", "residual", "tolerance", "pass"])
-        for c in checks:
-            writer.writerow([c.check_id, c.anchor, repr(c.residual),
-                             repr(c.tolerance), c.passed])
-    with open(f"{stem}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"wall_time_s": wall}, fh)
-        fh.write("\n")
+    try:
+        with open(f"{stem}.json", "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        with open(f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["check_id", "anchor", "residual", "tolerance", "pass"])
+            for c in checks:
+                writer.writerow([c.check_id, c.anchor, repr(c.residual),
+                                 repr(c.tolerance), c.passed])
+        with open(f"{stem}.meta.json", "w", encoding="utf-8") as fh:
+            json.dump({"wall_time_s": wall}, fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write the report: {exc}") from exc
     return report
 
 

@@ -209,16 +209,20 @@ class Checks:
         self._oracle_tol = float(cfg.oracle_tol)
         self._worst: dict[str, float] = {}
 
-    def track(self, check_id: str, diff) -> None:
-        """Fold max |diff| into the running worst residual of a check.
+    def track(self, check_id: str, diff, *more) -> None:
+        """Fold max |d| of ``diff`` and of each of ``more`` in turn into the
+        running worst residual of a check: one call per identity, which
+        gives the floats of one call per difference.
 
-        A NaN anywhere in ``diff`` makes the residual NaN for good, so the
-        check fails instead of silently dropping the trial.
+        A NaN anywhere in a difference makes the residual NaN for good, so
+        the check fails instead of silently dropping the trial.
         """
         if check_id not in self._declared:
             raise KeyError(f"check {check_id!r} is not declared in CHECKS")
         worst = self._worst.get(check_id, 0.0)
-        self._worst[check_id] = float(np.maximum(worst, np.max(np.abs(diff))))
+        for d in (diff, *more):
+            worst = float(np.maximum(worst, np.max(np.abs(d))))
+        self._worst[check_id] = worst
 
     @property
     def records(self) -> list[CheckRecord]:
@@ -587,9 +591,18 @@ def suite_torsion_loop(cfg: ExperimentConfig, rng, out: Checks) -> None:
 
     j = [int(rng.integers(0, n)) for _ in range(5)]
     out.track("fd-estimate", fd_torsion(sphere, lc, s_alpha.samples[j],
-                                        s_beta.vectors[j], s_gamma.vectors[j]))
-    est_f = fd_torsion(flat, conn_t, alpha.samples[j], beta.vectors[j], gamma.vectors[j])
-    out.track("fd-estimate", est_f - direct[j])
+                                        s_beta.vectors[j], s_gamma.vectors[j]),
+              fd_torsion(flat, conn_t, alpha.samples[j], beta.vectors[j], gamma.vectors[j])
+              - direct[j])
+
+
+def _raises(error, call) -> bool:
+    """Whether ``call()`` raises ``error``."""
+    try:
+        call()
+    except error:
+        return True
+    return False
 
 
 def suite_frame_extract(cfg: ExperimentConfig, rng, out: Checks) -> None:
@@ -619,21 +632,13 @@ def suite_frame_extract(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("scalar", frame.matrices - expected)
 
     convolution = lambda s: np.roll(s, n // 4, axis=-2)
-    try:
-        geometry.frame_from_module_map(convolution, d, n)
-        rejected = False
-    except NotPointwiseLinear:
-        rejected = True
-    out.track("reject-convolution", not rejected)
+    out.track("reject-convolution", not _raises(
+        NotPointwiseLinear, lambda: geometry.frame_from_module_map(convolution, d, n)))
 
     vanishing = np.sin(2 * np.pi * np.arange(n) / n)
     singular_op = lambda s: vanishing[:, None] * s
-    try:
-        geometry.frame_from_module_map(singular_op, d, n)
-        flagged = False
-    except SingularFrame:
-        flagged = True
-    out.track("reject-singular", not flagged)
+    out.track("reject-singular", not _raises(
+        SingularFrame, lambda: geometry.frame_from_module_map(singular_op, d, n)))
 
 
 def suite_fibration(cfg: ExperimentConfig, rng, out: Checks) -> None:
@@ -692,8 +697,7 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     nu_v = manifold.exp(x0[:, 0], spec.compress(v.vector))
     out.track("point-eval", beta.samples[:, 0] - nu_v)
     alpha2, v2 = tubes.point_tube_inverse(manifold, x0, beta, steps=steps)
-    out.track("point-roundtrip", alpha2.samples - alpha.samples)
-    out.track("point-roundtrip", v2.vector - v.vector)
+    out.track("point-roundtrip", alpha2.samples - alpha.samples, v2.vector - v.vector)
     zero = manifolds.TangentAtPoint(manifold, v.base, np.zeros_like(v.vector))
     same = tubes.point_tube_forward(manifold, x0, alpha, zero, steps=steps)
     out.track("point-zero", same.samples - alpha.samples)
@@ -710,8 +714,7 @@ def suite_tube_lp(cfg: ExperimentConfig, rng, out: Checks) -> None:
     nu_v = manifold.exp(a1.samples[:, 0], spec.compress(v.vector))
     out.track("pair-eval", b2.samples[:, 0] - nu_v)
     (c1, c2), v2 = tubes.diagonal_tube_inverse(manifold, (b1, b2), steps=steps)
-    out.track("pair-roundtrip", c2.samples - a2.samples)
-    out.track("pair-roundtrip", v2.vector - v.vector)
+    out.track("pair-roundtrip", c2.samples - a2.samples, v2.vector - v.vector)
 
     # partition-of-unity sections; each point goes through the weights as a
     # (1, k) row, as a single call would pass it
@@ -757,8 +760,8 @@ def suite_equivariant(cfg: ExperimentConfig, rng, out: Checks) -> None:
         rotated = lambda a: np.take_along_axis(a, nodes, axis=-2)
         fixed_r, normal_r = tubes.equivariant_decompose(
             manifold, m, loops.SampledLoop(rotated(gamma.samples)))
-        out.track("rotation-commute", fixed_r.samples - rotated(fixed.samples))
-        out.track("rotation-commute", normal_r.vectors - rotated(normal.vectors))
+        out.track("rotation-commute", fixed_r.samples - rotated(fixed.samples),
+                  normal_r.vectors - rotated(normal.vectors))
 
     # flat circle-group case against the Fourier oracle
     flat = manifolds.Flat(3)
@@ -766,8 +769,7 @@ def suite_equivariant(cfg: ExperimentConfig, rng, out: Checks) -> None:
     fixed, normal = tubes.equivariant_decompose(flat, 1, a)
     coeffs = np.fft.fft(a.samples, axis=0) / n
     mode0 = coeffs[0].real
-    out.track("flat-fourier", fixed.samples - mode0)
-    out.track("flat-fourier", normal.vectors - (a.samples - mode0))
+    out.track("flat-fourier", fixed.samples - mode0, normal.vectors - (a.samples - mode0))
 
 
 def _latitude_circles(radius: np.ndarray, n: int) -> np.ndarray:
@@ -846,30 +848,21 @@ def symbol_battery(rng, n_nodes: int = 128, count: int = 20) -> list:
     return battery
 
 
+def _index(symbol: geometry.MatrixLoop, truncation: int) -> int:
+    return polarization.fredholm_index(polarization.toeplitz_blocks(symbol, truncation))
+
+
 def suite_polarization_index(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """The plus-sector compression of an invertible symbol is Fredholm with
     index minus the winding of the determinant."""
-    truncation = 16
-    for symbol in symbol_battery(rng):
-        blocks = polarization.toeplitz_blocks(symbol, truncation)
-        idx = polarization.fredholm_index(blocks)
-        wind = polarization.winding_number(symbol)
-        out.track("index-vs-winding", idx + wind)
+    out.track("index-vs-winding", [_index(symbol, 16) + polarization.winding_number(symbol)
+                                   for symbol in symbol_battery(rng)])
+    out.track("shift", _index(_monomial_symbol(1, 64), 8) + 1)
 
-    shift = _monomial_symbol(1, 64)
-    out.track("shift",
-              polarization.fredholm_index(polarization.toeplitz_blocks(shift, 8)) + 1)
-
-    for _ in range(6):
-        a = int(rng.integers(-3, 4))
-        b = int(rng.integers(-3, 4))
-        sym_a = _monomial_symbol(a, 64)
-        sym_b = _monomial_symbol(b, 64)
-        product = geometry.MatrixLoop(sym_a.matrices * sym_b.matrices)
-        ia = polarization.fredholm_index(polarization.toeplitz_blocks(sym_a, 8))
-        ib = polarization.fredholm_index(polarization.toeplitz_blocks(sym_b, 8))
-        iab = polarization.fredholm_index(polarization.toeplitz_blocks(product, 8))
-        out.track("additivity", iab - ia - ib)
+    pairs = [(_monomial_symbol(a, 64), _monomial_symbol(b, 64))
+             for a, b in rng.integers(-3, 4, size=(6, 2)).tolist()]
+    out.track("additivity", [_index(geometry.MatrixLoop(za.matrices * zb.matrices), 8)
+                             - _index(za, 8) - _index(zb, 8) for za, zb in pairs])
 
     t = np.arange(64) / 64
     mats = np.zeros((64, 2, 2), dtype=np.complex128)
@@ -881,11 +874,10 @@ def suite_polarization_index(cfg: ExperimentConfig, rng, out: Checks) -> None:
     out.track("diag-kernels", (idx, ker, coker) != (0, 1, 1))
 
     symbol = symbol_battery(rng, count=1)[0]
-    base_idx = polarization.fredholm_index(polarization.toeplitz_blocks(symbol, 16))
-    for shift_nodes in (7, 19):
-        rolled = geometry.MatrixLoop(np.roll(symbol.matrices, -shift_nodes, axis=0))
-        idx_r = polarization.fredholm_index(polarization.toeplitz_blocks(rolled, 16))
-        out.track("rotation-covariance", idx_r - base_idx)
+    base_idx = _index(symbol, 16)
+    out.track("rotation-covariance", [
+        _index(geometry.MatrixLoop(np.roll(symbol.matrices, -shift, axis=0)), 16) - base_idx
+        for shift in (7, 19)])
 
 
 def _entire_rotation_symbol() -> geometry.MatrixLoop:
@@ -902,25 +894,18 @@ def _entire_rotation_symbol() -> geometry.MatrixLoop:
 def suite_compactness(cfg: ExperimentConfig, rng, out: Checks) -> None:
     """Off-diagonal blocks are compact: finite rank for banded symbols and
     rapidly decaying singular values for entire ones."""
+    profile = lambda symbol, truncation: polarization.compactness_profile(
+        polarization.toeplitz_blocks(symbol, truncation))
+
     const = geometry.MatrixLoop(np.tile(np.diag([1.0 + 0j, 2.0]), (64, 1, 1)))
-    prof = polarization.compactness_profile(polarization.toeplitz_blocks(const, 8))
-    out.track("constant-symbol", prof["plus_minus"][0])
-    out.track("constant-symbol", prof["minus_plus"][0])
+    prof = profile(const, 8)
+    out.track("constant-symbol", prof["plus_minus"][0], prof["minus_plus"][0])
 
-    for m in (1, 2, 3):
-        t = np.arange(64) / 64
-        mats = np.exp(2j * np.pi * m * t)[:, None, None] * np.eye(2)
-        blocks = polarization.toeplitz_blocks(geometry.MatrixLoop(mats), 8)
-        prof = polarization.compactness_profile(blocks)
-        out.track("finite-rank", prof["plus_minus"][2 * m])
+    harmonic = lambda m: geometry.MatrixLoop(_monomial_symbol(m, 64).matrices * np.eye(2))
+    out.track("finite-rank", [profile(harmonic(m), 8)["plus_minus"][2 * m] for m in (1, 2, 3)])
 
-    blocks = polarization.toeplitz_blocks(_entire_rotation_symbol(), 64)
-    prof = polarization.compactness_profile(blocks)
-    s = prof["plus_minus"]
-    ratio1 = float(s[8] / s[16])
-    ratio2 = float(s[16] / s[24])
-    out.track("superpolynomial-decay", 1e3 / ratio1)
-    out.track("superpolynomial-decay", 1e3 / ratio2)
+    s = profile(_entire_rotation_symbol(), 64)["plus_minus"]
+    out.track("superpolynomial-decay", 1e3 / float(s[8] / s[16]), 1e3 / float(s[16] / s[24]))
     out.track("sorted", not np.all(np.diff(s) <= 1e-15))
 
 

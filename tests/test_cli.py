@@ -154,6 +154,16 @@ class TestMainExitCodes:
         assert calls == []
         assert [p.name for p in tmp_path.rglob("*")] == ["blocker"]
 
+    @pytest.mark.parametrize("blocked", ["json", "csv", "meta.json"])
+    def test_unwritable_report_exits_3_with_one_error_line(self, tmp_path, capsys, blocked):
+        # a directory where one report file goes: the suite runs, that write fails
+        (tmp_path / f"metric-0.{blocked}").mkdir()
+        code = main(["run", "--suite", "metric", "--resolution", "32", "--samples", "2",
+                     "--seed", "0", "--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+
     def test_failing_check_exits_1_with_report(self, tmp_path):
         # an absurdly small oracle tolerance forces a failing record
         code = main(["run", "--suite", "geodesic-pointwise",

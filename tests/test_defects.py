@@ -14,7 +14,7 @@ import functools
 import numpy as np
 import pytest
 
-from loopspace_lab import geometry, manifolds, polarization
+from loopspace_lab import geometry, manifolds, polarization, tubes
 from loopspace_lab.errors import OutOfInjectivityDomain
 from loopspace_lab.suites import ExperimentConfig, run_checks
 
@@ -131,7 +131,60 @@ def flip_block_modes(mp):
     mp.setattr(polarization, "_block", lambda coeffs, rows, cols: block(coeffs, -rows, -cols))
 
 
-#: (suite/check-id, manifold, defect) rows; the defect must fail the check
+def shift_minus_modes(mp):
+    """Toeplitz blocks read every negative row or column mode one higher, so
+    the minus sector runs -K+1..0.  The Fredholm windows use plus modes
+    only, so the index checks pass this defect."""
+    block = polarization._block
+    mp.setattr(polarization, "_block",
+               lambda coeffs, rows, cols: block(coeffs, rows + (rows < 0), cols + (cols < 0)))
+
+
+def unpadded_windows(mp):
+    """Every kernel window gets one padding row, whatever the symbol's
+    bandwidth."""
+    mp.setattr(polarization, "active_bandwidth", lambda coeffs: 0)
+
+
+def zero_rank_threshold(mp):
+    """Kernel dimensions count the singular values that are exactly zero."""
+    mp.setattr(polarization, "RANK_THRESHOLD", 0.0)
+
+
+def loose_reconstruction(mp):
+    """The probe reconstruction of an extracted frame accepts any residual."""
+    mp.setattr(geometry, "FRAME_RECONSTRUCTION_TOL", np.inf)
+
+
+def no_frame_rank_test(mp):
+    """The singular-frame test reads the condition number only.  A frame that
+    is zero at a node then passes: its condition ratio there is 0/0, and a
+    NaN is never at least CONDITION_LIMIT."""
+    mp.setattr(geometry, "RANK_THRESHOLD", -np.inf)
+
+
+def transposed_cosets(mp):
+    """Row i of the cosets of C_m is read as samples i*m..i*m+m-1, the
+    (N/m, m) reshape moved to the front, not as every (N/m)-th sample."""
+    def cosets(order, samples):
+        n = samples.shape[-2]
+        m = order if order >= 2 else n
+        return np.moveaxis(samples.reshape(samples.shape[:-2] + (n // m, m, samples.shape[-1])),
+                           -2, 0)
+
+    mp.setattr(tubes, "_cosets", cosets)
+
+
+def trivial_order_one(mp):
+    """Order 1 is read as the trivial group, not as the circle group."""
+    cosets = tubes._cosets
+    mp.setattr(tubes, "_cosets",
+               lambda order, samples: samples[None] if order == 1 else cosets(order, samples))
+
+
+#: (suite/check-id, manifold, defect) rows; the defect must fail the check.
+#: The polarization-index, compactness and frame-extract suites use no
+#: manifold, so their rows run on sphere2 only.
 DEFECTS = [
     ("transport-pointwise/pointwise-oracle", "sphere2", zero_projector_derivative),
     ("transport-pointwise/pointwise-oracle", "torus2", zero_projector_derivative),
@@ -176,6 +229,26 @@ DEFECTS = [
     ("exp-nonsurjective/through-pole", "sphere2", chord_log),
     ("polarization-index/index-vs-winding", "sphere2", flip_block_modes),
     ("polarization-index/shift", "sphere2", flip_block_modes),
+    ("polarization-index/additivity", "sphere2", unpadded_windows),
+    ("polarization-index/diag-kernels", "sphere2", zero_rank_threshold),
+    # rotation-covariance gets no row: a roll by s whole nodes multiplies
+    # mode m by e^{2 pi i m s/N}, so each window of the rolled symbol is
+    # D W D* with D diagonal unitary and has the singular values of W; every
+    # polarization defect here, which gathers, pads or thresholds by mode
+    # alone, moves both indices alike and passes it
+    ("compactness/constant-symbol", "sphere2", shift_minus_modes),
+    ("compactness/finite-rank", "sphere2", shift_minus_modes),
+    ("frame-extract/reject-convolution", "sphere2", loose_reconstruction),
+    ("frame-extract/reject-singular", "sphere2", no_frame_rank_test),
+    # period passes transposed_cosets, since the fixed part is tiled from
+    # one anchor per coset row whatever the rows hold, and so does
+    # flat-fourier, whose circle group (m = N) reads the same rows either way
+    ("equivariant/coset-mean", "sphere2", transposed_cosets),
+    ("equivariant/coset-mean", "torus2", transposed_cosets),
+    ("equivariant/rotation-commute", "sphere2", transposed_cosets),
+    ("equivariant/rotation-commute", "torus2", transposed_cosets),
+    ("equivariant/flat-fourier", "sphere2", trivial_order_one),
+    ("equivariant/flat-fourier", "torus2", trivial_order_one),
 ]
 
 

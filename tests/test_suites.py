@@ -13,13 +13,17 @@ from loopspace_lab.suites import (FLAG, ORACLE, SUITES, CheckRecord, Checks,
                                   ExperimentConfig, run_checks)
 
 
+def checks_for_s():
+    return Checks(ExperimentConfig(suite="s", oracle_tol=1.0))
+
+
 @pytest.fixture
 def out(monkeypatch):
     """Checks for suite "s", whose catalogue declares c, d and a flag f."""
     monkeypatch.setattr(suites, "CHECKS", {
         "s/c": ("anchor c", 3.0), "s/d": ("anchor d", ORACLE),
         "s/f": ("a flag", FLAG), "t/c": ("another suite's c", 9.0)})
-    return Checks(ExperimentConfig(suite="s", oracle_tol=1.0))
+    return checks_for_s()
 
 
 def track_rest(out, *check_ids):
@@ -27,20 +31,33 @@ def track_rest(out, *check_ids):
         out.track(check_id, 0.0)
 
 
+def track_in_one_call(*diffs):
+    """The records of "s" with ``diffs`` passed to one ``track("c", ...)``."""
+    out = checks_for_s()
+    out.track("c", *diffs)
+    track_rest(out, "d", "f")
+    return out.records
+
+
 def test_track_keeps_the_running_max(out):
-    out.track("c", np.array([0.5, -2.0]))
-    out.track("c", 1.0)
+    diffs = 1.0, np.array([0.5, -2.0]), np.array([[-1.5], [0.25]])
+    for diff in diffs:
+        out.track("c", diff)
     track_rest(out, "d", "f")
     assert out.records[0].residual == 2.0 and out.records[0].passed
+    assert track_in_one_call(*diffs) == out.records
 
 
 def test_track_propagates_nan(out):
-    out.track("c", 1e-3)
-    out.track("c", np.array([0.0, np.nan]))
-    out.track("c", 1e-4)
+    diffs = 1e-3, np.array([0.0, np.nan]), 1e-4
+    for diff in diffs:
+        out.track("c", diff)
     track_rest(out, "d", "f")
     assert np.isnan(out.records[0].residual)
     assert not out.records[0].passed
+    one_call = track_in_one_call(*diffs)
+    assert np.isnan(one_call[0].residual) and not one_call[0].passed
+    assert one_call[1:] == out.records[1:]
 
 
 def test_track_reduces_a_difference_and_propagates_nan(out):
